@@ -11,6 +11,17 @@ use crate::config::HierarchyConfig;
 use crate::stats::{LevelStats, MissRateReport};
 use crate::trace::{Access, AccessSink, Run};
 
+/// Which route [`Hierarchy::run_group`]'s fast path sent a group down.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum GroupPath {
+    /// Preconditions failed: the caller runs the exact scalar interleave.
+    Declined,
+    /// Certified collision-free: closed-form line-crossing schedule.
+    Periodic,
+    /// Per-window collision checks, with scalar replay or bail-out.
+    Windowed,
+}
+
 /// A stack of cache levels driven as one unit.
 #[derive(Debug, Clone)]
 pub struct Hierarchy {
@@ -269,60 +280,92 @@ impl Hierarchy {
     /// order, so every level's miss stream is identical to the scalar
     /// interleave.
     ///
-    /// When all references share one stride, each pair's line distance stays
-    /// within `{D, D+1}` for the entire run, so set collisions are decidable
-    /// up front: provably collision-free groups with a line-dividing stride
-    /// take a closed-form periodic path
+    /// When all references share one stride, set collisions are decidable
+    /// up front by [`lockstep_set_disjoint`]: provably collision-free groups
+    /// with a line-dividing stride take a closed-form periodic path
     /// ([`Hierarchy::run_group_periodic`]); everything else goes through the
     /// windowed path ([`Hierarchy::run_group_windowed`]), which checks
     /// collisions at line-crossing granularity and replays conflicting
-    /// windows scalar.
+    /// windows scalar. Groups that add loop-invariant references to one
+    /// common stride are decided the same way by
+    /// [`Hierarchy::run_group_pinned`].
     ///
-    /// Returns `false` when the group cannot take the fast path at all:
-    /// prefetching enabled, mismatched trip counts, or some stride covering
-    /// more than half an L1 line.
-    fn try_run_group_fast(&mut self, runs: &[Run]) -> bool {
+    /// Returns [`GroupPath::Declined`] when the group cannot take the fast
+    /// path at all: prefetching enabled, mismatched trip counts, or some
+    /// stride covering more than half an L1 line.
+    fn try_run_group_fast(&mut self, runs: &[Run]) -> GroupPath {
         if self.next_line_prefetch {
-            return false;
+            return GroupPath::Declined;
         }
         let count = runs[0].count;
         if runs.iter().any(|r| r.count != count) {
-            return false;
+            return GroupPath::Declined;
         }
         let l1 = self.levels[0].config();
         let line = l1.line as u64;
         if runs.iter().any(|r| r.stride.unsigned_abs() * 2 > line) {
-            return false;
+            return GroupPath::Declined;
         }
         if count == 0 {
-            return true;
+            return GroupPath::Periodic;
         }
         let line_shift = line.trailing_zeros();
         let num_sets = l1.num_sets() as u64;
         let stride = runs[0].stride;
-        let uniform = runs.iter().all(|r| r.stride == stride);
-        let never_conflict = uniform && pairwise_set_disjoint(runs, line_shift, num_sets);
+        if runs.iter().any(|r| r.stride != stride) {
+            return self.run_group_pinned(runs, count, line_shift, num_sets);
+        }
+        let never_conflict = lockstep_set_disjoint(runs, count, line_shift, num_sets);
 
         if never_conflict && stride != 0 && line.is_multiple_of(stride.unsigned_abs()) {
-            self.run_group_periodic(runs, count, line_shift);
+            self.run_group_periodic(runs, runs, count, line_shift);
+            GroupPath::Periodic
         } else {
             self.run_group_windowed(runs, count, line_shift, num_sets - 1, never_conflict);
+            GroupPath::Windowed
         }
-        true
     }
 
-    /// Collision-free group with one common line-dividing stride: every
-    /// reference crosses lines with the same period `line/|stride|` trips,
-    /// so its line-entering trips form an arithmetic sequence known up
-    /// front. The entering accesses are emitted in exact trip order (one
+    /// [`Hierarchy::try_run_group_fast`] for groups with more than one
+    /// stride. Loop-invariant (stride-0) references join the periodic
+    /// schedule when the moving ones share a line-dividing stride and
+    /// [`pinned_set_disjoint`] certifies the whole group; anything else goes
+    /// windowed.
+    fn run_group_pinned(
+        &mut self,
+        runs: &[Run],
+        count: u64,
+        line_shift: u32,
+        num_sets: u64,
+    ) -> GroupPath {
+        let moving: Vec<Run> = runs.iter().filter(|r| r.stride != 0).copied().collect();
+        let stride = moving[0].stride;
+        if moving.iter().all(|r| r.stride == stride)
+            && (1u64 << line_shift).is_multiple_of(stride.unsigned_abs())
+            && pinned_set_disjoint(runs, &moving, count, line_shift, num_sets)
+        {
+            self.run_group_periodic(runs, &moving, count, line_shift);
+            GroupPath::Periodic
+        } else {
+            self.run_group_windowed(runs, count, line_shift, num_sets - 1, false);
+            GroupPath::Windowed
+        }
+    }
+
+    /// Collision-free group whose `moving` references (the nonzero-stride
+    /// subsequence of `runs`, in body order) share one line-dividing
+    /// stride: each crosses lines with the same period `line/|stride|`
+    /// trips, so its line-entering trips form an arithmetic sequence known
+    /// up front. The entering accesses are emitted in exact trip order (one
     /// stable sort); every other access is a guaranteed L1 hit, flushed as
-    /// one counter bump.
-    fn run_group_periodic(&mut self, runs: &[Run], count: u64, line_shift: u32) {
-        let n = runs.len();
-        let period = (1u64 << line_shift) / runs[0].stride.unsigned_abs();
+    /// one counter bump. Stride-0 references are probed once at trip 0 and
+    /// hit for the rest of the run.
+    fn run_group_periodic(&mut self, runs: &[Run], moving: &[Run], count: u64, line_shift: u32) {
+        let n = moving.len();
+        let period = (1u64 << line_shift) / moving[0].stride.unsigned_abs();
         let mut hits = 0u64;
         // Trip 0: every reference's first access, in body order; each then
-        // hits until its first line crossing.
+        // hits until its first line crossing (a stride-0 one never crosses).
         let mut first_cross = Vec::with_capacity(n);
         for r in runs {
             self.access_addr_kind(r.start, r.is_write());
@@ -332,7 +375,9 @@ impl Hierarchy {
             } else {
                 hits += tol - 1;
             }
-            first_cross.push(tol);
+            if r.stride != 0 {
+                first_cross.push(tol);
+            }
         }
         // Rounds of crossings: in round k, reference i enters a new line at
         // trip first_cross[i] + k·period, at an address exactly one line
@@ -342,7 +387,7 @@ impl Hierarchy {
         let mut order: Vec<usize> = (0..n).collect();
         order.sort_by_key(|&i| first_cross[i]);
         let line = 1u64 << line_shift;
-        let line_delta = if runs[0].stride > 0 {
+        let line_delta = if moving[0].stride > 0 {
             line
         } else {
             line.wrapping_neg()
@@ -353,9 +398,9 @@ impl Hierarchy {
             .iter()
             .map(|&i| {
                 (
-                    runs[i].addr(first_cross[i]),
+                    moving[i].addr(first_cross[i]),
                     first_cross[i],
-                    runs[i].is_write(),
+                    moving[i].is_write(),
                 )
             })
             .collect();
@@ -364,7 +409,9 @@ impl Hierarchy {
         // reference has probed a line of such a level, later touches within
         // this group find it resident and still most-recent. Track the last
         // probed line per (reference, deeper level) so entering accesses can
-        // stop their miss walk with a counter bump instead of a probe.
+        // stop their miss walk with a counter bump instead of a probe. Only
+        // the moving references matter here: after trip 0, before any mark
+        // is set, a stride-0 reference only ever hits L1.
         let skip: Vec<(u32, bool)> = self
             .levels
             .iter()
@@ -374,7 +421,7 @@ impl Hierarchy {
                 let shift = (cfg.line as u64).trailing_zeros();
                 (
                     shift,
-                    pairwise_set_disjoint(runs, shift, cfg.num_sets() as u64),
+                    lockstep_set_disjoint(moving, count, shift, cfg.num_sets() as u64),
                 )
             })
             .collect();
@@ -432,7 +479,8 @@ impl Hierarchy {
     /// through the exact scalar interleave, and every reference re-probes in
     /// the following window since a conflicting neighbor may have evicted
     /// its line. Groups stuck in conflict bail to a pure scalar loop, so
-    /// pathological layouts cost scalar plus a bounded prefix.
+    /// pathological layouts cost scalar plus a bounded prefix. Returns the
+    /// number of conflict windows seen.
     fn run_group_windowed(
         &mut self,
         runs: &[Run],
@@ -440,7 +488,7 @@ impl Hierarchy {
         line_shift: u32,
         set_mask: u64,
         never_conflict: bool,
-    ) {
+    ) -> u64 {
         /// Consecutive conflict windows before giving up on batching.
         const CONFLICT_BAIL: u32 = 16;
         let n = runs.len();
@@ -454,6 +502,7 @@ impl Hierarchy {
         let mut entering = vec![true; n];
         let mut hits = 0u64;
         let mut conflict_streak = 0u32;
+        let mut conflicts = 0u64;
         let mut t = 0u64;
         while t < count {
             let mut w = count - t;
@@ -483,6 +532,7 @@ impl Hierarchy {
                 }
             }
             if conflict {
+                conflicts += 1;
                 conflict_streak += 1;
                 if conflict_streak >= CONFLICT_BAIL {
                     self.levels[0].add_hit_accesses(hits);
@@ -491,7 +541,7 @@ impl Hierarchy {
                             self.access_addr_kind(r.addr(trip), r.is_write());
                         }
                     }
-                    return;
+                    return conflicts;
                 }
                 for trip in 0..w {
                     for (i, r) in runs.iter().enumerate() {
@@ -522,6 +572,7 @@ impl Hierarchy {
             t += w;
         }
         self.levels[0].add_hit_accesses(hits);
+        conflicts
     }
 
     /// View this hierarchy as an [`AccessSink`] that reports every access
@@ -538,26 +589,80 @@ impl Hierarchy {
     }
 }
 
-/// Whether a group of equal-stride runs provably never puts two references
-/// on different lines of one cache set, for the level with the given line
-/// shift and (power-of-two) set count.
+/// Whether a lockstep group — equal strides, `count` trips — provably never
+/// puts two references on different lines of one cache set at the same
+/// trip, for the level with the given line shift and (power-of-two) set
+/// count.
 ///
-/// Both marching at one rate, a pair's line distance is confined to
-/// `{⌊d/line⌋, ⌊d/line⌋+1}` for every trip; a set collision needs that
-/// distance to be a nonzero multiple of the set count. Addresses are
-/// validated non-negative `i64`s, so the difference fits an `i64`, and line
-/// and set counts are powers of two, so flooring division and divisibility
-/// reduce to shift and mask.
-fn pairwise_set_disjoint(runs: &[Run], line_shift: u32, num_sets: u64) -> bool {
+/// Marching at one rate, a pair `a`, `b` with `d = b − a` keeps line
+/// distance `D = ⌊d/line⌋` while `x + d mod line < line` and `D+1`
+/// otherwise, where `x` is `a`'s current in-line offset; a set collision
+/// needs an occurring distance to be a nonzero multiple of the set count.
+/// When the stride `s` divides the line and the run lasts at least
+/// `line/s` trips, `x` visits exactly the residue class `a mod s + k·s`,
+/// so `D` occurs iff `a mod s + d mod line < line` and `D+1` iff
+/// `a mod s + d mod line ≥ s`: the certificate is exact. Otherwise (short
+/// runs, zero or line-misaligned strides) both distances are assumed.
+/// Addresses are validated non-negative `i64`s, so the difference fits an
+/// `i64`, and line, stride and set counts are powers of two, so flooring
+/// division, residues and divisibility reduce to shift and mask.
+fn lockstep_set_disjoint(runs: &[Run], count: u64, line_shift: u32, num_sets: u64) -> bool {
+    let line = 1i64 << line_shift;
     let smask = num_sets as i64 - 1;
+    let s = runs[0].stride.unsigned_abs() as i64;
+    let exact = s != 0 && line % s == 0 && count >= (line / s) as u64;
     for (i, a) in runs.iter().enumerate() {
+        let lo = a.start as i64 & (s - 1);
         for b in &runs[i + 1..] {
             let d = b.start.wrapping_sub(a.start) as i64;
-            let d1 = d >> line_shift;
-            for diff in [d1, d1 + 1] {
-                if diff != 0 && (diff & smask) == 0 {
+            let (dl, r) = (d >> line_shift, d & (line - 1));
+            let near = !exact || lo + r < line;
+            let far = !exact || lo + r >= s;
+            for (occurs, diff) in [(near, dl), (far, dl + 1)] {
+                if occurs && diff != 0 && (diff & smask) == 0 {
                     return false;
                 }
+            }
+        }
+    }
+    true
+}
+
+/// [`lockstep_set_disjoint`] for a group whose `moving` references share
+/// one stride and whose other references are loop-invariant (stride 0).
+/// Each invariant reference sits on one line `P` for the whole run, while a
+/// moving reference sweeps the contiguous line interval `[lo, hi]` between
+/// its first and last address: they collide iff `[lo − P, hi − P]` holds a
+/// nonzero multiple of the set count — the interval test of the analytic
+/// engine's interleave certificate. Exact, since a stride of at most half a
+/// line visits every line of its interval.
+fn pinned_set_disjoint(
+    runs: &[Run],
+    moving: &[Run],
+    count: u64,
+    line_shift: u32,
+    num_sets: u64,
+) -> bool {
+    if !lockstep_set_disjoint(moving, count, line_shift, num_sets) {
+        return false;
+    }
+    let sets = num_sets as i64;
+    for (i, p) in runs.iter().enumerate() {
+        if p.stride != 0 {
+            continue;
+        }
+        let pl = (p.start >> line_shift) as i64;
+        for (j, r) in runs.iter().enumerate() {
+            if j == i {
+                continue;
+            }
+            let (a, b) = (r.start, r.addr(count - 1));
+            let lo = (a.min(b) >> line_shift) as i64 - pl;
+            let hi = (a.max(b) >> line_shift) as i64 - pl;
+            // The multiples k·sets inside [lo, hi] have k in [k_min, k_max].
+            let (k_min, k_max) = (-(-lo).div_euclid(sets), hi.div_euclid(sets));
+            if k_min <= k_max && (k_min <= -1 || k_max >= 1) {
+                return false;
             }
         }
     }
@@ -611,7 +716,7 @@ impl AccessSink for Hierarchy {
             [] => {}
             [run] => self.run(*run),
             _ => {
-                if !self.try_run_group_fast(runs) {
+                if self.try_run_group_fast(runs) == GroupPath::Declined {
                     // Exact interleaved scalar fallback, mirroring the
                     // trait's default implementation.
                     for t in 0..runs[0].count {
@@ -630,15 +735,19 @@ mod tests {
     use super::*;
     use crate::config::{CacheConfig, HierarchyConfig};
 
-    fn tiny() -> Hierarchy {
+    fn tiny_cfg() -> HierarchyConfig {
         // L1: 128 B / 32 B lines (4 lines); L2: 512 B / 64 B lines (8 lines).
-        Hierarchy::new(HierarchyConfig::new(
+        HierarchyConfig::new(
             vec![
                 CacheConfig::direct_mapped(128, 32),
                 CacheConfig::direct_mapped(512, 64),
             ],
             vec![1.0, 10.0],
-        ))
+        )
+    }
+
+    fn tiny() -> Hierarchy {
+        Hierarchy::new(tiny_cfg())
     }
 
     #[test]
@@ -966,7 +1075,7 @@ mod tests {
         assert_group_parity(HierarchyConfig::ultrasparc_i(), true, &runs);
         let mut h = Hierarchy::with_next_line_prefetch(HierarchyConfig::ultrasparc_i());
         assert!(!h.try_run_fast(runs[0]));
-        assert!(!h.try_run_group_fast(&runs));
+        assert_eq!(h.try_run_group_fast(&runs), GroupPath::Declined);
     }
 
     #[test]
@@ -986,6 +1095,235 @@ mod tests {
             slow.access_addr_kind(run.addr(t), false);
         }
         assert_eq!(fast.stats(), slow.stats());
+    }
+
+    fn run(start: u64, stride: i64, count: u64, kind: AccessKind) -> Run {
+        Run {
+            start,
+            stride,
+            count,
+            kind,
+        }
+    }
+
+    /// Feed `runs` through [`Hierarchy::try_run_group_fast`] on one
+    /// hierarchy and the exact scalar interleave on another, both warmed by
+    /// the same `prime` accesses; demand identical per-level counters,
+    /// write-backs and final per-set tag/dirty state. Returns the path the
+    /// fast side took.
+    fn group_state_parity(cfg: &HierarchyConfig, prime: &[u64], runs: &[Run]) -> GroupPath {
+        let mut fast = Hierarchy::new(cfg.clone());
+        let mut slow = Hierarchy::new(cfg.clone());
+        for &a in prime {
+            fast.access_addr_kind(a, a & 8 != 0);
+            slow.access_addr_kind(a, a & 8 != 0);
+        }
+        let path = fast.try_run_group_fast(runs);
+        let scalar = |h: &mut Hierarchy| {
+            for t in 0..runs[0].count {
+                for r in runs {
+                    h.access_addr_kind(r.addr(t), r.is_write());
+                }
+            }
+        };
+        if path == GroupPath::Declined {
+            scalar(&mut fast);
+        }
+        scalar(&mut slow);
+        assert_eq!(fast.stats(), slow.stats(), "stats diverge for {runs:?}");
+        assert_eq!(fast.writebacks(), slow.writebacks(), "{runs:?}");
+        for (l, (f, s)) in fast.caches().iter().zip(slow.caches()).enumerate() {
+            for set in 0..f.config().num_sets() {
+                assert!(
+                    f.set_contents(set).eq(s.set_contents(set)),
+                    "level {l} set {set} state diverges for {runs:?}"
+                );
+            }
+        }
+        path
+    }
+
+    #[test]
+    fn aligned_pair_one_line_short_of_the_cache_goes_periodic() {
+        // Line-aligned f64 streams one L1 line short of the cache size:
+        // D ≡ −1 (mod sets). D+1 ≡ 0 would collide, but with both offsets
+        // at 0 mod 32 the distance never reaches D+1.
+        for cfg in [tiny_cfg(), HierarchyConfig::ultrasparc_i()] {
+            let l1 = cfg.levels[0];
+            let d = (l1.size - l1.line) as u64;
+            let runs = [
+                run(1 << 16, 8, 300, AccessKind::Read),
+                run((1 << 16) + d, 8, 300, AccessKind::Write),
+            ];
+            assert_eq!(
+                group_state_parity(&cfg, &[0, 4096, 1 << 16], &runs),
+                GroupPath::Periodic
+            );
+        }
+    }
+
+    #[test]
+    fn pair_whose_next_line_collides_stays_windowed() {
+        // The same pair shifted by one element: now every fourth trip puts
+        // the trailing stream on the line that shares the leader's set.
+        for cfg in [tiny_cfg(), HierarchyConfig::ultrasparc_i()] {
+            let l1 = cfg.levels[0];
+            let d = (l1.size - l1.line + 8) as u64;
+            let runs = [
+                run(1 << 16, 8, 300, AccessKind::Write),
+                run((1 << 16) + d, 8, 300, AccessKind::Read),
+            ];
+            let mut h = Hierarchy::new(cfg.clone());
+            let set_mask = l1.num_sets() as u64 - 1;
+            assert!(h.run_group_windowed(&runs, 300, 5, set_mask, false) > 0);
+            assert_eq!(group_state_parity(&cfg, &[], &runs), GroupPath::Windowed);
+        }
+    }
+
+    #[test]
+    fn short_run_keeps_the_conservative_test() {
+        // Fewer than line/stride trips: the leader's offsets need not cover
+        // their residue class, so both D and D+1 are assumed.
+        let cfg = tiny_cfg();
+        let runs = |count| {
+            [
+                run(0, 8, count, AccessKind::Read),
+                run(96, 8, count, AccessKind::Read),
+            ]
+        };
+        assert_eq!(group_state_parity(&cfg, &[], &runs(3)), GroupPath::Windowed);
+        assert_eq!(group_state_parity(&cfg, &[], &runs(4)), GroupPath::Periodic);
+    }
+
+    #[test]
+    fn invariant_reference_joins_the_periodic_schedule_when_disjoint() {
+        // a(i,j) read and written, t = a(k,j) invariant in i: the moving
+        // streams sweep L1 lines 0..2 of the tiny cache (sets 0–2).
+        let cfg = tiny_cfg();
+        let group = |pinned: u64| {
+            [
+                run(0, 8, 12, AccessKind::Read),
+                run(pinned, 0, 12, AccessKind::Read),
+                run(0, 8, 12, AccessKind::Write),
+            ]
+        };
+        // Line 23 sits in set 3: disjoint.
+        assert_eq!(
+            group_state_parity(&cfg, &[736, 8], &group(736)),
+            GroupPath::Periodic
+        );
+        // Line 20 shares set 0 with the streams' line 0.
+        assert_eq!(
+            group_state_parity(&cfg, &[], &group(640)),
+            GroupPath::Windowed
+        );
+        // Line 0 itself is shared, not a collision.
+        assert_eq!(
+            group_state_parity(&cfg, &[], &group(16)),
+            GroupPath::Periodic
+        );
+        // Descending streams and a written invariant, three-level deep.
+        let deep = HierarchyConfig::new(
+            vec![
+                CacheConfig::direct_mapped(128, 32),
+                CacheConfig::new(512, 64, 2, ReplacementPolicy::Lru),
+                CacheConfig::direct_mapped(4096, 64),
+            ],
+            vec![1.0, 10.0, 50.0],
+        );
+        // The streams sweep L1 lines 2..1 and 131..130 (sets 1–3); the
+        // invariant sits on line 20 (set 0).
+        let runs = [
+            run(88, -8, 8, AccessKind::Read),
+            run(88 + 4128, -8, 8, AccessKind::Write),
+            run(640, 0, 8, AccessKind::Write),
+        ];
+        assert_eq!(
+            group_state_parity(&deep, &[640], &runs),
+            GroupPath::Periodic
+        );
+    }
+
+    /// Soundness (and, where it claims it, exactness) of the set-collision
+    /// certificates against the windowed path's per-window check, which
+    /// inspects every trip's lines directly: whenever a certificate says
+    /// "disjoint", no window of the run may conflict. Every group is also
+    /// replayed through the full fast path and checked against the scalar
+    /// loop, state included.
+    #[test]
+    fn set_collision_certificates_are_sound() {
+        let mut rng = crate::rng::DetRng::new(12);
+        let policies = [ReplacementPolicy::Lru, ReplacementPolicy::Fifo];
+        // Verdict counts, by [pinned group][certified].
+        let mut seen = [[0u32; 2]; 2];
+        for case in 0..1500 {
+            let line = 1usize << rng.range_usize(4, 7);
+            let level = |rng: &mut crate::rng::DetRng, line: usize, min_size: usize| {
+                let assoc = *rng.pick(&[1usize, 2, 4]);
+                let size = ((line * assoc) << rng.range_usize(0, 6)).max(min_size);
+                CacheConfig::new(size, line, assoc, *rng.pick(&policies))
+            };
+            let mut levels = vec![level(&mut rng, line, 0)];
+            if rng.bool() {
+                let deeper = line << rng.range_usize(0, 2);
+                levels.push(level(&mut rng, deeper, levels[0].size));
+            }
+            let costs = vec![1.0; levels.len()];
+            let cfg = HierarchyConfig::new(levels, costs);
+            // Strides up to half a line, both signs; 12 and 24 divide no line.
+            let mut s = *rng.pick(&[1i64, 2, 4, 8, 12, 16, 24]);
+            if s as usize * 2 > line {
+                s = 8.min(line as i64 / 2);
+            }
+            if rng.bool() {
+                s = -s;
+            }
+            let n = rng.range_usize(2, 5);
+            let count = rng.range_u64(1, 3 * line as u64 / s.unsigned_abs() + 2);
+            let span = (cfg.levels[0].size / cfg.levels[0].associativity) as i64;
+            let base = 1i64 << 20;
+            let runs: Vec<Run> = (0..n)
+                .map(|_| {
+                    let near = rng.range_i64(-3, 4) * span + rng.range_i64(-8, 9) * 4;
+                    let stride = if rng.range_usize(0, 4) == 0 { 0 } else { s };
+                    let kind = if rng.bool() {
+                        AccessKind::Write
+                    } else {
+                        AccessKind::Read
+                    };
+                    run((base + near) as u64, stride, count, kind)
+                })
+                .collect();
+            let moving: Vec<Run> = runs.iter().filter(|r| r.stride != 0).copied().collect();
+            let pinned = !moving.is_empty() && moving.len() < runs.len();
+            let ms = moving.first().map_or(0, |r| r.stride.unsigned_abs());
+            for l in &cfg.levels {
+                let (shift, sets) = (l.line.trailing_zeros(), l.num_sets() as u64);
+                let line = l.line as u64;
+                let exact = ms != 0 && line.is_multiple_of(ms) && count >= line / ms;
+                let cert = if pinned {
+                    pinned_set_disjoint(&runs, &moving, count, shift, sets)
+                } else {
+                    lockstep_set_disjoint(&runs, count, shift, sets)
+                };
+                let mut h = Hierarchy::new(HierarchyConfig::new(vec![*l], vec![1.0]));
+                let conflicts = h.run_group_windowed(&runs, count, shift, sets - 1, false);
+                let ctx = format!("case {case}: {l:?} {runs:?}");
+                if cert {
+                    assert_eq!(conflicts, 0, "certified group conflicts: {ctx}");
+                } else if exact {
+                    assert!(
+                        conflicts > 0,
+                        "exact certificate refuted a clean group: {ctx}"
+                    );
+                }
+                seen[pinned as usize][cert as usize] += 1;
+            }
+            let prime: Vec<u64> = (0..8).map(|_| rng.range_u64(0, 1 << 21) & !7).collect();
+            group_state_parity(&cfg, &prime, &runs);
+        }
+        // Both verdicts, for lockstep and pinned groups alike.
+        assert!(seen.iter().flatten().all(|&k| k > 100), "{seen:?}");
     }
 
     #[test]

@@ -90,8 +90,23 @@ pub struct TelemetryCli {
 impl TelemetryCli {
     /// Split `argv` into telemetry flags (consumed here) and everything else
     /// (returned for the binary's own parser). Accepts both `--flag PATH`
-    /// and `--flag=PATH` spellings.
+    /// and `--flag=PATH` spellings. A usage error prints a message naming
+    /// the flag and exits with status 2: a value flag (`--trace-out`,
+    /// `--metrics-out`, `--cache-dir`, `--threads`) given no value, an
+    /// empty one, or another flag where its value belongs
+    /// (`--trace-out --metrics-out m.json`), or a thread count that is not
+    /// a positive integer.
     pub fn extract(argv: Vec<String>) -> (Self, Vec<String>) {
+        Self::try_extract(argv).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2);
+        })
+    }
+
+    /// [`TelemetryCli::extract`], returning the usage error instead of
+    /// exiting.
+    fn try_extract(argv: Vec<String>) -> Result<(Self, Vec<String>), String> {
+        const VALUE_FLAGS: [&str; 4] = ["--trace-out", "--metrics-out", "--cache-dir", "--threads"];
         let mut rest = Vec::with_capacity(argv.len());
         let mut trace_out: Option<PathBuf> = None;
         let mut metrics_out: Option<PathBuf> = None;
@@ -99,28 +114,33 @@ impl TelemetryCli {
         let mut no_cache = false;
         let mut it = argv.into_iter();
         while let Some(arg) = it.next() {
-            if arg == "--trace-out" {
-                trace_out = it.next().map(PathBuf::from);
-            } else if arg == "--metrics-out" {
-                metrics_out = it.next().map(PathBuf::from);
-            } else if arg == "--cache-dir" {
-                cache_dir = it.next().map(PathBuf::from);
-            } else if let Some(v) = arg.strip_prefix("--trace-out=") {
-                trace_out = Some(PathBuf::from(v));
-            } else if let Some(v) = arg.strip_prefix("--metrics-out=") {
-                metrics_out = Some(PathBuf::from(v));
-            } else if let Some(v) = arg.strip_prefix("--cache-dir=") {
-                cache_dir = Some(PathBuf::from(v));
+            let (flag, inline) = match arg.split_once('=') {
+                Some((f, v)) if VALUE_FLAGS.contains(&f) => (f, Some(v.to_string())),
+                _ => (arg.as_str(), None),
+            };
+            if VALUE_FLAGS.contains(&flag) {
+                // `--flag=VALUE` takes VALUE verbatim; that spelling is how
+                // a value starting with `--` gets through.
+                let value = match inline {
+                    Some(v) => v,
+                    None => match it.next() {
+                        Some(v) if v.starts_with("--") => {
+                            return Err(format!("{flag} needs a value, got the flag {v}"))
+                        }
+                        v => v.unwrap_or_default(),
+                    },
+                };
+                if value.is_empty() {
+                    return Err(format!("{flag} needs a value"));
+                }
+                match flag {
+                    "--trace-out" => trace_out = Some(value.into()),
+                    "--metrics-out" => metrics_out = Some(value.into()),
+                    "--cache-dir" => cache_dir = Some(value.into()),
+                    _ => apply_threads(&value)?,
+                }
             } else if arg == "--no-cache" {
                 no_cache = true;
-            } else if arg == "--threads" {
-                let v = it.next().unwrap_or_else(|| {
-                    eprintln!("--threads needs a count");
-                    std::process::exit(2);
-                });
-                apply_threads(&v);
-            } else if let Some(v) = arg.strip_prefix("--threads=") {
-                apply_threads(v);
             } else if arg == "--no-fast-path" {
                 crate::sim::set_fast_path(false);
             } else if arg == "--no-analytic" {
@@ -156,7 +176,7 @@ impl TelemetryCli {
             // installed. Without either flag the global is left alone.
             crate::sim::install_result_cache(cache.clone());
         }
-        (
+        Ok((
             Self {
                 telemetry,
                 cache,
@@ -165,7 +185,7 @@ impl TelemetryCli {
                 finished: false,
             },
             rest,
-        )
+        ))
     }
 
     /// [`TelemetryCli::extract`] applied to the process arguments. The
@@ -228,13 +248,15 @@ impl Drop for TelemetryCli {
 /// Parse and pin a `--threads` value. An explicit flag beats `MLC_THREADS`
 /// everywhere `default_threads()` is consulted, including worker pools
 /// spun up long after argument parsing (the `mlc-serve` server).
-fn apply_threads(value: &str) {
+fn apply_threads(value: &str) -> Result<(), String> {
     match value.parse::<usize>() {
-        Ok(n) if n > 0 => mlc_core::par::set_thread_override(Some(n)),
-        _ => {
-            eprintln!("--threads={value:?} is not a positive thread count");
-            std::process::exit(2);
+        Ok(n) if n > 0 => {
+            mlc_core::par::set_thread_override(Some(n));
+            Ok(())
         }
+        _ => Err(format!(
+            "--threads={value:?} is not a positive thread count"
+        )),
     }
 }
 
@@ -388,6 +410,38 @@ mod tests {
         assert_eq!(rest, sv(&["mlc", "--threads-list", "1,2,4"]));
 
         mlc_core::par::set_thread_override(prior);
+    }
+
+    #[test]
+    fn valueless_flag_is_an_error_naming_it() {
+        for flag in ["--trace-out", "--metrics-out", "--cache-dir", "--threads"] {
+            for argv in [
+                sv(&["mlc", "fig09", flag]),
+                sv(&["mlc", &format!("{flag}="), "fig09"]),
+            ] {
+                let err = TelemetryCli::try_extract(argv).unwrap_err();
+                assert_eq!(err, format!("{flag} needs a value"));
+            }
+        }
+    }
+
+    #[test]
+    fn flag_in_a_value_slot_is_not_swallowed_as_a_path() {
+        let err = TelemetryCli::try_extract(sv(&[
+            "mlc",
+            "--trace-out",
+            "--metrics-out",
+            "m.json",
+            "dot512",
+        ]))
+        .unwrap_err();
+        assert_eq!(err, "--trace-out needs a value, got the flag --metrics-out");
+        // The `=` spelling takes its value verbatim, dashes included.
+        let (mut t, rest) =
+            TelemetryCli::try_extract(sv(&["mlc", "--trace-out=--odd.jsonl", "dot512"])).unwrap();
+        assert_eq!(t.trace_out.as_deref(), Some(Path::new("--odd.jsonl")));
+        assert_eq!(rest, sv(&["mlc", "dot512"]));
+        t.finished = true; // keep Drop from writing the trace
     }
 
     #[test]

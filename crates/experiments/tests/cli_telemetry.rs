@@ -116,6 +116,29 @@ fn csv_metrics_extension_is_respected() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A path flag with no value, or with another flag in its value slot, is a
+/// usage error: exit status 2 and a message naming the flag, not a silently
+/// dropped option or a flag swallowed as a file name.
+#[test]
+fn valueless_path_flag_exits_2_naming_it() {
+    for (args, needle) in [
+        (&["dot512", "--trace-out"][..], "--trace-out needs a value"),
+        (
+            &["--trace-out", "--metrics-out", "m.json", "dot512"][..],
+            "--trace-out needs a value, got the flag --metrics-out",
+        ),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_mlc"))
+            .args(args)
+            .output()
+            .expect("spawn mlc");
+        assert_eq!(out.status.code(), Some(2), "mlc {args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(needle), "mlc {args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "mlc {args:?} ran anyway");
+    }
+}
+
 /// Without telemetry flags the binary writes nothing and prints the same
 /// simulate summary (stdout equality between a plain run and a run whose
 /// flags were merely absent is what users rely on for scripting).

@@ -1437,6 +1437,34 @@ mod tests {
         assert_eq!(&addrs[4..8], &[16, 24, 48, 56]);
     }
 
+    /// Counts the sink calls a walk makes, by kind. Unlike the process-wide
+    /// `layout::stats` counters, no concurrently running test can disturb
+    /// it.
+    #[derive(Default)]
+    struct CallCounter {
+        accesses: u64,
+        runs: u64,
+        run_groups: u64,
+        total: u64,
+    }
+
+    impl AccessSink for CallCounter {
+        fn access(&mut self, _: Access) {
+            self.accesses += 1;
+            self.total += 1;
+        }
+
+        fn run(&mut self, run: Run) {
+            self.runs += 1;
+            self.total += run.count;
+        }
+
+        fn run_group(&mut self, runs: &[Run]) {
+            self.run_groups += 1;
+            self.total += runs.iter().map(|r| r.count).sum::<u64>();
+        }
+    }
+
     #[test]
     fn morton_single_ref_fast_path_batches_runs() {
         // A 1-D morton family is linear-in-disguise: the whole innermost
@@ -1452,29 +1480,22 @@ mod tests {
             &p.arrays[0],
         )];
         let l = DataLayout::with_pads_and_families(&p.arrays, &[0], &fams).unwrap();
-        crate::layout::stats::take_stats(); // reset
-        let mut c = CountingSink::default();
+        let mut c = CallCounter::default();
         assert_eq!(generate(&p, &l, &mut c), 64);
         assert_eq!(c.total, 64);
-        let s = crate::layout::stats::take_stats();
-        assert_eq!(s.morton_nests, 1);
-        assert_eq!(s.morton_runs, 1, "sequential morton sweep is one run");
-        assert_eq!(s.morton_scalar_bails, 0);
+        assert_eq!(c.runs, 1, "sequential morton sweep is one run");
+        assert_eq!((c.accesses, c.run_groups), (0, 0));
     }
 
     #[test]
     fn morton_multi_ref_body_bails_to_scalar() {
+        // Every innermost invocation (8 of them, 2 refs × 8 trips) is
+        // emitted access by access.
         let (p, l) = morton_program(8);
-        crate::layout::stats::take_stats(); // reset
-        let mut c = CountingSink::default();
-        generate(&p, &l, &mut c);
-        let s = crate::layout::stats::take_stats();
-        assert_eq!(s.morton_nests, 1);
-        assert_eq!(s.morton_runs, 0);
-        assert_eq!(
-            s.morton_scalar_bails, 8,
-            "one bail per innermost invocation"
-        );
+        let mut c = CallCounter::default();
+        assert_eq!(generate(&p, &l, &mut c), 128);
+        assert_eq!(c.accesses, 128);
+        assert_eq!((c.runs, c.run_groups), (0, 0));
     }
 
     #[test]
