@@ -8,9 +8,8 @@
 use mlc_bench::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mlc_cache_sim::HierarchyConfig;
 use mlc_core::fusion::fusion_profit;
-use mlc_core::group_pad::{group_pad, group_pad_multi};
+use mlc_core::group_pad::{group_pad, group_pad_multi, group_pad_multi_exhaustive};
 use mlc_core::pad::{multilvl_pad, pad};
-use mlc_core::search::{set_fast_search, FAST_SEARCH_TEST_LOCK};
 use mlc_core::tiling::{select_tile, TilePolicy};
 use mlc_core::MissCosts;
 use mlc_kernels::kernel_by_name;
@@ -34,12 +33,8 @@ fn bench_optimizer(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("group_pad", name), &(), |b, _| {
             b.iter(|| group_pad(&p, h.l1()));
         });
-        // A/B of the two interchangeable GROUPPAD engines (they produce
-        // bitwise-identical layouts; only the time differs).
-        let _guard = FAST_SEARCH_TEST_LOCK
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        set_fast_search(true);
+        // A/B of the two GROUPPAD engines (they produce bitwise-identical
+        // layouts; only the time differs).
         g.bench_with_input(
             BenchmarkId::new("group_pad_multi_fast", name),
             &(),
@@ -47,16 +42,13 @@ fn bench_optimizer(c: &mut Criterion) {
                 b.iter(|| group_pad_multi(&p, &h).unwrap());
             },
         );
-        set_fast_search(false);
         g.bench_with_input(
             BenchmarkId::new("group_pad_multi_scalar", name),
             &(),
             |b, _| {
-                b.iter(|| group_pad_multi(&p, &h).unwrap());
+                b.iter(|| group_pad_multi_exhaustive(&p, &h).unwrap());
             },
         );
-        set_fast_search(true);
-        drop(_guard);
     }
 
     let fig2 = figure2_example(512);

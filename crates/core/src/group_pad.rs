@@ -13,12 +13,13 @@
 //! lexicographic objective *(fewest severe conflicts, most references
 //! exploiting group reuse among placed variables, smallest pad)*.
 //!
-//! Two interchangeable engines run the search: the pruned incremental one
-//! in [`crate::search`] (default) and the exhaustive scalar scan kept here
-//! (selected by [`crate::search::set_fast_search`]`(false)`, the
-//! `--no-fast-search` flag on the experiment binaries). They produce
-//! bitwise-identical pads; the parity suite in `mlc-experiments` checks
-//! every kernel × hierarchy, and debug builds cross-check each placement.
+//! The default entry points run the pruned incremental engine in
+//! [`crate::search`]. The exhaustive scan kept here is the reference it
+//! must match bitwise, reachable only through the explicitly named
+//! [`group_pad_quantized_exhaustive`] and [`group_pad_multi_exhaustive`]:
+//! the parity suite in `mlc-experiments`, the fuzz oracle and the
+//! `optimizer_throughput` A/B call those. Debug builds also cross-check
+//! every pruned placement against an exhaustive rescan.
 
 use crate::group::ProgramSkeleton;
 use crate::pad::{PadError, PadResult};
@@ -65,6 +66,43 @@ pub fn group_pad_quantized_with(
     quantum: u64,
     base_pads: &[u64],
 ) -> Result<PadResult, PadError> {
+    quantized_search(
+        program,
+        skel,
+        cache,
+        quantum,
+        base_pads,
+        crate::search::grouppad_search,
+    )
+}
+
+/// [`group_pad_quantized`] on the exhaustive reference scan: every
+/// candidate position scored with a full recompute. Same pads, bases and
+/// `positions_tried` as the pruned default, with `positions_scored ==
+/// positions_tried`; only the time differs. For parity checks and A/B
+/// timing.
+pub fn group_pad_quantized_exhaustive(
+    program: &Program,
+    cache: CacheConfig,
+    quantum: u64,
+    base_pads: &[u64],
+) -> Result<PadResult, PadError> {
+    let skel = ProgramSkeleton::new(program);
+    quantized_search(program, &skel, cache, quantum, base_pads, exhaustive_search)
+}
+
+/// A GROUPPAD search engine: `(skeleton, cache, quantum, base pads)` to
+/// `(pads, positions_tried, positions_scored)`.
+type Engine = fn(&ProgramSkeleton, CacheConfig, u64, Vec<u64>) -> (Vec<u64>, u64, u64);
+
+fn quantized_search(
+    program: &Program,
+    skel: &ProgramSkeleton,
+    cache: CacheConfig,
+    quantum: u64,
+    base_pads: &[u64],
+    engine: Engine,
+) -> Result<PadResult, PadError> {
     if quantum == 0 || !(cache.size as u64).is_multiple_of(quantum) {
         return Err(PadError::BadQuantum {
             quantum,
@@ -83,11 +121,7 @@ pub fn group_pad_quantized_with(
     } else {
         base_pads.to_vec()
     };
-    let (pads, tried, scored) = if crate::search::fast_search_enabled() {
-        crate::search::grouppad_search(skel, cache, quantum, base)
-    } else {
-        scalar_search(skel, cache, quantum, base)
-    };
+    let (pads, tried, scored) = engine(skel, cache, quantum, base);
     Ok(PadResult {
         layout: DataLayout::with_pads(&program.arrays, &pads),
         pads,
@@ -97,9 +131,9 @@ pub fn group_pad_quantized_with(
 }
 
 /// The exhaustive scalar scan: every candidate position, full recompute.
-/// Kept verbatim as the `--no-fast-search` reference implementation and the
-/// baseline of the `optimizer_throughput` benchmark.
-fn scalar_search(
+/// Kept verbatim as the reference the pruned engine is checked against and
+/// the baseline of the `optimizer_throughput` benchmark.
+fn exhaustive_search(
     skel: &ProgramSkeleton,
     cache: CacheConfig,
     quantum: u64,
@@ -181,19 +215,37 @@ pub fn group_pad_multi(
     program: &Program,
     hierarchy: &mlc_cache_sim::HierarchyConfig,
 ) -> Result<PadResult, PadError> {
+    multi_search(program, hierarchy, crate::search::grouppad_search)
+}
+
+/// [`group_pad_multi`] with every level on the exhaustive reference scan
+/// (see [`group_pad_quantized_exhaustive`]).
+pub fn group_pad_multi_exhaustive(
+    program: &Program,
+    hierarchy: &mlc_cache_sim::HierarchyConfig,
+) -> Result<PadResult, PadError> {
+    multi_search(program, hierarchy, exhaustive_search)
+}
+
+fn multi_search(
+    program: &Program,
+    hierarchy: &mlc_cache_sim::HierarchyConfig,
+    engine: Engine,
+) -> Result<PadResult, PadError> {
     let skel = ProgramSkeleton::new(program);
     let l1 = hierarchy.l1();
-    let mut result = group_pad_quantized_with(program, &skel, l1, l1.line as u64, &[])?;
+    let mut result = quantized_search(program, &skel, l1, l1.line as u64, &[], engine)?;
     let mut tried = result.positions_tried;
     let mut scored = result.positions_scored;
     for level in 1..hierarchy.depth() {
         let quantum = hierarchy.levels[level - 1].size as u64;
-        let r = group_pad_quantized_with(
+        let r = quantized_search(
             program,
             &skel,
             hierarchy.levels[level],
             quantum,
             &result.pads,
+            engine,
         )?;
         tried += r.positions_tried;
         scored += r.positions_scored;
@@ -209,7 +261,6 @@ mod tests {
     use super::*;
     use crate::conflict::severe_conflicts;
     use crate::group::{account, exploited_count, RefClass};
-    use crate::search::FAST_SEARCH_TEST_LOCK;
     use mlc_cache_sim::CacheConfig;
     use mlc_model::program::figure2_example;
     use mlc_model::transform::fuse_in_program;
@@ -318,20 +369,22 @@ mod tests {
     fn quantum_equal_to_cache_size_has_a_single_candidate() {
         // candidates = size/quantum = 1: the only position is the base pad
         // itself, for both engines, with one try per place call.
-        let _g = FAST_SEARCH_TEST_LOCK
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
         let p = figure2_example(60);
         let cache = CacheConfig::direct_mapped(1024, 32);
-        for fast in [true, false] {
-            crate::search::set_fast_search(fast);
-            let r = group_pad_quantized(&p, cache, 1024, &[32, 64, 96]).unwrap();
-            assert_eq!(r.pads, vec![32, 64, 96], "fast={fast}: pads must not move");
+        let base = [32, 64, 96];
+        for (engine, r) in [
+            ("pruned", group_pad_quantized(&p, cache, 1024, &base)),
+            (
+                "exhaustive",
+                group_pad_quantized_exhaustive(&p, cache, 1024, &base),
+            ),
+        ] {
+            let r = r.unwrap();
+            assert_eq!(r.pads, base, "{engine}: pads must not move");
             // 3 greedy places + one no-change refinement sweep of 3.
-            assert_eq!(r.positions_tried, 6, "fast={fast}");
-            assert_eq!(r.positions_scored, 6, "fast={fast}: nothing to prune");
+            assert_eq!(r.positions_tried, 6, "{engine}");
+            assert_eq!(r.positions_scored, 6, "{engine}: nothing to prune");
         }
-        crate::search::set_fast_search(true);
     }
 
     #[test]
@@ -429,18 +482,13 @@ mod tests {
         // The core parity property, at diagram scale and on the real L1,
         // single- and multi-level. (The full 24-kernel matrix lives in the
         // mlc-experiments search_parity suite.)
-        let _g = FAST_SEARCH_TEST_LOCK
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
         use mlc_cache_sim::HierarchyConfig;
         for n in [60usize, 64, 300, 450] {
             let p = figure2_example(n);
             for cache in [small_l1(), CacheConfig::direct_mapped(16 * 1024, 32)] {
-                crate::search::set_fast_search(true);
                 let fast = group_pad(&p, cache);
-                crate::search::set_fast_search(false);
-                let scalar = group_pad(&p, cache);
-                crate::search::set_fast_search(true);
+                let scalar =
+                    group_pad_quantized_exhaustive(&p, cache, cache.line as u64, &[]).unwrap();
                 assert_eq!(fast.pads, scalar.pads, "N={n}, cache {cache:?}");
                 assert_eq!(fast.layout.bases, scalar.layout.bases);
                 assert_eq!(fast.positions_tried, scalar.positions_tried);
@@ -448,11 +496,8 @@ mod tests {
                 assert_eq!(scalar.positions_scored, scalar.positions_tried);
             }
             let h = HierarchyConfig::ultrasparc_i();
-            crate::search::set_fast_search(true);
             let fast = group_pad_multi(&p, &h).unwrap();
-            crate::search::set_fast_search(false);
-            let scalar = group_pad_multi(&p, &h).unwrap();
-            crate::search::set_fast_search(true);
+            let scalar = group_pad_multi_exhaustive(&p, &h).unwrap();
             assert_eq!(fast.pads, scalar.pads, "multi-level, N={n}");
             assert_eq!(fast.positions_tried, scalar.positions_tried);
         }

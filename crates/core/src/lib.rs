@@ -102,5 +102,5 @@ pub use pipeline::{
     optimize, optimize_traced, try_optimize, try_optimize_traced, OptimizeOptions, OptimizeTarget,
 };
 pub use rescache::{CacheKey, CacheStats, ResultCache, SimProtocol, SIM_VERSION_SALT};
-pub use search::{fast_search_enabled, set_fast_search, SearchStats};
+pub use search::SearchStats;
 pub use tiling::{select_tile, TilePolicy, TileSelection};

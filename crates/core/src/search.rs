@@ -41,32 +41,15 @@
 //! Large candidate scans additionally fan out over the work-stealing
 //! executor in [`crate::exec`].
 //!
-//! The `--no-fast-search` flag on the experiment binaries clears
-//! [`set_fast_search`], restoring the scalar scan (used by the
-//! `optimizer_throughput` A/B benchmark and as an escape hatch).
+//! This engine is the only one behind [`crate::group_pad::group_pad`] and
+//! its siblings. The exhaustive scan stays reachable for parity checks and
+//! A/B timing through the explicitly named
+//! [`crate::group_pad::group_pad_quantized_exhaustive`] and
+//! [`crate::group_pad::group_pad_multi_exhaustive`].
 
 use crate::group::ProgramSkeleton;
 use mlc_cache_sim::CacheConfig;
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, Ordering};
-
-/// Process-wide switch for the pruned incremental search. Defaults to on;
-/// results are identical either way (differentially tested).
-static FAST_SEARCH: AtomicBool = AtomicBool::new(true);
-
-/// Enable or disable the fast search path process-wide.
-pub fn set_fast_search(enabled: bool) {
-    FAST_SEARCH.store(enabled, Ordering::Relaxed);
-}
-
-/// Whether the fast search path is enabled.
-pub fn fast_search_enabled() -> bool {
-    FAST_SEARCH.load(Ordering::Relaxed)
-}
-
-/// Tests toggling [`set_fast_search`] serialize on this lock so parallel
-/// test threads do not observe each other's switch flips.
-pub static FAST_SEARCH_TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 /// Per-thread counters for the pruned search, exported as telemetry by the
 /// pipeline. Thread-local because the sweep drivers run one optimization
@@ -550,18 +533,6 @@ mod tests {
         let st = take_stats();
         assert!(st.candidates_scored > 0);
         assert_eq!(take_stats(), SearchStats::default());
-    }
-
-    #[test]
-    fn fast_search_switch_round_trips() {
-        let _g = FAST_SEARCH_TEST_LOCK
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        assert!(fast_search_enabled());
-        set_fast_search(false);
-        assert!(!fast_search_enabled());
-        set_fast_search(true);
-        assert!(fast_search_enabled());
     }
 
     #[test]

@@ -18,8 +18,10 @@
 //! ```
 
 use mlc_cache_sim::HierarchyConfig;
+use mlc_core::exec::execute;
+use mlc_core::par::default_threads;
 use mlc_core::MissCosts;
-use mlc_experiments::sim::{default_threads, execute, simulate_cold};
+use mlc_experiments::sim::simulate_cold;
 use mlc_experiments::table::pct;
 use mlc_experiments::{Table, TelemetryCli};
 use mlc_kernels::timeskew::{tile_footprint_bytes, time_stepped_jacobi2d, time_tiled_jacobi2d};

@@ -12,7 +12,9 @@
 //! ```
 
 use mlc_cache_sim::HierarchyConfig;
-use mlc_experiments::sim::{default_threads, execute, simulate_versions};
+use mlc_core::exec::execute;
+use mlc_core::par::default_threads;
+use mlc_experiments::sim::simulate_versions;
 use mlc_experiments::table::pct;
 use mlc_experiments::timing::{improvement_pct, time_kernel};
 use mlc_experiments::versions::{build_versions, OptLevel};

@@ -10,7 +10,9 @@
 //! ```
 
 use mlc_cache_sim::HierarchyConfig;
-use mlc_experiments::sim::{default_threads, execute, simulate_one};
+use mlc_core::exec::execute;
+use mlc_core::par::default_threads;
+use mlc_experiments::sim::simulate_one;
 use mlc_experiments::versions::{build_versions, OptLevel};
 use mlc_experiments::{Table, TelemetryCli};
 use mlc_kernels::expl::Expl;

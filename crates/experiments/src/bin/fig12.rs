@@ -21,9 +21,11 @@
 //! ```
 
 use mlc_cache_sim::HierarchyConfig;
+use mlc_core::exec::execute;
 use mlc_core::fusion::reuse_layout;
 use mlc_core::group::account;
-use mlc_experiments::sim::{default_threads, execute, simulate_one};
+use mlc_core::par::default_threads;
+use mlc_experiments::sim::simulate_one;
 use mlc_experiments::{Table, TelemetryCli};
 use mlc_kernels::expl::Expl;
 use mlc_kernels::Kernel;

@@ -11,8 +11,10 @@
 //! ```
 
 use mlc_cache_sim::HierarchyConfig;
+use mlc_core::exec::execute;
+use mlc_core::par::default_threads;
 use mlc_core::tiling::{select_tile, TilePolicy};
-use mlc_experiments::sim::{default_threads, execute, simulate_cold};
+use mlc_experiments::sim::simulate_cold;
 use mlc_experiments::table::pct;
 use mlc_experiments::timing::mflops;
 use mlc_experiments::{Table, TelemetryCli};

@@ -1,7 +1,7 @@
 //! Timed A/B harness for the pruned incremental padding-search engine.
 //!
 //! Runs the multi-level GROUPPAD search over every registered kernel twice
-//! — once with the exhaustive scalar scan (`--no-fast-search` semantics)
+//! — once with the exhaustive scalar scan ([`group_pad_multi_exhaustive`])
 //! and once with the pruned incremental engine — and reports searches per
 //! second for both, writing the results as JSON (default
 //! `BENCH_optimizer_throughput.json`; CI archives it). The two engines are
@@ -27,9 +27,8 @@
 //! ```
 
 use mlc_cache_sim::HierarchyConfig;
-use mlc_core::group_pad::group_pad_multi;
+use mlc_core::group_pad::{group_pad_multi, group_pad_multi_exhaustive};
 use mlc_core::par::{default_threads, par_map};
-use mlc_core::search::set_fast_search;
 use mlc_experiments::history_cli::HistoryCli;
 use mlc_kernels::registry::all_kernels;
 use mlc_kernels::Kernel;
@@ -64,8 +63,7 @@ impl Case {
     }
 }
 
-/// Best-of-`reps` wall time of `f`. The engine switch is process-wide, so
-/// the caller sets it before timing.
+/// Best-of-`reps` wall time of `f`.
 fn best_of<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
     let mut best = f64::INFINITY;
     for _ in 0..reps {
@@ -107,9 +105,7 @@ fn main() {
     // ratio is the pure engine speedup on the paper's hierarchy.
     for kernel in all_kernels() {
         let program = kernel.model();
-        set_fast_search(false);
-        let scalar_secs = best_of(reps, || group_pad_multi(&program, &h).unwrap());
-        set_fast_search(true);
+        let scalar_secs = best_of(reps, || group_pad_multi_exhaustive(&program, &h).unwrap());
         let fast_secs = best_of(reps, || group_pad_multi(&program, &h).unwrap());
         let r = group_pad_multi(&program, &h).unwrap();
         let case = Case {
@@ -143,13 +139,11 @@ fn main() {
         ("shal", |n| mlc_kernels::shal::Shallow::shal(n).model()),
     ];
     for &(name, model_of) in sweeps {
-        set_fast_search(false);
         let scalar_secs = best_of(reps, || {
             for &n in &sizes {
-                std::hint::black_box(group_pad_multi(&model_of(n), &h).unwrap());
+                std::hint::black_box(group_pad_multi_exhaustive(&model_of(n), &h).unwrap());
             }
         });
-        set_fast_search(true);
         let fast_secs = best_of(reps, || {
             par_map(sizes.clone(), threads, |&n| {
                 group_pad_multi(&model_of(n), &h).unwrap().pads

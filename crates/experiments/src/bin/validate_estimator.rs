@@ -13,7 +13,9 @@
 
 use mlc_cache_sim::HierarchyConfig;
 use mlc_core::estimate::estimate_misses;
-use mlc_experiments::sim::{default_threads, execute, simulate_one};
+use mlc_core::exec::execute;
+use mlc_core::par::default_threads;
+use mlc_experiments::sim::simulate_one;
 use mlc_experiments::versions::{build_versions, OptLevel};
 use mlc_experiments::Table;
 use mlc_kernels::all_kernels;

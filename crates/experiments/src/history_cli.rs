@@ -34,31 +34,53 @@ pub struct HistoryCli {
 impl HistoryCli {
     /// Split `argv` into history flags (consumed here) and everything else
     /// (returned for the binary's own parser). Accepts both
-    /// `--history-dir PATH` and `--history-dir=PATH`.
+    /// `--history-dir PATH` and `--history-dir=PATH`. A `--history-dir`
+    /// given no value, an empty one, or another flag where its value
+    /// belongs prints a message naming the flag and exits with status 2.
     pub fn extract(argv: Vec<String>) -> (Self, Vec<String>) {
+        Self::try_extract(argv).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2);
+        })
+    }
+
+    /// [`HistoryCli::extract`], returning the usage error instead of
+    /// exiting.
+    fn try_extract(argv: Vec<String>) -> Result<(Self, Vec<String>), String> {
+        const FLAG: &str = "--history-dir";
         let mut rest = Vec::with_capacity(argv.len());
         let mut dir = PathBuf::from("results/bench_history");
         let mut disabled = false;
         let mut it = argv.into_iter();
         while let Some(arg) = it.next() {
-            if arg == "--history-dir" {
-                if let Some(v) = it.next() {
-                    dir = PathBuf::from(v);
+            let value = if arg == FLAG {
+                match it.next() {
+                    Some(v) if v.starts_with("--") => {
+                        return Err(format!("{FLAG} needs a value, got the flag {v}"))
+                    }
+                    v => v.unwrap_or_default(),
                 }
             } else if let Some(v) = arg.strip_prefix("--history-dir=") {
-                dir = PathBuf::from(v);
-            } else if arg == "--no-history" {
-                disabled = true;
+                v.to_string()
             } else {
-                rest.push(arg);
+                if arg == "--no-history" {
+                    disabled = true;
+                } else {
+                    rest.push(arg);
+                }
+                continue;
+            };
+            if value.is_empty() {
+                return Err(format!("{FLAG} needs a value"));
             }
+            dir = PathBuf::from(value);
         }
-        (
+        Ok((
             Self {
                 dir: (!disabled).then_some(dir),
             },
             rest,
-        )
+        ))
     }
 
     /// [`HistoryCli::extract`] applied to the process arguments. The
@@ -122,6 +144,23 @@ mod tests {
         assert_eq!(
             h.dir.as_deref(),
             Some(std::path::Path::new("results/bench_history"))
+        );
+    }
+
+    #[test]
+    fn valueless_history_dir_is_an_error_naming_it() {
+        for argv in [
+            sv(&["bench", "--history-dir"]),
+            sv(&["bench", "--history-dir="]),
+        ] {
+            let err = HistoryCli::try_extract(argv).unwrap_err();
+            assert_eq!(err, "--history-dir needs a value");
+        }
+        let err =
+            HistoryCli::try_extract(sv(&["bench", "--history-dir", "--no-history"])).unwrap_err();
+        assert_eq!(
+            err,
+            "--history-dir needs a value, got the flag --no-history"
         );
     }
 

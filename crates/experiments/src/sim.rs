@@ -4,53 +4,10 @@ use crate::versions::Versions;
 use mlc_cache_sim::stats::MissRateReport;
 use mlc_cache_sim::HierarchyConfig;
 use mlc_core::rescache::{CacheKey, ResultCache, SimProtocol};
-use mlc_model::trace_gen::{simulate_classified, simulate_steady_with, simulate_with};
+use mlc_model::trace_gen::simulate_classified;
 use mlc_model::{DataLayout, Program};
 use mlc_telemetry::{MetricsRegistry, MissClassifier};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, RwLock};
-
-/// Process-wide fast-path switch for the figure binaries: when cleared (the
-/// `--no-fast-path` flag), [`simulate_one`] and [`simulate_cold`] force the
-/// per-access scalar trace path instead of run-length batching. The two
-/// paths are differentially tested to be bitwise identical, so this exists
-/// for A/B timing and as an escape hatch, not because results differ.
-static FAST_PATH: AtomicBool = AtomicBool::new(true);
-
-/// Enable or disable the run-length fast path for subsequent simulations.
-pub fn set_fast_path(enabled: bool) {
-    FAST_PATH.store(enabled, Ordering::Relaxed);
-}
-
-/// Whether the run-length fast path is currently enabled.
-pub fn fast_path_enabled() -> bool {
-    FAST_PATH.load(Ordering::Relaxed)
-}
-
-/// Serializes tests that flip the process-wide [`FAST_PATH`] switch so they
-/// don't observe each other's state under the parallel test runner.
-#[cfg(test)]
-pub(crate) static FAST_PATH_TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-/// Process-wide analytic-engine switch (the `--no-analytic` flag): when set
-/// (the default), [`simulate_one`] and [`simulate_cold`] put the
-/// closed-form nest engine ([`mlc_core::analytic`]) in front of the
-/// hierarchy, closing certified affine nests without replaying them.
-/// Like the fast path, the engine is differentially tested bitwise
-/// identical wherever it engages, so this is an A/B lever and escape
-/// hatch, not a fidelity knob. Scalar mode (`--no-fast-path`) implies no
-/// analytic engine: nests are only offered on the run-length path.
-static ANALYTIC: AtomicBool = AtomicBool::new(true);
-
-/// Enable or disable the analytic nest engine for subsequent simulations.
-pub fn set_analytic(enabled: bool) {
-    ANALYTIC.store(enabled, Ordering::Relaxed);
-}
-
-/// Whether the analytic nest engine is currently enabled.
-pub fn analytic_enabled() -> bool {
-    ANALYTIC.load(Ordering::Relaxed)
-}
 
 /// Process-wide content-addressed result cache. When installed (the
 /// `--cache-dir` flag every experiment binary accepts via
@@ -73,10 +30,6 @@ pub fn result_cache() -> Option<Arc<ResultCache>> {
         .clone()
 }
 
-/// Serializes tests that install a process-wide result cache.
-#[cfg(test)]
-pub(crate) static RESULT_CACHE_TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
 /// Miss rates of the three versions of one program.
 #[derive(Debug, Clone)]
 pub struct SimResult {
@@ -94,41 +47,34 @@ pub const WARMUP: usize = 1;
 /// TIMED.
 pub const TIMED: usize = 1;
 
-/// Simulate under `protocol`, consulting the installed result cache.
+/// Simulate under `protocol` on the analytic engine (closed-form nests,
+/// the rest replayed over run-length traces), memoized through `cache`
+/// when one is given.
 ///
-/// Neither the fast-path switch nor the analytic switch is part of the
-/// cache key: all three paths (scalar, run-length, analytic) are
-/// differentially tested to be bitwise identical, so any may serve the
-/// others' cached results.
+/// The engine is not part of the cache key: scalar replay, run-length
+/// replay and the analytic engine are differentially tested to be bitwise
+/// identical, so a result cached by any of them serves the others.
 fn simulate_protocol(
     program: &Program,
     layout: &DataLayout,
     h: &HierarchyConfig,
     protocol: SimProtocol,
+    cache: Option<&ResultCache>,
 ) -> MissRateReport {
     let run = || {
-        let fast = fast_path_enabled();
-        let analytic = fast && analytic_enabled();
         match protocol {
-            SimProtocol::Cold if analytic => mlc_core::try_simulate_analytic(program, layout, h)
-                .unwrap_or_else(|e| panic!("{e}")),
-            SimProtocol::Cold => simulate_with(program, layout, h, fast),
-            SimProtocol::Steady { warmup, timed } if analytic => {
-                mlc_core::try_simulate_steady_analytic(
-                    program,
-                    layout,
-                    h,
-                    warmup as usize,
-                    timed as usize,
-                )
-                .unwrap_or_else(|e| panic!("{e}"))
-            }
-            SimProtocol::Steady { warmup, timed } => {
-                simulate_steady_with(program, layout, h, warmup as usize, timed as usize, fast)
-            }
+            SimProtocol::Cold => mlc_core::try_simulate_analytic(program, layout, h),
+            SimProtocol::Steady { warmup, timed } => mlc_core::try_simulate_steady_analytic(
+                program,
+                layout,
+                h,
+                warmup as usize,
+                timed as usize,
+            ),
         }
+        .unwrap_or_else(|e| panic!("{e}"))
     };
-    match result_cache() {
+    match cache {
         Some(cache) => {
             let key = CacheKey::derive(program, layout, h, protocol);
             cache.get_or_compute(key, run)
@@ -147,18 +93,25 @@ pub fn simulate_one(program: &Program, layout: &DataLayout, h: &HierarchyConfig)
             warmup: WARMUP as u64,
             timed: TIMED as u64,
         },
+        result_cache().as_deref(),
     )
 }
 
-/// Single cold sweep (no warm-up), honouring the fast-path switch. The
-/// figure binaries that study compulsory behaviour use this instead of the
-/// steady-state protocol.
+/// Single cold sweep (no warm-up), consulting the installed result cache.
+/// The figure binaries that study compulsory behaviour use this instead of
+/// the steady-state protocol.
 pub fn simulate_cold(
     program: &Program,
     layout: &DataLayout,
     h: &HierarchyConfig,
 ) -> MissRateReport {
-    simulate_protocol(program, layout, h, SimProtocol::Cold)
+    simulate_protocol(
+        program,
+        layout,
+        h,
+        SimProtocol::Cold,
+        result_cache().as_deref(),
+    )
 }
 
 /// Simulate one program+layout with the shadow-cache miss classifier
@@ -189,20 +142,12 @@ pub fn simulate_versions(v: &Versions, h: &HierarchyConfig) -> SimResult {
     }
 }
 
-// The parallel map the sweep binaries fan out over — now a thin wrapper
-// over the work-stealing executor in `mlc_core::exec`. The implementation
-// lives in core so the padding search's candidate scans can share it (core
-// cannot depend on this crate); re-exported here to keep the historical
-// `sim::par_map` path working, alongside the executor itself for binaries
-// that want its per-worker telemetry.
-pub use mlc_core::exec::{execute, ExecReport};
-pub use mlc_core::par::{default_threads, par_map};
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::versions::{build_versions, OptLevel};
     use mlc_model::program::figure2_example;
+    use mlc_model::trace_gen::{simulate_steady_with, simulate_with};
 
     #[test]
     fn versions_improve_miss_rates_for_pathological_sizes() {
@@ -216,34 +161,24 @@ mod tests {
     }
 
     #[test]
-    fn par_map_reexport_works() {
-        // The implementation (and its tests) live in mlc_core::par; this
-        // pins the compatibility re-export.
-        let ys = par_map(vec![1u64, 2, 3], 2, |&x| x * x);
-        assert_eq!(ys, vec![1, 4, 9]);
-    }
-
-    #[test]
-    fn installed_cache_serves_identical_results() {
-        let _g = RESULT_CACHE_TEST_LOCK
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
+    fn cache_serves_identical_results() {
         let dir = std::env::temp_dir().join(format!("mlc-sim-cache-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let cache = std::sync::Arc::new(ResultCache::open(&dir).unwrap());
+        let cache = ResultCache::open(&dir).unwrap();
         let h = HierarchyConfig::ultrasparc_i();
         let p = figure2_example(96);
         let l = mlc_model::DataLayout::contiguous(&p.arrays);
+        let steady = SimProtocol::Steady {
+            warmup: WARMUP as u64,
+            timed: TIMED as u64,
+        };
 
-        let uncached_steady = simulate_one(&p, &l, &h);
-        let uncached_cold = simulate_cold(&p, &l, &h);
-
-        install_result_cache(Some(cache.clone()));
-        let first_steady = simulate_one(&p, &l, &h);
-        let first_cold = simulate_cold(&p, &l, &h);
-        let second_steady = simulate_one(&p, &l, &h);
-        let second_cold = simulate_cold(&p, &l, &h);
-        install_result_cache(None);
+        let uncached_steady = simulate_protocol(&p, &l, &h, steady, None);
+        let uncached_cold = simulate_protocol(&p, &l, &h, SimProtocol::Cold, None);
+        let first_steady = simulate_protocol(&p, &l, &h, steady, Some(&cache));
+        let first_cold = simulate_protocol(&p, &l, &h, SimProtocol::Cold, Some(&cache));
+        let second_steady = simulate_protocol(&p, &l, &h, steady, Some(&cache));
+        let second_cold = simulate_protocol(&p, &l, &h, SimProtocol::Cold, Some(&cache));
 
         assert_eq!(uncached_steady, first_steady);
         assert_eq!(uncached_cold, first_cold);
@@ -257,42 +192,17 @@ mod tests {
     }
 
     #[test]
-    fn fast_path_toggle_does_not_change_results() {
-        let _g = FAST_PATH_TEST_LOCK
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
+    fn analytic_engine_matches_scalar_replay() {
+        // Both protocols against the reference engine, the per-access
+        // scalar walk (the full kernel matrix lives in fastpath_parity and
+        // analytic_parity).
         let h = HierarchyConfig::ultrasparc_i();
         let p = figure2_example(96);
         let l = mlc_model::DataLayout::contiguous(&p.arrays);
-        set_fast_path(false);
-        let scalar_steady = simulate_one(&p, &l, &h);
-        let scalar_cold = simulate_cold(&p, &l, &h);
-        assert!(!fast_path_enabled());
-        set_fast_path(true);
-        let fast_steady = simulate_one(&p, &l, &h);
-        let fast_cold = simulate_cold(&p, &l, &h);
-        assert!(fast_path_enabled());
-        assert_eq!(scalar_steady, fast_steady);
-        assert_eq!(scalar_cold, fast_cold);
-    }
-
-    #[test]
-    fn analytic_toggle_does_not_change_results() {
-        let _g = FAST_PATH_TEST_LOCK
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        let h = HierarchyConfig::ultrasparc_i();
-        let p = figure2_example(96);
-        let l = mlc_model::DataLayout::contiguous(&p.arrays);
-        set_analytic(false);
-        let replay_steady = simulate_one(&p, &l, &h);
-        let replay_cold = simulate_cold(&p, &l, &h);
-        assert!(!analytic_enabled());
-        set_analytic(true);
-        let analytic_steady = simulate_one(&p, &l, &h);
-        let analytic_cold = simulate_cold(&p, &l, &h);
-        assert!(analytic_enabled());
-        assert_eq!(replay_steady, analytic_steady);
-        assert_eq!(replay_cold, analytic_cold);
+        assert_eq!(
+            simulate_one(&p, &l, &h),
+            simulate_steady_with(&p, &l, &h, WARMUP, TIMED, false)
+        );
+        assert_eq!(simulate_cold(&p, &l, &h), simulate_with(&p, &l, &h, false));
     }
 }

@@ -6,9 +6,6 @@
 //! ```text
 //! --trace-out PATH      # span/event trace as JSONL
 //! --metrics-out PATH    # metrics registry as JSON (or CSV if PATH ends in .csv)
-//! --no-fast-path        # force per-access scalar simulation (A/B timing)
-//! --no-analytic         # disable closed-form nest accounting (A/B timing)
-//! --no-fast-search      # force the exhaustive padding-position scan
 //! --cache-dir PATH      # persist simulation results in a content-addressed store
 //! --no-cache            # ignore --cache-dir: simulate everything fresh
 //! --threads N           # pin the process-wide worker-thread count
@@ -20,28 +17,13 @@
 //! written by [`TelemetryCli::finish`]; as a safety net `Drop` also writes
 //! them, so binaries with early-return paths still produce their outputs.
 //!
-//! `--no-fast-path` clears the process-wide switch read by
-//! [`crate::sim::simulate_one`]/[`crate::sim::simulate_cold`], forcing the
-//! per-access scalar trace path instead of run-length batching. Results are
-//! identical either way (differentially tested); the flag exists for
-//! throughput A/B runs and as an escape hatch. Telemetry probing does not
-//! need it: a probed hierarchy never takes the fast path, because the probe
-//! must observe every individual access.
-//!
-//! `--no-analytic` clears [`crate::sim::set_analytic`], keeping the
-//! closed-form nest engine (`mlc_core::analytic`) out of the simulation
-//! path so every nest replays through the run-length (or scalar) walker.
-//! Like the fast path it is bitwise neutral — the engine only closes nests
-//! it can account exactly — and exists for the `analytic_throughput` A/B
-//! benchmark and as an escape hatch. Coverage counters (`analytic.*`)
-//! land in `--metrics-out` either way.
-//!
-//! `--no-fast-search` is the optimizer-side sibling: it clears
-//! [`mlc_core::search::set_fast_search`], making the padding passes run the
-//! exhaustive scalar position scan instead of the pruned incremental
-//! engine. Layouts are bitwise identical either way (differentially
-//! tested); the flag exists for the `optimizer_throughput` A/B benchmark
-//! and as an escape hatch.
+//! There is no engine flag. Every simulation engine (scalar replay,
+//! run-length replay, the analytic closed form) and both padding-search
+//! engines (pruned, exhaustive) give bitwise-identical results, so which
+//! one runs is not a property of any output. The binaries always run the
+//! fastest; the A/B benchmarks and parity suites call the reference
+//! engines by name. The removed `--no-fast-path`, `--no-analytic` and
+//! `--no-fast-search` flags exit 2 rather than being silently ignored.
 //!
 //! `--cache-dir PATH` opens an `mlc_core::rescache::ResultCache` at PATH
 //! and installs it process-wide ([`crate::sim::install_result_cache`]),
@@ -69,6 +51,10 @@ use mlc_telemetry::Telemetry;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
+/// Engine-selection flags that no longer exist. Rejected by name so a
+/// binary that ignores unknown arguments cannot drop one silently.
+const REMOVED_FLAGS: [&str; 3] = ["--no-fast-path", "--no-analytic", "--no-fast-search"];
+
 /// Parsed telemetry output options plus the live [`Telemetry`] bundle.
 #[derive(Debug, Default)]
 pub struct TelemetryCli {
@@ -94,8 +80,9 @@ impl TelemetryCli {
     /// the flag and exits with status 2: a value flag (`--trace-out`,
     /// `--metrics-out`, `--cache-dir`, `--threads`) given no value, an
     /// empty one, or another flag where its value belongs
-    /// (`--trace-out --metrics-out m.json`), or a thread count that is not
-    /// a positive integer.
+    /// (`--trace-out --metrics-out m.json`), a thread count that is not a
+    /// positive integer, or a removed engine flag (`--no-fast-path`,
+    /// `--no-analytic`, `--no-fast-search`).
     pub fn extract(argv: Vec<String>) -> (Self, Vec<String>) {
         Self::try_extract(argv).unwrap_or_else(|e| {
             eprintln!("{e}");
@@ -141,12 +128,10 @@ impl TelemetryCli {
                 }
             } else if arg == "--no-cache" {
                 no_cache = true;
-            } else if arg == "--no-fast-path" {
-                crate::sim::set_fast_path(false);
-            } else if arg == "--no-analytic" {
-                crate::sim::set_analytic(false);
-            } else if arg == "--no-fast-search" {
-                mlc_core::search::set_fast_search(false);
+            } else if REMOVED_FLAGS.contains(&arg.as_str()) {
+                return Err(format!(
+                    "{arg} was removed: every engine gives identical results, so the fastest always runs"
+                ));
             } else {
                 rest.push(arg);
             }
@@ -293,56 +278,37 @@ mod tests {
     }
 
     #[test]
-    fn no_fast_path_flag_is_stripped_and_disables_fast_path() {
-        let _g = crate::sim::FAST_PATH_TEST_LOCK
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        crate::sim::set_fast_path(true);
-        let (_t, rest) = TelemetryCli::extract(sv(&["mlc", "--no-fast-path", "fig11"]));
-        assert_eq!(rest, sv(&["mlc", "fig11"]));
-        assert!(!crate::sim::fast_path_enabled());
-        crate::sim::set_fast_path(true); // restore for other tests
+    fn removed_engine_flags_are_errors_naming_them() {
+        for flag in REMOVED_FLAGS {
+            let err = TelemetryCli::try_extract(sv(&["mlc", flag, "fig11"])).unwrap_err();
+            assert!(err.starts_with(&format!("{flag} was removed")), "{err}");
+        }
     }
 
     #[test]
-    fn no_analytic_flag_is_stripped_and_disables_analytic() {
-        let _g = crate::sim::FAST_PATH_TEST_LOCK
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        crate::sim::set_analytic(true);
-        let (_t, rest) = TelemetryCli::extract(sv(&["mlc", "--no-analytic", "fig11"]));
-        assert_eq!(rest, sv(&["mlc", "fig11"]));
-        assert!(!crate::sim::analytic_enabled());
-        crate::sim::set_analytic(true); // restore for other tests
-    }
-
-    #[test]
-    fn no_fast_search_flag_is_stripped_and_disables_fast_search() {
-        let _g = mlc_core::search::FAST_SEARCH_TEST_LOCK
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        mlc_core::search::set_fast_search(true);
-        let (_t, rest) = TelemetryCli::extract(sv(&["mlc", "--no-fast-search", "fig11"]));
-        assert_eq!(rest, sv(&["mlc", "fig11"]));
-        assert!(!mlc_core::search::fast_search_enabled());
-        mlc_core::search::set_fast_search(true); // restore for other tests
-    }
-
-    #[test]
-    fn cache_dir_flag_installs_and_no_cache_wins() {
-        let _g = crate::sim::RESULT_CACHE_TEST_LOCK
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
+    fn cache_dir_installs_exports_metrics_and_no_cache_wins() {
+        // The only test that touches the process-wide result cache.
         let dir =
             std::env::temp_dir().join(format!("mlc-telemetry-cli-cache-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let dir_s = dir.to_str().unwrap().to_string();
+        let metrics_path = dir.with_extension("json");
 
-        let (t, rest) = TelemetryCli::extract(sv(&["mlc", "--cache-dir", &dir_s, "fig09"]));
+        let (mut t, rest) = TelemetryCli::extract(sv(&[
+            "mlc",
+            "--cache-dir",
+            &dir_s,
+            "fig09",
+            "--metrics-out",
+            metrics_path.to_str().unwrap(),
+        ]));
         assert_eq!(rest, sv(&["mlc", "fig09"]));
         assert!(t.cache.is_some());
         assert!(crate::sim::result_cache().is_some());
         assert!(dir.is_dir(), "extract must create the cache directory");
+        t.finish().unwrap();
+        let written = std::fs::read_to_string(&metrics_path).unwrap();
+        assert!(written.contains("rescache.hit_rate"));
         drop(t);
 
         // --no-cache wins regardless of flag order, and clears the global.
@@ -355,37 +321,7 @@ mod tests {
         assert_eq!(rest2, sv(&["mlc", "fig09"]));
         assert!(t2.cache.is_none());
         assert!(crate::sim::result_cache().is_none());
-        drop(t2);
 
-        crate::sim::install_result_cache(None);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn finish_exports_cache_metrics() {
-        let _g = crate::sim::RESULT_CACHE_TEST_LOCK
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        let dir = std::env::temp_dir().join(format!(
-            "mlc-telemetry-cli-cache-metrics-{}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let metrics_path = std::env::temp_dir().join(format!(
-            "mlc-telemetry-cli-cache-metrics-{}.json",
-            std::process::id()
-        ));
-        let (mut t, _) = TelemetryCli::extract(sv(&[
-            "mlc",
-            "--cache-dir",
-            dir.to_str().unwrap(),
-            "--metrics-out",
-            metrics_path.to_str().unwrap(),
-        ]));
-        t.finish().unwrap();
-        let written = std::fs::read_to_string(&metrics_path).unwrap();
-        assert!(written.contains("rescache.hit_rate"));
-        crate::sim::install_result_cache(None);
         std::fs::remove_dir_all(&dir).ok();
         std::fs::remove_file(&metrics_path).ok();
     }

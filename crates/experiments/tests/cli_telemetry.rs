@@ -1,7 +1,8 @@
 //! End-to-end check of the `--trace-out` / `--metrics-out` plumbing: run
 //! the real `mlc` binary, then parse its outputs with the telemetry crate's
 //! own JSON tooling and validate the metrics file against
-//! `results/metrics_schema.json`.
+//! `results/metrics_schema.json`. Also pins the usage errors (exit status
+//! 2) that the shared flag extractors raise before a binary does any work.
 
 use mlc_telemetry::json::JsonValue;
 use mlc_telemetry::schema::validate;
@@ -128,14 +129,45 @@ fn valueless_path_flag_exits_2_naming_it() {
             "--trace-out needs a value, got the flag --metrics-out",
         ),
     ] {
-        let out = Command::new(env!("CARGO_BIN_EXE_mlc"))
-            .args(args)
-            .output()
-            .expect("spawn mlc");
-        assert_eq!(out.status.code(), Some(2), "mlc {args:?}");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.contains(needle), "mlc {args:?}: {stderr}");
-        assert!(out.stdout.is_empty(), "mlc {args:?} ran anyway");
+        assert_usage_error(env!("CARGO_BIN_EXE_mlc"), args, needle);
+    }
+}
+
+/// Run `bin` with `args`, expecting a usage error: exit status 2, a message
+/// containing `needle` on stderr, and nothing on stdout.
+fn assert_usage_error(bin: &str, args: &[&str], needle: &str) {
+    let out = Command::new(bin).args(args).output().expect("spawn binary");
+    assert_eq!(out.status.code(), Some(2), "{bin} {args:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains(needle), "{bin} {args:?}: {stderr}");
+    assert!(out.stdout.is_empty(), "{bin} {args:?} ran anyway");
+}
+
+/// The removed engine flags fail loudly instead of being ignored.
+#[test]
+fn removed_engine_flag_exits_2_naming_it() {
+    for flag in ["--no-fast-path", "--no-analytic", "--no-fast-search"] {
+        assert_usage_error(
+            env!("CARGO_BIN_EXE_mlc"),
+            &[flag, "dot512"],
+            &format!("{flag} was removed"),
+        );
+    }
+}
+
+/// A bench binary given `--history-dir` without a value stops before doing
+/// any work instead of appending to the default ledger.
+#[test]
+fn valueless_history_dir_exits_2_naming_it() {
+    for args in [
+        &["--history-dir"][..],
+        &["--history-dir", "--reps", "1"][..],
+    ] {
+        assert_usage_error(
+            env!("CARGO_BIN_EXE_trace_throughput"),
+            args,
+            "--history-dir needs a value",
+        );
     }
 }
 

@@ -1,8 +1,10 @@
 //! Differential parity: the pruned incremental padding-search engine must
 //! produce *bitwise-identical* layouts to the exhaustive scalar scan —
 //! same pads, same base addresses, same `positions_tried` — for every
-//! registered kernel, every padding algorithm, and every hierarchy
-//! geometry the experiments use.
+//! registered kernel, every padding algorithm built on the GROUPPAD
+//! search, and every hierarchy geometry the experiments use. The
+//! exhaustive side runs through the explicitly named `*_exhaustive`
+//! entry points.
 //!
 //! Debug builds run every kernel on the paper's UltraSparc I config and a
 //! reduced kernel set on the wider geometry matrix (the fast engine
@@ -11,29 +13,23 @@
 //! CI search-parity job) runs every kernel everywhere.
 
 use mlc_cache_sim::HierarchyConfig;
-use mlc_core::group_pad::{group_pad_multi, group_pad_quantized};
+use mlc_core::group_pad::{
+    group_pad_multi, group_pad_multi_exhaustive, group_pad_quantized,
+    group_pad_quantized_exhaustive,
+};
 use mlc_core::maxpad::l2_max_pad;
 use mlc_core::pad::PadResult;
-use mlc_core::search::{set_fast_search, FAST_SEARCH_TEST_LOCK};
-use mlc_core::{multilvl_pad, PadError};
+use mlc_core::PadError;
 use mlc_kernels::registry::all_kernels;
 use mlc_kernels::Kernel;
-use mlc_model::Program;
 
-/// Run `algorithm` once per engine and demand identical results.
+/// Demand identical results from the pruned (`fast`) and exhaustive
+/// (`scalar`) runs of one algorithm.
 fn assert_search_parity(
     name: &str,
-    program: &Program,
-    algorithm: impl Fn(&Program) -> Result<PadResult, PadError>,
+    fast: Result<PadResult, PadError>,
+    scalar: Result<PadResult, PadError>,
 ) {
-    let _g = FAST_SEARCH_TEST_LOCK
-        .lock()
-        .unwrap_or_else(|e| e.into_inner());
-    set_fast_search(true);
-    let fast = algorithm(program);
-    set_fast_search(false);
-    let scalar = algorithm(program);
-    set_fast_search(true);
     match (fast, scalar) {
         (Ok(fast), Ok(scalar)) => {
             assert_eq!(fast.pads, scalar.pads, "{name}: pads diverge");
@@ -66,24 +62,28 @@ fn assert_search_parity(
     }
 }
 
-/// All four padding algorithms against one hierarchy.
+/// The three GROUPPAD-based algorithms against one hierarchy.
 fn assert_kernel_parity(kernel: &dyn Kernel, cfg: &HierarchyConfig, hname: &str) {
-    let program = kernel.model();
+    let p = &kernel.model();
     let l1 = cfg.l1();
     let kname = kernel.name();
-    assert_search_parity(&format!("{kname}/{hname}/GROUPPAD"), &program, |p| {
-        group_pad_quantized(p, l1, l1.line as u64, &[])
-    });
-    assert_search_parity(&format!("{kname}/{hname}/GROUPPAD-multi"), &program, |p| {
-        group_pad_multi(p, cfg)
-    });
-    assert_search_parity(&format!("{kname}/{hname}/L2MAXPAD"), &program, |p| {
-        let g = group_pad_quantized(p, l1, l1.line as u64, &[])?;
-        l2_max_pad(p, l1, cfg.levels[1], &g.pads)
-    });
-    assert_search_parity(&format!("{kname}/{hname}/MULTILVLPAD"), &program, |p| {
-        Ok(multilvl_pad(p, cfg))
-    });
+    let fast = group_pad_quantized(p, l1, l1.line as u64, &[]);
+    let scalar = group_pad_quantized_exhaustive(p, l1, l1.line as u64, &[]);
+    let maxpad = |g: &Result<PadResult, PadError>| match g {
+        Ok(g) => l2_max_pad(p, l1, cfg.levels[1], &g.pads),
+        Err(e) => Err(e.clone()),
+    };
+    assert_search_parity(
+        &format!("{kname}/{hname}/L2MAXPAD"),
+        maxpad(&fast),
+        maxpad(&scalar),
+    );
+    assert_search_parity(&format!("{kname}/{hname}/GROUPPAD"), fast, scalar);
+    assert_search_parity(
+        &format!("{kname}/{hname}/GROUPPAD-multi"),
+        group_pad_multi(p, cfg),
+        group_pad_multi_exhaustive(p, cfg),
+    );
 }
 
 /// Kernels for the wide matrix: all of them in release; in debug only the

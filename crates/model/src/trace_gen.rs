@@ -418,8 +418,8 @@ impl CompiledNest {
 
     /// [`CompiledNest::run`] forced down the per-access scalar path: every
     /// reference of every trip goes through [`AccessSink::access`]
-    /// individually. The differential-parity tests (and the experiment
-    /// binaries' `--no-fast-path` flag) compare this against the run path.
+    /// individually. The differential-parity tests compare this against the
+    /// run path.
     pub fn run_scalar(&self, sink: &mut impl AccessSink) -> u64 {
         self.run_with(sink, false)
     }
