@@ -3,7 +3,7 @@
 //! # mlc-bench-history — the benchmark ledger's read side
 //!
 //! The benchmark binaries (`trace_throughput`, `optimizer_throughput`,
-//! `sweep_cache`, `fuzz`) append one
+//! `analytic_throughput`, `serve_load`, `fuzz`) append one
 //! [`BenchEntry`](mlc_telemetry::bench_report::BenchEntry) per measured
 //! metric to `results/bench_history/<family>.jsonl` — an append-only,
 //! commit-stamped ledger (see `mlc_telemetry::bench_report`). This crate

@@ -31,8 +31,8 @@ where
 /// flags so an explicit flag beats the `MLC_THREADS` environment variable
 /// everywhere — including nested uses like the padding search's candidate
 /// scans, which consult [`default_threads`] well below the CLI layer.
-/// Without this, `MLC_THREADS` set in the environment silently won over
-/// the `--threads` ladder value inside `sweep_scaling`'s legs.
+/// Without this, `MLC_THREADS` set in the environment would silently win
+/// over an explicit `--threads` inside those nested scans.
 static THREAD_OVERRIDE: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
 
 /// Pin (or with `None` release) the process-wide thread count consulted by
@@ -174,8 +174,8 @@ mod tests {
         assert!(default_threads() >= 1);
 
         // A CLI --threads value pinned via set_thread_override must win
-        // over MLC_THREADS — the sweep_scaling ladder runs each leg at its
-        // own count even when the env var is set. Both knobs are
+        // over MLC_THREADS, so an explicit flag holds even when the env
+        // var is set. Both knobs are
         // process-global, so this stays in the same #[test] as the env
         // assertions above rather than racing them from a parallel runner.
         std::env::set_var("MLC_THREADS", "7");

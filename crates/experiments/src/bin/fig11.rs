@@ -14,7 +14,7 @@ use mlc_core::exec::execute;
 use mlc_core::par::default_threads;
 use mlc_experiments::sim::simulate_one;
 use mlc_experiments::versions::{build_versions, OptLevel};
-use mlc_experiments::{Table, TelemetryCli};
+use mlc_experiments::{int_flag, Table, TelemetryCli};
 use mlc_kernels::expl::Expl;
 use mlc_kernels::shal::Shallow;
 use mlc_kernels::Kernel;
@@ -74,12 +74,7 @@ fn main() {
     let (mut tcli, args) = TelemetryCli::from_env();
     let tel = &mut tcli.telemetry;
     let csv = args.iter().any(|a| a == "--csv");
-    let step: usize = args
-        .iter()
-        .position(|a| a == "--step")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1);
+    let step = int_flag(&args, "--step", 1, 1);
     let sizes: Vec<usize> = (250..=520).step_by(step).collect();
 
     sweep("EXPL", |n| Expl::new(n).model(), &sizes, csv, tel);

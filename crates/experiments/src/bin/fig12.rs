@@ -17,7 +17,7 @@
 //! `mlc_model::transform::fuse_unchecked`).
 //!
 //! ```text
-//! cargo run --release -p mlc-experiments --bin fig12 [--step K] [--csv]
+//! cargo run --release -p mlc-experiments --bin fig12 [--step K] [--at I] [--csv]
 //! ```
 
 use mlc_cache_sim::HierarchyConfig;
@@ -26,7 +26,7 @@ use mlc_core::fusion::reuse_layout;
 use mlc_core::group::account;
 use mlc_core::par::default_threads;
 use mlc_experiments::sim::simulate_one;
-use mlc_experiments::{Table, TelemetryCli};
+use mlc_experiments::{int_flag, Table, TelemetryCli};
 use mlc_kernels::expl::Expl;
 use mlc_kernels::Kernel;
 use mlc_model::transform::fuse_unchecked_in_program;
@@ -35,21 +35,11 @@ fn main() {
     let (mut tcli, args) = TelemetryCli::from_env();
     let tel = &mut tcli.telemetry;
     let csv = args.iter().any(|a| a == "--csv");
-    let step: usize = args
-        .iter()
-        .position(|a| a == "--step")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2);
+    let step = int_flag(&args, "--step", 2, 1);
     // Which adjacent pair to fuse: 0 = calc_ab + calc_uv (loops 75+76, the
     // default — the pair with the Figure-12-style capacity tradeoff),
     // 1 = calc_uv + update_rz (loops 76+77).
-    let at: usize = args
-        .iter()
-        .position(|a| a == "--at")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
+    let at = int_flag(&args, "--at", 0, 0);
     let sizes: Vec<usize> = (250..=700).step_by(step).collect();
     let h = HierarchyConfig::ultrasparc_i();
     let (l1, l2) = (h.levels[0], h.levels[1]);

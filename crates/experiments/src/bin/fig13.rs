@@ -17,7 +17,7 @@ use mlc_core::tiling::{select_tile, TilePolicy};
 use mlc_experiments::sim::simulate_cold;
 use mlc_experiments::table::pct;
 use mlc_experiments::timing::mflops;
-use mlc_experiments::{Table, TelemetryCli};
+use mlc_experiments::{int_flag, Table, TelemetryCli};
 use mlc_kernels::matmul::{matmul_tiled, matmul_tiled_copy, matmul_untiled, Matmul};
 use mlc_kernels::Kernel as _;
 use mlc_kernels::Workspace;
@@ -61,12 +61,7 @@ fn main() {
     let tel = &mut tcli.telemetry;
     let csv = args.iter().any(|a| a == "--csv");
     let quick = args.iter().any(|a| a == "--quick");
-    let step: usize = args
-        .iter()
-        .position(|a| a == "--step")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(18);
+    let step = int_flag(&args, "--step", 18, 1);
     let h = HierarchyConfig::ultrasparc_i();
     let sizes: Vec<usize> = (100..=400).step_by(step).collect();
     let reps = if quick { 1 } else { 3 };

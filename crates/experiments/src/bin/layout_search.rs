@@ -1,136 +1,35 @@
-//! A/B benchmark of the layout-competitor grid: searched Morton words vs
-//! the paper's best padding.
+//! The layout-competitor table: searched Morton words and cache-oblivious
+//! tiling against the paper's best padding.
 //!
-//! Runs every cell of the layout grid (`mlc_experiments::layout_sweep`),
-//! prints the canonical competitor table, and reports the pad-vs-morton
-//! cost ratio per cell, writing the results as JSON (default
-//! `BENCH_layout_search.json`; CI archives it).
-//!
-//! Besides the snapshot, every run appends per-cell and summary entries to
-//! the `results/bench_history/` ledger under family `layout_search`
-//! (`--history-dir` / `--no-history`; see `docs/BENCHMARKS.md`). The gated
-//! series are host-independent — costs come from simulated miss counts,
-//! not wall time — and CI holds `morton_wins >= 1`: at least one committed
-//! cell where the searched interleave word beats MULTILVLPAD's best
-//! padding (`docs/LAYOUTS.md`).
+//! Runs every cell of the layout grid (`mlc_experiments::layout_sweep`)
+//! and prints the canonical competitor table, whose exact miss counts the
+//! layout golden tables pin (`docs/LAYOUTS.md`).
 //!
 //! ```text
-//! layout_search [--grid smoke|full] [--out PATH] [--csv]
-//!               [--history-dir PATH] [--no-history]
+//! layout_search [--grid smoke|full] [--csv]
 //! ```
 
-use mlc_experiments::history_cli::HistoryCli;
-use mlc_experiments::layout_sweep::{
-    layout_grid_cells, render_layout_tables, run_layout_cell, Competitor, LayoutGridKind,
-};
-use mlc_telemetry::bench_report::{BenchReport, Direction};
+use mlc_experiments::layout_sweep::{render_layout_tables, run_layout_cells, LayoutGridKind};
+
+fn usage_error(msg: &str) -> ! {
+    eprintln!("layout_search: {msg}");
+    std::process::exit(2);
+}
 
 fn main() {
-    let (history, argv) = HistoryCli::from_env();
-    let mut out = String::from("BENCH_layout_search.json");
     let mut grid = LayoutGridKind::Full;
     let mut csv = false;
-    let mut args = argv.into_iter().skip(1);
+    let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--out" => out = args.next().expect("--out needs a path"),
             "--grid" => {
-                let g = args.next().expect("--grid needs smoke|full");
+                let g = args.next().unwrap_or_default();
                 grid = LayoutGridKind::from_arg(&g)
-                    .unwrap_or_else(|| panic!("unknown grid {g:?} (smoke|full)"));
+                    .unwrap_or_else(|| usage_error(&format!("--grid needs smoke|full, got {g:?}")));
             }
             "--csv" => csv = true,
-            other => panic!("unknown flag {other}"),
+            other => usage_error(&format!("unknown flag {other}")),
         }
     }
-
-    let cells = layout_grid_cells(grid);
-    let results: Vec<_> = cells.iter().map(run_layout_cell).collect();
-    print!("{}", render_layout_tables(&results, csv));
-
-    let mut morton_wins = 0u64;
-    let mut best_ratio = f64::NEG_INFINITY;
-    let mut lines = Vec::new();
-    for r in &results {
-        let pad = r.run(Competitor::Pad);
-        let morton = r.run(Competitor::Morton);
-        let cot = r.run(Competitor::Cot);
-        let orig = r.run(Competitor::Orig);
-        // >1 means the searched word beats the best padding. The unit
-        // floor keeps a cell where everything fits in cache (both costs
-        // zero) at a finite, neutral 1.0 instead of NaN.
-        let ratio = pad.cost.max(1.0) / morton.cost.max(1.0);
-        if morton.cost < pad.cost {
-            morton_wins += 1;
-        }
-        best_ratio = best_ratio.max(ratio);
-        eprintln!(
-            "{:>12} on {:<14} orig {:>10.0}  pad {:>10.0}  morton {:>10.0} ({})  cot {:>10.0}  pad/morton {:.3}x",
-            r.cell.kernel, r.cell.hierarchy, orig.cost, pad.cost, morton.cost, morton.note, cot.cost, ratio
-        );
-        lines.push(format!(
-            "    {{\"kernel\": \"{}\", \"hierarchy\": \"{}\", \
-             \"orig_cost\": {:.3}, \"pad_cost\": {:.3}, \"morton_cost\": {:.3}, \
-             \"cot_cost\": {:.3}, \"morton_word\": \"{}\", \"pad_over_morton\": {:.4}}}",
-            r.cell.kernel,
-            r.cell.hierarchy,
-            orig.cost,
-            pad.cost,
-            morton.cost,
-            cot.cost,
-            morton.note,
-            ratio
-        ));
-    }
-    eprintln!(
-        "morton beats best pad on {morton_wins}/{} cells, best pad/morton ratio {best_ratio:.3}x",
-        results.len()
-    );
-
-    let grid_tag = match grid {
-        LayoutGridKind::Smoke => "smoke",
-        LayoutGridKind::Full => "full",
-    };
-    let mut json = String::from("{\n  \"bench\": \"layout_search\",\n");
-    json.push_str("  \"unit\": \"weighted_miss_cost\",\n");
-    json.push_str(&format!("  \"grid\": \"{grid_tag}\",\n"));
-    json.push_str(&format!(
-        "  \"profile\": \"{}\",\n",
-        if cfg!(debug_assertions) {
-            "debug"
-        } else {
-            "release"
-        }
-    ));
-    json.push_str(&format!("  \"morton_wins\": {morton_wins},\n"));
-    json.push_str(&format!("  \"best_pad_over_morton\": {best_ratio:.4},\n"));
-    json.push_str("  \"cells\": [\n");
-    json.push_str(&lines.join(",\n"));
-    json.push_str("\n  ]\n}\n");
-    std::fs::write(&out, json).expect("write bench JSON");
-    eprintln!("wrote {out}");
-
-    // Ledger entries: one series per cell plus the summary CI gates. All
-    // series are simulated-cost ratios — host-independent by construction.
-    let mut report = BenchReport::new("layout_search");
-    for r in &results {
-        let case = format!("{}_{}", r.cell.kernel, r.cell.hierarchy);
-        let ratio = r.run(Competitor::Pad).cost.max(1.0) / r.run(Competitor::Morton).cost.max(1.0);
-        report.metric(&case, "pad_over_morton", "x", ratio, Direction::Higher);
-    }
-    report.metric(
-        "summary",
-        "morton_wins",
-        "cells",
-        morton_wins as f64,
-        Direction::Higher,
-    );
-    report.metric(
-        "summary",
-        "best_pad_over_morton",
-        "x",
-        best_ratio,
-        Direction::Higher,
-    );
-    history.append(&report);
+    print!("{}", render_layout_tables(&run_layout_cells(grid), csv));
 }

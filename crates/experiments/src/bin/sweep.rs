@@ -24,7 +24,7 @@
 
 use mlc_experiments::sweep::{
     grid_cells, merge_results, parse_shard_file, parse_shard_file_resume, parse_shard_spec,
-    render_tables, result_to_jsonl_line, run_cells_traced, shard_cells, GridKind, SweepCell,
+    render_tables, result_to_jsonl_line, run_cells, shard_cells, GridKind, SweepCell,
 };
 use mlc_experiments::TelemetryCli;
 use std::collections::BTreeMap;
@@ -164,7 +164,7 @@ fn run(
         threads
     );
     let span = tcli.telemetry.tracer.begin("sweep.run");
-    let (results, report) = run_cells_traced(&cells, threads, tcli.cache.as_deref(), &done);
+    let (results, report) = run_cells(&cells, threads, tcli.cache.as_deref(), &done);
     tcli.telemetry
         .tracer
         .attr(span, "cells", cells.len() as u64);

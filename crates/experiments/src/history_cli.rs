@@ -2,8 +2,8 @@
 //! binaries.
 //!
 //! Every bench emitter (`trace_throughput`, `optimizer_throughput`,
-//! `sweep_cache`; the fuzz smoke counters mirror the same flags) writes two
-//! artifacts per run:
+//! `analytic_throughput`, `serve_load`; the fuzz smoke counters mirror the
+//! same flags) writes two artifacts per run:
 //!
 //! * its bespoke `BENCH_*.json` snapshot — the latest-run artifact CI
 //!   archives, unchanged in shape;

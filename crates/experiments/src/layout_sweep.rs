@@ -19,11 +19,8 @@
 //! traversal, so the grid carries its own transpose/row-col/stencil set),
 //! fixed hierarchies, steady-state `(warmup 1, timed 1)` simulation — and
 //! each competitor's exact integer miss counts are pinned by the golden
-//! tables (`tests/golden_tables.rs`). The `layout_search` benchmark binary
-//! replays the same grid as an A/B and appends pad-vs-morton cost ratios
-//! to the `results/bench_history/` ledger (family `layout_search`), where
-//! CI gates `morton_wins >= 1`: at least one committed cell where the
-//! searched word beats the best padding.
+//! tables (`tests/golden_tables.rs`). The `layout_search` binary prints the
+//! competitor table.
 
 use crate::table::{pct, Table};
 use mlc_cache_sim::stats::MissRateReport;
@@ -257,16 +254,6 @@ pub struct LayoutCellResult {
     pub runs: Vec<CompetitorRun>,
 }
 
-impl LayoutCellResult {
-    /// The run for `competitor` (every cell carries all of them).
-    pub fn run(&self, competitor: Competitor) -> &CompetitorRun {
-        self.runs
-            .iter()
-            .find(|r| r.competitor == competitor)
-            .expect("every cell runs every competitor")
-    }
-}
-
 fn steady(p: &Program, layout: &DataLayout, h: &HierarchyConfig) -> MissRateReport {
     try_simulate_steady_with(p, layout, h, WARMUP, TIMED, true)
         .unwrap_or_else(|e| panic!("layout grid cell failed to simulate: {e}"))
@@ -468,6 +455,16 @@ pub fn render_layout_tables(results: &[LayoutCellResult], csv: bool) -> String {
 mod tests {
     use super::*;
 
+    impl LayoutCellResult {
+        /// The run for `competitor` (every cell carries all of them).
+        fn run(&self, competitor: Competitor) -> &CompetitorRun {
+            self.runs
+                .iter()
+                .find(|r| r.competitor == competitor)
+                .expect("every cell runs every competitor")
+        }
+    }
+
     #[test]
     fn grid_enumeration_is_stable_and_indexed() {
         let a = layout_grid_cells(LayoutGridKind::Full);
@@ -504,17 +501,16 @@ mod tests {
     #[test]
     fn transpose_cell_prefers_morton_over_best_pad() {
         // The committed acceptance cell: on the showcase hierarchy the
-        // searched interleave word must beat MULTILVLPAD's best padding.
-        // The `layout_search` bench appends this same comparison to the
-        // ledger, where CI gates morton_wins >= 1.
+        // searched interleave word must beat MULTILVLPAD's best padding,
+        // and by a clear margin (today 261,408 vs 64,736, about 4x).
         let cells = layout_grid_cells(LayoutGridKind::Smoke);
         let r = run_layout_cell(&cells[0]);
         assert_eq!(r.cell.kernel, "transpose64");
         let pad = r.run(Competitor::Pad);
         let morton = r.run(Competitor::Morton);
         assert!(
-            morton.cost < pad.cost,
-            "morton {} must beat pad {}",
+            pad.cost >= 1.05 * morton.cost,
+            "morton {} must beat pad {} by at least 1.05x",
             morton.cost,
             pad.cost
         );

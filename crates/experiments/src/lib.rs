@@ -28,19 +28,18 @@
 //! `--cache-dir PATH` / `--no-cache` to persist simulation results in a
 //! content-addressed store (see [`sweep`] and `docs/CACHING.md`). The
 //! `sweep` binary splits the whole experiment grid into deterministic,
-//! resumable shards, and `sweep_cache` is the cold-vs-warm A/B benchmark
-//! of the store.
+//! resumable shards.
 //!
-//! The benchmark emitters (`trace_throughput`, `optimizer_throughput`,
-//! `sweep_cache`, `layout_search`) also accept `--history-dir PATH` /
-//! `--no-history` (see [`history_cli`]): besides their `BENCH_*.json`
-//! snapshot they append commit-stamped entries to the
+//! The engine A/B binaries (`trace_throughput`, `optimizer_throughput`,
+//! `analytic_throughput`) and `serve_load` also accept `--history-dir
+//! PATH` / `--no-history` (see [`history_cli`]): besides their
+//! `BENCH_*.json` snapshot they append commit-stamped entries to the
 //! `results/bench_history/` ledger that the `bench-history` binary gates
 //! and renders (`docs/BENCHMARKS.md`).
 //!
 //! The [`layout_sweep`] grid races data layouts instead of paddings —
 //! linear vs best-pad vs searched Morton words vs cache-oblivious tiling
-//! (`docs/LAYOUTS.md`) — and the `layout_search` binary is its A/B bench.
+//! (`docs/LAYOUTS.md`) — and the `layout_search` binary prints its table.
 
 pub mod history_cli;
 pub mod layout_sweep;
@@ -54,6 +53,6 @@ pub mod versions;
 pub use history_cli::HistoryCli;
 pub use sim::{simulate_versions, SimResult};
 pub use table::Table;
-pub use telemetry_cli::TelemetryCli;
+pub use telemetry_cli::{int_flag, TelemetryCli};
 pub use timing::{mflops, time_kernel};
 pub use versions::{build_versions, OptLevel, Versions};

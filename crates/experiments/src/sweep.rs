@@ -373,21 +373,12 @@ fn compute_cell(cell: &SweepCell) -> CellResult {
 
 /// Run many cells with `threads` workers, skipping any whose results are
 /// already in `done` (the `--resume` path). Returns all results — reused
-/// and fresh — sorted by grid index.
+/// and fresh — sorted by grid index, plus the executor's [`ExecReport`]:
+/// per-worker cells done, steals, and busy/idle time for the `exec.*`
+/// metrics the `sweep` binary exports. The report covers only the freshly
+/// computed cells; `done` reuse is free and happens before the executor
+/// starts.
 pub fn run_cells(
-    cells: &[SweepCell],
-    threads: usize,
-    cell_cache: Option<&ResultCache>,
-    done: &BTreeMap<usize, CellResult>,
-) -> Vec<CellResult> {
-    run_cells_traced(cells, threads, cell_cache, done).0
-}
-
-/// [`run_cells`] plus the executor's [`ExecReport`] — per-worker cells
-/// done, steals, and busy/idle time for the `exec.*` metrics the sweep
-/// binaries export. The report covers only the freshly computed cells;
-/// `done` reuse is free and happens before the executor starts.
-pub fn run_cells_traced(
     cells: &[SweepCell],
     threads: usize,
     cell_cache: Option<&ResultCache>,
@@ -750,9 +741,9 @@ mod tests {
     }
 
     #[test]
-    fn run_cells_traced_reports_all_fresh_cells() {
+    fn run_cells_reports_all_fresh_cells() {
         let cells = tiny_grid();
-        let (results, report) = run_cells_traced(&cells, 2, None, &BTreeMap::new());
+        let (results, report) = run_cells(&cells, 2, None, &BTreeMap::new());
         assert_eq!(results.len(), cells.len());
         assert_eq!(report.items, cells.len());
         assert_eq!(report.total_done() as usize, cells.len());
@@ -767,7 +758,7 @@ mod tests {
         // Poison the reused result so we can prove it was not recomputed.
         first.pad_l1 = 123_456;
         done.insert(0, first);
-        let results = run_cells(&cells, 2, None, &done);
+        let (results, _) = run_cells(&cells, 2, None, &done);
         assert_eq!(results.len(), cells.len());
         assert_eq!(
             results[0].pad_l1, 123_456,

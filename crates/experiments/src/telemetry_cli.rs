@@ -40,9 +40,13 @@
 //! is consulted — the sweep executors, the padding search's candidate
 //! scans, and the `mlc-serve` server's worker pool (which sizes itself
 //! from `default_threads` when no explicit worker count is configured).
-//! Binaries with their own `--threads` parsing (`sweep_cache`,
-//! `optimizer_throughput`) keep it; binaries built on this extractor get
-//! the flag for free and must not re-parse it.
+//! A binary with its own `--threads` parsing (`optimizer_throughput`)
+//! keeps it; binaries built on this extractor get the flag for free and
+//! must not re-parse it.
+//!
+//! [`int_flag`] reads a binary's own integer options (the size sweeps'
+//! `--step` and `--at`) with the same usage-error rule: a missing,
+//! non-numeric or out-of-range value exits 2 naming the flag.
 //!
 //! [`default_threads`]: mlc_core::par::default_threads
 
@@ -234,14 +238,41 @@ impl Drop for TelemetryCli {
 /// everywhere `default_threads()` is consulted, including worker pools
 /// spun up long after argument parsing (the `mlc-serve` server).
 fn apply_threads(value: &str) -> Result<(), String> {
+    let n = parse_at_least("--threads", value, 1)?;
+    mlc_core::par::set_thread_override(Some(n));
+    Ok(())
+}
+
+/// Parse `flag`'s value as an integer of at least `min`, or a usage error
+/// naming the flag.
+fn parse_at_least(flag: &str, value: &str, min: usize) -> Result<usize, String> {
     match value.parse::<usize>() {
-        Ok(n) if n > 0 => {
-            mlc_core::par::set_thread_override(Some(n));
-            Ok(())
-        }
-        _ => Err(format!(
-            "--threads={value:?} is not a positive thread count"
-        )),
+        Ok(n) if n >= min => Ok(n),
+        _ => Err(format!("{flag}={value:?} is not an integer >= {min}")),
+    }
+}
+
+/// The integer option `flag` (`--flag N`) from a binary's own arguments,
+/// or `default` when the flag is absent. `N` must be at least `min`: the
+/// size sweeps' `--step` takes 1, the rule `--threads` follows, because a
+/// zero step never advances. A missing or non-numeric value, or one below
+/// `min`, prints a message naming the flag and exits with status 2 before
+/// the binary does any work.
+pub fn int_flag(args: &[String], flag: &str, default: usize, min: usize) -> usize {
+    try_int_flag(args, flag, default, min).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    })
+}
+
+/// [`int_flag`], returning the usage error instead of exiting.
+fn try_int_flag(args: &[String], flag: &str, default: usize, min: usize) -> Result<usize, String> {
+    match args.iter().position(|a| a == flag) {
+        None => Ok(default),
+        Some(i) => match args.get(i + 1) {
+            Some(value) => parse_at_least(flag, value, min),
+            None => Err(format!("{flag} needs a value")),
+        },
     }
 }
 
@@ -340,12 +371,26 @@ mod tests {
         assert_eq!(rest, sv(&["mlc", "fig11"]));
         assert_eq!(mlc_core::par::thread_override(), Some(5));
 
-        // sweep_scaling's distinct --threads-list flag must pass through
+        // A longer flag that merely starts with `--threads` passes through
         // untouched for the binary's own parser.
         let (_t, rest) = TelemetryCli::extract(sv(&["mlc", "--threads-list", "1,2,4"]));
         assert_eq!(rest, sv(&["mlc", "--threads-list", "1,2,4"]));
 
         mlc_core::par::set_thread_override(prior);
+    }
+
+    #[test]
+    fn int_flag_reads_the_value_or_the_default() {
+        let step = |a: &[&str]| try_int_flag(&sv(a), "--step", 2, 1);
+        assert_eq!(step(&["fig12", "--csv"]), Ok(2));
+        assert_eq!(step(&["fig12", "--step", "5", "--csv"]), Ok(5));
+        // A flag in the value slot is no number; `--at` counts from zero.
+        let err = step(&["fig12", "--step", "--csv"]).unwrap_err();
+        assert_eq!(err, r#"--step="--csv" is not an integer >= 1"#);
+        assert_eq!(
+            try_int_flag(&sv(&["fig12", "--at", "0"]), "--at", 1, 0),
+            Ok(0)
+        );
     }
 
     #[test]

@@ -171,6 +171,26 @@ fn valueless_history_dir_exits_2_naming_it() {
     }
 }
 
+/// A bad `--step` or `--at` is a usage error before any work: a zero step
+/// never advances, and a value that does not parse must not fall back to
+/// the default sweep.
+#[test]
+fn bad_step_or_at_exits_2_naming_it() {
+    let fig11 = env!("CARGO_BIN_EXE_fig11");
+    let fig12 = env!("CARGO_BIN_EXE_fig12");
+    let fig13 = env!("CARGO_BIN_EXE_fig13");
+    for (bin, args, needle) in [
+        (fig11, &["--step", "0"][..], r#"--step="0" is not"#),
+        (fig11, &["--step", "x"][..], r#"--step="x" is not"#),
+        (fig11, &["--csv", "--step"][..], "--step needs a value"),
+        (fig12, &["--step", "0"][..], r#"--step="0" is not"#),
+        (fig12, &["--at", "x"][..], r#"--at="x" is not"#),
+        (fig13, &["--step", "0"][..], r#"--step="0" is not"#),
+    ] {
+        assert_usage_error(bin, args, needle);
+    }
+}
+
 /// Without telemetry flags the binary writes nothing and prints the same
 /// simulate summary (stdout equality between a plain run and a run whose
 /// flags were merely absent is what users rely on for scripting).

@@ -8,8 +8,9 @@
 //!   cases simulated through the executor at 1 vs many threads, comparing
 //!   the serialized miss reports bit-for-bit.
 //!
-//! The release CI sweep-scaling job repeats the first check on the full
-//! conflict grid inside the `sweep_scaling` bench binary.
+//! The release CI sweep-cache job repeats the first check on the full
+//! conflict grid: `sweep run --threads 1 --no-cache` must `cmp` equal to
+//! the default-thread run.
 
 use mlc_core::exec::execute;
 use mlc_core::rescache::report_to_json;
@@ -26,8 +27,8 @@ const MAX_THREADS: usize = 8;
 fn smoke_sweep_is_byte_identical_across_thread_counts() {
     let cells = grid_cells(GridKind::Smoke);
     let done = BTreeMap::new();
-    let serial = run_cells(&cells, 1, None, &done);
-    let parallel = run_cells(&cells, MAX_THREADS, None, &done);
+    let (serial, _) = run_cells(&cells, 1, None, &done);
+    let (parallel, _) = run_cells(&cells, MAX_THREADS, None, &done);
     assert_eq!(
         render_tables(&serial, false),
         render_tables(&parallel, false),

@@ -93,6 +93,15 @@ fn warm_cache_rerun_passes_min_hits_gate() {
         cold.stdout, warm.stdout,
         "warm rerun must print the same table"
     );
+    // Every cell came from disk: a warm cell hit runs no simulation, so the
+    // cache sees one lookup per cell and no miss. `--min-hits` alone cannot
+    // tell: a cell layer that missed every cell would still clear it
+    // through the simulation layer's hits.
+    let stderr = String::from_utf8_lossy(&warm.stderr);
+    assert!(
+        stderr.contains("rescache: 4 hits / 0 misses"),
+        "warm rerun must serve every cell from the cell cache:\n{stderr}"
+    );
 
     // The gate actually gates: with no cache installed there are no hits.
     // (A merely *fresh* cache is not enough to prove failure — unpadded

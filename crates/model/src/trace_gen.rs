@@ -410,18 +410,10 @@ impl CompiledNest {
     /// batch line-resident accesses — notably [`Hierarchy`] — skip the
     /// per-access work. Sinks without a `run` override expand the runs
     /// through the default per-access loop, so the observable access stream
-    /// is identical either way. Use [`CompiledNest::run_scalar`] to force
-    /// per-access emission.
+    /// is identical either way. [`CompiledNest::run_with`] with `fast =
+    /// false` forces per-access emission.
     pub fn run(&self, sink: &mut impl AccessSink) -> u64 {
         self.run_with(sink, true)
-    }
-
-    /// [`CompiledNest::run`] forced down the per-access scalar path: every
-    /// reference of every trip goes through [`AccessSink::access`]
-    /// individually. The differential-parity tests compare this against the
-    /// run path.
-    pub fn run_scalar(&self, sink: &mut impl AccessSink) -> u64 {
-        self.run_with(sink, false)
     }
 
     /// The nest as a closed-form [`NestDescriptor`], when it has one: a

@@ -156,13 +156,13 @@ fn run_capture(cmd: &str, args: &[&str]) -> Option<String> {
 pub struct BenchEntry {
     /// Entry format version ([`BENCH_SCHEMA_VERSION`]).
     pub schema_version: u64,
-    /// Benchmark family (`trace_throughput`, `sweep_cache`, …); names the
-    /// history file the entry lives in.
+    /// Benchmark family (`trace_throughput`, `analytic_throughput`, …);
+    /// names the history file the entry lives in.
     pub family: String,
-    /// Case within the family (`expl512/ultrasparc_i`, `conflict`,
+    /// Case within the family (`expl512/ultrasparc_i`, `sweep`,
     /// `geomean`, …).
     pub case: String,
-    /// Metric name (`speedup`, `warm_hits`, `fast_accesses_per_sec`, …).
+    /// Metric name (`speedup`, `geomean_speedup`, `fast_accesses_per_sec`, …).
     pub metric: String,
     /// Unit of `value` (`x`, `accesses/s`, `count`, `s`, …).
     pub unit: String,
