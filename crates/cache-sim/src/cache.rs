@@ -46,13 +46,11 @@ impl CacheObserver for NoObserver {
 }
 
 /// Adapter attaching a [`mlc_telemetry::CacheProbe`] at a fixed level.
-#[cfg(feature = "telemetry")]
 pub(crate) struct ProbeObserver<'a> {
     pub(crate) probe: &'a mut dyn mlc_telemetry::CacheProbe,
     pub(crate) level: usize,
 }
 
-#[cfg(feature = "telemetry")]
 impl CacheObserver for ProbeObserver<'_> {
     #[inline]
     fn on_access(&mut self, line_addr: u64, set: usize, write: bool, hit: bool) {
@@ -156,7 +154,6 @@ impl Cache {
     /// [`Cache::access_kind`] with a telemetry probe attached, reporting the
     /// outcome (and any eviction) as events at the given `level`. Identical
     /// state transitions and accounting to the unprobed path.
-    #[cfg(feature = "telemetry")]
     pub fn access_kind_probed(
         &mut self,
         addr: u64,

@@ -223,7 +223,6 @@ impl HierarchyConfig {
     /// compulsory/capacity/conflict (the 3C model). Attach it as a probe via
     /// [`crate::Hierarchy::access_addr_kind_probed`] or
     /// [`crate::Hierarchy::probed`].
-    #[cfg(feature = "telemetry")]
     pub fn miss_classifier(&self) -> mlc_telemetry::MissClassifier {
         let geometry: Vec<mlc_telemetry::ShadowGeometry> = self
             .levels

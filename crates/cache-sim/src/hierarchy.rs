@@ -160,7 +160,6 @@ impl Hierarchy {
     /// at the first hit) and one [`mlc_telemetry::EvictionEvent`] per line
     /// replaced. State transitions and all counters are identical to the
     /// unprobed path; prefetch fills are quiet installs and emit no events.
-    #[cfg(feature = "telemetry")]
     pub fn access_addr_kind_probed(
         &mut self,
         addr: u64,
@@ -577,7 +576,6 @@ impl Hierarchy {
 
     /// View this hierarchy as an [`AccessSink`] that reports every access
     /// to `probe`. Drives the same state as the plain sink impl.
-    #[cfg(feature = "telemetry")]
     pub fn probed<'a>(
         &'a mut self,
         probe: &'a mut dyn mlc_telemetry::CacheProbe,
@@ -671,7 +669,6 @@ fn pinned_set_disjoint(
 
 /// An [`AccessSink`] wrapper pairing a [`Hierarchy`] with a
 /// [`mlc_telemetry::CacheProbe`]; see [`Hierarchy::probed`].
-#[cfg(feature = "telemetry")]
 pub struct ProbedHierarchy<'a> {
     hierarchy: &'a mut Hierarchy,
     probe: &'a mut dyn mlc_telemetry::CacheProbe,
@@ -682,7 +679,6 @@ pub struct ProbedHierarchy<'a> {
 // so the trait defaults expand runs into the per-access scalar path and the
 // probe sees the exact same event stream with or without run-length
 // encoding upstream.
-#[cfg(feature = "telemetry")]
 impl AccessSink for ProbedHierarchy<'_> {
     #[inline]
     fn access(&mut self, access: Access) {

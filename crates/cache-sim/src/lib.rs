@@ -61,7 +61,6 @@ pub mod trace;
 pub use cache::Cache;
 pub use config::{CacheConfig, HierarchyConfig};
 pub use hierarchy::Hierarchy;
-#[cfg(feature = "telemetry")]
 pub use hierarchy::ProbedHierarchy;
 pub use replacement::ReplacementPolicy;
 pub use stable_hash::{stable_hash_of, StableHash, StableHasher};

@@ -1,13 +1,11 @@
-//! Golden simulation results that must hold regardless of whether the
-//! `telemetry` feature is compiled in.
+//! Golden simulation results for the unprobed simulator.
 //!
-//! This file deliberately uses no telemetry APIs, so the same test runs
-//! under `cargo test -p mlc-cache-sim` (feature on, probes compiled in but
-//! not attached) and `cargo test -p mlc-cache-sim --no-default-features`
-//! (hooks compiled out entirely). The hard-coded digests pin the exact
-//! per-level access/miss/write-back counts: if instrumentation ever
-//! perturbed the simulation, one of the two configurations would diverge
-//! from the golden value. CI runs both.
+//! This file deliberately uses no telemetry APIs: it drives `Hierarchy`
+//! with no probe attached, and the hard-coded digests pin the exact
+//! per-level access/miss/write-back counts. The probe hooks are always
+//! compiled in, so if instrumentation ever perturbed the unprobed path, a
+//! digest would diverge from its golden value. `tests/telemetry.rs` checks
+//! that attaching a probe leaves the results unchanged too.
 
 use mlc_cache_sim::rng::DetRng;
 use mlc_cache_sim::{Hierarchy, HierarchyConfig};

@@ -1,7 +1,6 @@
 //! Probe and miss-classification behavior against the real simulator:
 //! attaching telemetry never changes simulation results, and the shadow
 //! classifier labels the canonical traces correctly.
-#![cfg(feature = "telemetry")]
 
 use mlc_cache_sim::rng::DetRng;
 use mlc_cache_sim::trace::{Access, AccessSink};

@@ -2,12 +2,9 @@
 //!
 //! The evaluation grid (kernels × padding families × hierarchies) and the
 //! padding search's candidate scans both fan a fixed, indexed work set out
-//! over OS threads. The old driver ([`crate::par::par_map`]'s first two
-//! incarnations) funnelled every result through a single `mpsc` receiver:
-//! one consumer thread deserialized the whole machine's output, so adding
-//! cores added senders to one queue instead of finishing the sweep sooner.
-//!
-//! This module replaces the funnel:
+//! over OS threads. Results never pass through a single consumer (one
+//! receiver draining the whole machine's output would make added cores
+//! queue behind it instead of finishing the sweep sooner):
 //!
 //! * **Per-worker chunked deques.** The index space `0..n` is split into
 //!   one contiguous chunk per worker. A worker drains its own chunk from
@@ -321,6 +318,16 @@ mod tests {
     }
 
     #[test]
+    fn execute_preserves_order_under_heavy_contention() {
+        // Thousands of near-zero-work items on many threads: the shape under
+        // which any per-item lock would contend.
+        let xs: Vec<u64> = (0..10_000).collect();
+        let (ys, report) = execute(xs.clone(), 32, |&x| x.wrapping_mul(3));
+        assert_eq!(ys, xs.iter().map(|x| x * 3).collect::<Vec<_>>());
+        assert_eq!(report.total_done(), 10_000);
+    }
+
+    #[test]
     fn execute_empty_and_single() {
         let (ys, report) = execute(Vec::<u64>::new(), 4, |&x| x);
         assert!(ys.is_empty());
@@ -393,6 +400,11 @@ mod tests {
             "caller must see the original payload, not an unwrap on an \
              empty slot; got {msg:?}"
         );
+        // And a clean run afterwards still preserves order: the panic left
+        // no poisoned state behind.
+        let xs: Vec<u64> = (0..100).collect();
+        let (ys, _) = execute(xs.clone(), 4, |&x| x + 1);
+        assert_eq!(ys, xs.iter().map(|x| x + 1).collect::<Vec<_>>());
     }
 
     #[test]

@@ -39,9 +39,8 @@
 //!   claims over indexed work, half-remainder stealing, direct writes into
 //!   pre-sized result slots, panic-safe joins, and per-worker telemetry
 //!   (items done, steals, busy/idle time) exported via `MetricsRegistry`.
-//! * [`par`] — `par_map`, the thin order-preserving compatibility wrapper
-//!   over [`exec`] shared by the candidate scans and sweep drivers, plus
-//!   the `MLC_THREADS`-aware `default_threads`.
+//! * [`par`] — the worker-thread count the executor's callers use:
+//!   `--threads`, then `MLC_THREADS`, then the machine (`default_threads`).
 //! * [`analytic`] — the closed-form nest engine: certified affine loop
 //!   nests collapse to one shadow-state probe per line-dwell (evictions
 //!   modeled exactly, steady sweeps memoized as state-transition

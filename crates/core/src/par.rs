@@ -1,31 +1,10 @@
-//! A tiny parallel map: the compatibility face of [`crate::exec`].
+//! The worker-thread count for the parallel sweeps.
 //!
-//! Run `f` over `items` on up to `threads` OS threads, preserving order.
-//! The sweep figures simulate hundreds of problem sizes and the padding
-//! search scores hundreds of candidate positions; `rayon` is not in the
-//! allowed dependency set, so the work-stealing executor in [`crate::exec`]
-//! does the fan-out and this module keeps the historical `par_map` shape
-//! for callers that do not need the executor's telemetry.
-//!
-//! Earlier incarnations funnelled every result through one mpsc receiver
-//! — a single-consumer bottleneck under many workers. `par_map` is now a
-//! thin wrapper over [`crate::exec::execute`]: per-worker chunked claims,
-//! work stealing, direct slot writes, and panic-safe joins (a panicking
-//! worker's payload is re-raised from the caller after all workers stop,
-//! never surfacing as an `unwrap` on an unfilled result slot).
-
-/// Map `f` over `items` on up to `threads` threads, preserving order.
-///
-/// A panic inside `f` aborts the remaining work and is re-raised here once
-/// every worker has stopped.
-pub fn par_map<T, R, F>(items: Vec<T>, threads: usize, f: F) -> Vec<R>
-where
-    T: Send + Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    crate::exec::execute(items, threads, f).0
-}
+//! The fan-out itself is the work-stealing executor in [`crate::exec`];
+//! this module decides how many workers it gets: an explicit CLI
+//! `--threads` ([`set_thread_override`]), then the `MLC_THREADS`
+//! environment variable, then the machine's parallelism
+//! ([`default_threads`]).
 
 /// Process-wide thread-count override (0 = none). Set from CLI `--threads`
 /// flags so an explicit flag beats the `MLC_THREADS` environment variable
@@ -57,8 +36,8 @@ pub fn thread_override() -> Option<usize> {
 ///
 /// Precedence: an explicit [`set_thread_override`] (CLI `--threads`), then
 /// the `MLC_THREADS` environment variable when it holds a positive integer
-/// (`0` clamps to 1, so CI and sharded runs can pin parallelism without
-/// per-binary flags), then the machine's available parallelism.
+/// (`0` clamps to 1, so CI runs can pin parallelism without per-binary
+/// flags), then the machine's available parallelism.
 pub fn default_threads() -> usize {
     if let Some(n) = thread_override() {
         return n;
@@ -91,63 +70,6 @@ pub fn env_threads(value: Option<&str>) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn par_map_preserves_order() {
-        let xs: Vec<u64> = (0..100).collect();
-        let ys = par_map(xs.clone(), 7, |&x| x * x);
-        assert_eq!(ys, xs.iter().map(|x| x * x).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn par_map_single_thread_and_empty() {
-        let ys = par_map(Vec::<u64>::new(), 4, |&x| x);
-        assert!(ys.is_empty());
-        let ys = par_map(vec![5u64], 16, |&x| x + 1);
-        assert_eq!(ys, vec![6]);
-    }
-
-    #[test]
-    fn par_map_preserves_order_under_heavy_contention() {
-        // Thousands of near-zero-work items on many threads: the shape that
-        // made the old per-item mutex design contend.
-        let xs: Vec<u64> = (0..10_000).collect();
-        let ys = par_map(xs.clone(), 32, |&x| x.wrapping_mul(3));
-        assert_eq!(ys, xs.iter().map(|x| x * 3).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn par_map_propagates_worker_panic() {
-        // Regression: a panicking worker used to leave its slot `None`, so
-        // the caller could reach `slots[i].unwrap()` instead of the real
-        // panic. The executor must re-raise the original payload.
-        let xs: Vec<u64> = (0..64).collect();
-        let err = std::panic::catch_unwind(|| {
-            par_map(xs, 4, |&x| {
-                if x == 11 {
-                    panic!("worker died on item {x}");
-                }
-                x
-            })
-        })
-        .expect_err("panic must propagate to the par_map caller");
-        let msg = err
-            .downcast_ref::<String>()
-            .cloned()
-            .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
-            .unwrap_or_default();
-        assert!(
-            msg.contains("worker died on item 11"),
-            "expected the original panic payload, got {msg:?}"
-        );
-        // And a subsequent clean run still preserves order — the panic left
-        // no poisoned global state behind.
-        let xs: Vec<u64> = (0..64).collect();
-        assert_eq!(
-            par_map(xs.clone(), 4, |&x| x + 1),
-            xs.iter().map(|x| x + 1).collect::<Vec<_>>()
-        );
-    }
 
     #[test]
     fn env_threads_parses_and_clamps() {

@@ -4,7 +4,7 @@
 //! optimization versions × hierarchies — and every cell bottoms out in the
 //! same expensive call: simulate one (program, layout, hierarchy) triple.
 //! Those triples recur constantly (across figure binaries, across sweep
-//! shards, across reruns after unrelated code changes), so this module
+//! grids, across reruns after unrelated code changes), so this module
 //! gives them a durable identity and a disk-backed store:
 //!
 //! * [`CacheKey`] — a [`StableHasher`] digest over the canonical program
@@ -19,7 +19,9 @@
 //!   parallel sweep can never leave a half-written entry that a later run
 //!   would trust: a truncated or bit-flipped file fails its checksum, is
 //!   logged, counted, and treated as a miss — never a panic, never a wrong
-//!   result.
+//!   result. Each entry lands as soon as it is computed, so rerunning an
+//!   interrupted sweep over the same directory recomputes only what is
+//!   missing.
 //!
 //! The salt is the invalidation lever: bump [`SIM_VERSION_SALT`] whenever
 //! simulator semantics change and every stale entry silently becomes a
@@ -126,14 +128,6 @@ impl CacheKey {
     pub fn to_hex(&self) -> String {
         format!("{:016x}", self.0)
     }
-
-    /// Parse a [`CacheKey::to_hex`] rendering.
-    pub fn from_hex(s: &str) -> Option<Self> {
-        if s.len() != 16 {
-            return None;
-        }
-        u64::from_str_radix(s, 16).ok().map(Self)
-    }
 }
 
 impl fmt::Display for CacheKey {
@@ -151,7 +145,6 @@ pub struct CacheCounters {
     stores: AtomicU64,
     corrupt: AtomicU64,
     stale: AtomicU64,
-    evictions: AtomicU64,
     coalesced: AtomicU64,
 }
 
@@ -168,8 +161,6 @@ pub struct CacheStats {
     pub corrupt: u64,
     /// Entries rejected for a format-version or key mismatch.
     pub stale: u64,
-    /// Entries removed by [`ResultCache::prune_to`].
-    pub evictions: u64,
     /// Of the hits, how many were served by the in-memory front without
     /// touching disk — a second looker coalescing onto a compute or read
     /// another thread already did (or is doing).
@@ -516,63 +507,6 @@ impl ResultCache {
         }
     }
 
-    /// Evict oldest entries (by modification time) until at most
-    /// `max_entries` remain. Returns how many were removed.
-    ///
-    /// Safe against concurrent stores: only real entry files (a 16-hex
-    /// stem with a `.json` extension) count toward the cap — atomic-write
-    /// `.tmp` staging files are never counted or deleted — and each victim
-    /// is re-checked immediately before deletion, so an entry a writer
-    /// just renamed into place (newer mtime than the enumeration saw) is
-    /// left alone instead of being evicted as "oldest".
-    pub fn prune_to(&self, max_entries: usize) -> std::io::Result<u64> {
-        let mut entries: Vec<(std::time::SystemTime, PathBuf)> = Vec::new();
-        for e in std::fs::read_dir(&self.dir)? {
-            let e = e?;
-            let path = e.path();
-            if !Self::is_entry_file(&path) {
-                continue;
-            }
-            let mtime = e
-                .metadata()
-                .and_then(|m| m.modified())
-                .unwrap_or(std::time::SystemTime::UNIX_EPOCH);
-            entries.push((mtime, path));
-        }
-        if entries.len() <= max_entries {
-            return Ok(0);
-        }
-        entries.sort();
-        let mut evicted = 0u64;
-        for (seen_mtime, path) in &entries[..entries.len() - max_entries] {
-            // Tolerate a racing store_raw: if the file changed since we
-            // enumerated it (tmp+rename landed a fresh result), skip it —
-            // and a file already gone is simply not ours to count.
-            match std::fs::metadata(path).and_then(|m| m.modified()) {
-                Ok(now) if now == *seen_mtime => {
-                    if std::fs::remove_file(path).is_ok() {
-                        evicted += 1;
-                    }
-                }
-                Ok(_) | Err(_) => {}
-            }
-        }
-        self.counters
-            .evictions
-            .fetch_add(evicted, Ordering::Relaxed);
-        Ok(evicted)
-    }
-
-    /// Whether `path` names a real cache entry (`<16-hex>.json`), as
-    /// opposed to a `.tmp` staging file or unrelated debris.
-    fn is_entry_file(path: &Path) -> bool {
-        path.extension().is_some_and(|x| x == "json")
-            && path
-                .file_stem()
-                .and_then(|s| s.to_str())
-                .is_some_and(|s| CacheKey::from_hex(s).is_some())
-    }
-
     /// Snapshot the traffic counters.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
@@ -581,7 +515,6 @@ impl ResultCache {
             stores: self.counters.stores.load(Ordering::Relaxed),
             corrupt: self.counters.corrupt.load(Ordering::Relaxed),
             stale: self.counters.stale.load(Ordering::Relaxed),
-            evictions: self.counters.evictions.load(Ordering::Relaxed),
             coalesced: self.counters.coalesced.load(Ordering::Relaxed),
         }
     }
@@ -595,7 +528,6 @@ impl ResultCache {
         metrics.count(&format!("{prefix}.stores"), s.stores);
         metrics.count(&format!("{prefix}.corrupt"), s.corrupt);
         metrics.count(&format!("{prefix}.stale"), s.stale);
-        metrics.count(&format!("{prefix}.evictions"), s.evictions);
         metrics.count(&format!("{prefix}.coalesced"), s.coalesced);
         metrics.set_value(&format!("{prefix}.hit_rate"), s.hit_rate());
     }
@@ -693,9 +625,9 @@ mod tests {
     #[test]
     fn key_hex_round_trips() {
         let k = sample_key();
-        assert_eq!(CacheKey::from_hex(&k.to_hex()), Some(k));
-        assert_eq!(CacheKey::from_hex("nope"), None);
-        assert_eq!(CacheKey::from_hex(""), None);
+        let hex = k.to_hex();
+        assert_eq!(hex.len(), 16, "fixed-width file stem");
+        assert_eq!(u64::from_str_radix(&hex, 16), Ok(k.digest()));
     }
 
     #[test]
@@ -820,23 +752,6 @@ mod tests {
     }
 
     #[test]
-    fn prune_evicts_down_to_cap() {
-        let cache = ResultCache::open(tmp_dir("prune")).unwrap();
-        for i in 0..5u64 {
-            cache
-                .store_report(CacheKey::from_digest(i), &sample_report())
-                .unwrap();
-        }
-        let evicted = cache.prune_to(2).unwrap();
-        assert_eq!(evicted, 3);
-        assert_eq!(cache.stats().evictions, 3);
-        let left = std::fs::read_dir(cache.dir()).unwrap().count();
-        assert_eq!(left, 2);
-        assert_eq!(cache.prune_to(2).unwrap(), 0);
-        std::fs::remove_dir_all(cache.dir()).unwrap();
-    }
-
-    #[test]
     fn report_json_rejects_nonsense() {
         assert!(report_from_json(&JsonValue::Null).is_err());
         assert!(report_from_json(&JsonValue::object(vec![(
@@ -934,84 +849,6 @@ mod tests {
         // payload; it degrades to an uncoalesced compute.
         let v = cache.get_or_compute_raw(key, "other_kind", || JsonValue::from(7u64));
         assert_eq!(v, JsonValue::from(7u64));
-        std::fs::remove_dir_all(cache.dir()).unwrap();
-    }
-
-    #[test]
-    fn prune_ignores_tmp_files_and_foreign_debris() {
-        let cache = ResultCache::open(tmp_dir("prune-tmp")).unwrap();
-        for i in 0..3u64 {
-            cache
-                .store_report(CacheKey::from_digest(i), &sample_report())
-                .unwrap();
-        }
-        // Stray atomic-write leftovers and unrelated files must neither
-        // count toward the cap nor be eligible for eviction.
-        let tmp = cache.dir().join("00000000000000aa.tmp.123.4");
-        std::fs::write(&tmp, "half-written").unwrap();
-        let notes = cache.dir().join("README.json");
-        std::fs::write(&notes, "{}").unwrap();
-        assert_eq!(cache.prune_to(3).unwrap(), 0, "3 real entries fit the cap");
-        assert!(tmp.exists());
-        assert!(notes.exists());
-        assert_eq!(cache.prune_to(1).unwrap(), 2);
-        assert!(tmp.exists(), "tmp file survives eviction");
-        assert!(notes.exists(), "non-entry json survives eviction");
-        std::fs::remove_dir_all(cache.dir()).unwrap();
-    }
-
-    #[test]
-    fn prune_races_concurrent_stores_without_losing_fresh_entries() {
-        use std::sync::atomic::AtomicBool;
-
-        let cache = ResultCache::open(tmp_dir("prune-race")).unwrap();
-        for i in 0..16u64 {
-            cache
-                .store_report(CacheKey::from_digest(i), &sample_report())
-                .unwrap();
-        }
-        let stop = AtomicBool::new(false);
-        std::thread::scope(|s| {
-            // Writers keep landing fresh entries (some overwriting existing
-            // keys, some new) while the pruner repeatedly evicts.
-            for t in 0..3u64 {
-                let (cache, stop) = (&cache, &stop);
-                s.spawn(move || {
-                    let mut i = 0u64;
-                    while !stop.load(Ordering::Relaxed) {
-                        let key = CacheKey::from_digest(t * 1000 + (i % 24));
-                        cache
-                            .store_raw(key, "stress", JsonValue::from(i))
-                            .expect("stores must survive concurrent prunes");
-                        i += 1;
-                    }
-                });
-            }
-            s.spawn(|| {
-                for _ in 0..50 {
-                    cache.prune_to(8).expect("prune must not error mid-race");
-                }
-                stop.store(true, Ordering::Relaxed);
-            });
-        });
-        // Whatever survived must be wholly readable: no half-deleted or
-        // tmp-counted debris classified as an entry. (Writers may land a
-        // few more entries between the last prune and the stop flag, so we
-        // assert integrity, not an exact population.)
-        for e in std::fs::read_dir(cache.dir()).unwrap() {
-            let path = e.unwrap().path();
-            if ResultCache::is_entry_file(&path) {
-                let stem = path.file_stem().unwrap().to_str().unwrap();
-                let key = CacheKey::from_hex(stem).unwrap();
-                let _ = cache.lookup_raw(key, "stress");
-            }
-        }
-        let s = cache.stats();
-        assert!(
-            s.evictions > 0,
-            "the pruner actually ran against the writers"
-        );
-        assert_eq!(s.corrupt, 0, "no entry was torn by the race");
         std::fs::remove_dir_all(cache.dir()).unwrap();
     }
 }

@@ -16,12 +16,13 @@ use mlc_cache_sim::HierarchyConfig;
 use mlc_experiments::sim::simulate_one;
 use mlc_experiments::table::pct;
 use mlc_experiments::versions::{build_versions, OptLevel};
-use mlc_experiments::{Table, TelemetryCli};
+use mlc_experiments::{reject_unknown_args, Table, TelemetryCli};
 
 const PROGRAMS: [&str; 4] = ["expl512", "jacobi512", "shal512", "dot512"];
 
 fn main() {
-    let (mut tcli, _args) = TelemetryCli::from_env();
+    let (mut tcli, args) = TelemetryCli::from_env();
+    reject_unknown_args(&args, &[], &[]);
     let tel = &mut tcli.telemetry;
     let dm = HierarchyConfig::ultrasparc_i();
     println!("Associativity ablation: layouts padded for DIRECT-MAPPED caches,");

@@ -16,10 +16,11 @@ use mlc_cache_sim::{CacheConfig, HierarchyConfig};
 use mlc_experiments::sim::simulate_one;
 use mlc_experiments::table::pct;
 use mlc_experiments::versions::{build_versions, OptLevel};
-use mlc_experiments::{Table, TelemetryCli};
+use mlc_experiments::{reject_unknown_args, Table, TelemetryCli};
 
 fn main() {
-    let (mut tcli, _args) = TelemetryCli::from_env();
+    let (mut tcli, args) = TelemetryCli::from_env();
+    reject_unknown_args(&args, &[], &[]);
     let tel = &mut tcli.telemetry;
     println!("L2 line-size ablation on dot512 (the kernel the paper's footnote singles");
     println!("out for line-size effects) and expl512\n");

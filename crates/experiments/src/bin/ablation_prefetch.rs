@@ -18,13 +18,14 @@
 use mlc_cache_sim::{Hierarchy, HierarchyConfig};
 use mlc_experiments::table::pct;
 use mlc_experiments::versions::{build_versions, OptLevel};
-use mlc_experiments::{Table, TelemetryCli};
+use mlc_experiments::{reject_unknown_args, Table, TelemetryCli};
 use mlc_model::trace_gen::generate;
 
 const PROGRAMS: [&str; 4] = ["dot512", "expl512", "jacobi512", "shal512"];
 
 fn main() {
-    let (mut tcli, _args) = TelemetryCli::from_env();
+    let (mut tcli, args) = TelemetryCli::from_env();
+    reject_unknown_args(&args, &[], &[]);
     let tel = &mut tcli.telemetry;
     let cfg = HierarchyConfig::ultrasparc_i();
     println!("Next-line prefetch ablation (prefetcher at both levels)\n");

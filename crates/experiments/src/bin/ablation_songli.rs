@@ -23,12 +23,13 @@ use mlc_core::par::default_threads;
 use mlc_core::MissCosts;
 use mlc_experiments::sim::simulate_cold;
 use mlc_experiments::table::pct;
-use mlc_experiments::{Table, TelemetryCli};
+use mlc_experiments::{reject_unknown_args, Table, TelemetryCli};
 use mlc_kernels::timeskew::{tile_footprint_bytes, time_stepped_jacobi2d, time_tiled_jacobi2d};
 use mlc_model::DataLayout;
 
 fn main() {
-    let (mut tcli, _args) = TelemetryCli::from_env();
+    let (mut tcli, args) = TelemetryCli::from_env();
+    reject_unknown_args(&args, &[], &[]);
     let tel = &mut tcli.telemetry;
     let (n, t_steps) = (512usize, 8usize);
     let h = HierarchyConfig::ultrasparc_i();

@@ -7,24 +7,24 @@
 //! cargo run --release -p mlc-experiments --bin diagrams
 //! ```
 
-use mlc_cache_sim::{CacheConfig, HierarchyConfig};
+use mlc_cache_sim::CacheConfig;
 use mlc_core::group::{account, exploited_count};
 use mlc_core::group_pad::group_pad;
 use mlc_core::maxpad::l2_max_pad;
 use mlc_core::pad::pad;
+use mlc_experiments::reject_unknown_args;
 use mlc_model::diagram::render_program;
 use mlc_model::program::figure2_example;
 use mlc_model::transform::fuse_in_program;
 use mlc_model::DataLayout;
 
 fn main() {
+    reject_unknown_args(&std::env::args().collect::<Vec<_>>(), &[], &[]);
     // Diagram scale matching the paper's figures: the cache is "slightly
     // more than double the common column size".
     let n = 60; // 480-byte columns
     let l1 = CacheConfig::direct_mapped(1024, 32);
     let l2 = CacheConfig::direct_mapped(8 * 1024, 64);
-    let h = HierarchyConfig::new(vec![l1, l2], vec![6.0, 50.0]);
-    let _ = &h;
     let p = figure2_example(n);
     let width = 72;
 

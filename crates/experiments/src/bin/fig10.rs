@@ -16,12 +16,13 @@ use mlc_experiments::sim::simulate_versions;
 use mlc_experiments::table::pct;
 use mlc_experiments::timing::{improvement_pct, time_kernel};
 use mlc_experiments::versions::{build_versions, OptLevel};
-use mlc_experiments::{Table, TelemetryCli};
+use mlc_experiments::{reject_unknown_args, Table, TelemetryCli};
 
 const PROGRAMS: [&str; 5] = ["expl512", "jacobi512", "shal512", "swim", "tomcatv"];
 
 fn main() {
     let (mut tcli, args) = TelemetryCli::from_env();
+    reject_unknown_args(&args, &["--csv", "--no-timing"], &[]);
     let tel = &mut tcli.telemetry;
     let csv = args.iter().any(|a| a == "--csv");
     let no_timing = args.iter().any(|a| a == "--no-timing");

@@ -14,7 +14,7 @@ use mlc_core::exec::execute;
 use mlc_core::par::default_threads;
 use mlc_experiments::sim::simulate_one;
 use mlc_experiments::versions::{build_versions, OptLevel};
-use mlc_experiments::{int_flag, Table, TelemetryCli};
+use mlc_experiments::{int_flag, reject_unknown_args, Table, TelemetryCli};
 use mlc_kernels::expl::Expl;
 use mlc_kernels::shal::Shallow;
 use mlc_kernels::Kernel;
@@ -72,6 +72,7 @@ fn sweep(
 
 fn main() {
     let (mut tcli, args) = TelemetryCli::from_env();
+    reject_unknown_args(&args, &["--csv"], &["--step"]);
     let tel = &mut tcli.telemetry;
     let csv = args.iter().any(|a| a == "--csv");
     let step = int_flag(&args, "--step", 1, 1);

@@ -26,13 +26,14 @@ use mlc_core::fusion::reuse_layout;
 use mlc_core::group::account;
 use mlc_core::par::default_threads;
 use mlc_experiments::sim::simulate_one;
-use mlc_experiments::{int_flag, Table, TelemetryCli};
+use mlc_experiments::{int_flag, reject_unknown_args, Table, TelemetryCli};
 use mlc_kernels::expl::Expl;
 use mlc_kernels::Kernel;
 use mlc_model::transform::fuse_unchecked_in_program;
 
 fn main() {
     let (mut tcli, args) = TelemetryCli::from_env();
+    reject_unknown_args(&args, &["--csv"], &["--step", "--at"]);
     let tel = &mut tcli.telemetry;
     let csv = args.iter().any(|a| a == "--csv");
     let step = int_flag(&args, "--step", 2, 1);

@@ -17,7 +17,7 @@ use mlc_core::tiling::{select_tile, TilePolicy};
 use mlc_experiments::sim::simulate_cold;
 use mlc_experiments::table::pct;
 use mlc_experiments::timing::mflops;
-use mlc_experiments::{int_flag, Table, TelemetryCli};
+use mlc_experiments::{int_flag, reject_unknown_args, Table, TelemetryCli};
 use mlc_kernels::matmul::{matmul_tiled, matmul_tiled_copy, matmul_untiled, Matmul};
 use mlc_kernels::Kernel as _;
 use mlc_kernels::Workspace;
@@ -58,6 +58,7 @@ fn time_version(n: usize, variant: &Variant, reps: usize) -> f64 {
 
 fn main() {
     let (mut tcli, args) = TelemetryCli::from_env();
+    reject_unknown_args(&args, &["--csv", "--quick"], &["--step"]);
     let tel = &mut tcli.telemetry;
     let csv = args.iter().any(|a| a == "--csv");
     let quick = args.iter().any(|a| a == "--quick");

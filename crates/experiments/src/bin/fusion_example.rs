@@ -7,9 +7,11 @@
 use mlc_cache_sim::{CacheConfig, HierarchyConfig};
 use mlc_core::fusion::{accounting_cost, fusion_profit};
 use mlc_core::MissCosts;
+use mlc_experiments::reject_unknown_args;
 use mlc_model::program::figure2_example;
 
 fn main() {
+    reject_unknown_args(&std::env::args().collect::<Vec<_>>(), &[], &[]);
     let l1 = CacheConfig::direct_mapped(1024, 32);
     let l2 = CacheConfig::direct_mapped(8 * 1024, 64);
     let h = HierarchyConfig::new(vec![l1, l2], vec![6.0, 50.0]);

@@ -11,10 +11,9 @@
 //! On top of the per-kernel cases, two `fig11_sweep` cases time the
 //! experiment drivers' actual workload: a problem-size sweep running one
 //! search per size. The old driver ran these scans serially with the
-//! exhaustive engine; the new one fans the pruned searches out over
-//! [`mlc_core::par::par_map`] (a thin wrapper over the work-stealing
-//! executor in `mlc_core::exec`), so those cases measure engine and
-//! driver together.
+//! exhaustive engine; the new one fans the pruned searches out over the
+//! work-stealing executor ([`mlc_core::exec::execute`]), so those cases
+//! measure engine and driver together.
 //!
 //! Besides the snapshot, every run appends per-case and headline entries
 //! to the `results/bench_history/` ledger under family
@@ -27,8 +26,9 @@
 //! ```
 
 use mlc_cache_sim::HierarchyConfig;
+use mlc_core::exec::execute;
 use mlc_core::group_pad::{group_pad_multi, group_pad_multi_exhaustive};
-use mlc_core::par::{default_threads, par_map};
+use mlc_core::par::default_threads;
 use mlc_experiments::history_cli::HistoryCli;
 use mlc_kernels::registry::all_kernels;
 use mlc_kernels::Kernel;
@@ -131,7 +131,7 @@ fn main() {
     }
 
     // Sweep cases: the fig11 workload — one search per problem size. Old
-    // driver: serial + exhaustive. New driver: par_map + pruned engine.
+    // driver: serial + exhaustive. New driver: executor + pruned engine.
     let sizes: Vec<usize> = (250..=520).step_by(10).collect();
     type SweepKernel = (&'static str, fn(usize) -> Program);
     let sweeps: &[SweepKernel] = &[
@@ -145,9 +145,10 @@ fn main() {
             }
         });
         let fast_secs = best_of(reps, || {
-            par_map(sizes.clone(), threads, |&n| {
+            execute(sizes.clone(), threads, |&n| {
                 group_pad_multi(&model_of(n), &h).unwrap().pads
             })
+            .0
         });
         let (tried, scored) = sizes
             .iter()

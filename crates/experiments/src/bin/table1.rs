@@ -4,11 +4,12 @@
 //! cargo run --release -p mlc-experiments --bin table1
 //! ```
 
-use mlc_experiments::{Table, TelemetryCli};
+use mlc_experiments::{reject_unknown_args, Table, TelemetryCli};
 use mlc_kernels::{all_kernels, Suite};
 
 fn main() {
-    let (mut tcli, _args) = TelemetryCli::from_env();
+    let (mut tcli, args) = TelemetryCli::from_env();
+    reject_unknown_args(&args, &[], &[]);
     let tel = &mut tcli.telemetry;
     println!("Table 1: Test programs for experiments\n");
     for suite in [Suite::Kernels, Suite::Nas, Suite::Spec95] {

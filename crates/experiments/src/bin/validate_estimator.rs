@@ -17,10 +17,11 @@ use mlc_core::exec::execute;
 use mlc_core::par::default_threads;
 use mlc_experiments::sim::simulate_one;
 use mlc_experiments::versions::{build_versions, OptLevel};
-use mlc_experiments::Table;
+use mlc_experiments::{reject_unknown_args, Table};
 use mlc_kernels::all_kernels;
 
 fn main() {
+    reject_unknown_args(&std::env::args().collect::<Vec<_>>(), &[], &[]);
     let h = HierarchyConfig::ultrasparc_i();
     let names: Vec<String> = all_kernels().iter().map(|k| k.name()).collect();
     eprintln!("validating estimator on {} programs ...", names.len());

@@ -22,13 +22,17 @@
 //! L1&L2 Opt), simulation drivers, wall-clock timing, size sweeps and table
 //! rendering.
 //!
-//! Every binary additionally accepts `--trace-out PATH` (JSONL span/event
-//! trace) and `--metrics-out PATH` (JSON, or CSV if the path ends in
-//! `.csv`) — see [`telemetry_cli`] and `docs/OBSERVABILITY.md` — plus
-//! `--cache-dir PATH` / `--no-cache` to persist simulation results in a
-//! content-addressed store (see [`sweep`] and `docs/CACHING.md`). The
-//! `sweep` binary splits the whole experiment grid into deterministic,
-//! resumable shards.
+//! The instrumented binaries (`mlc`, `table1`, `fig09`–`fig13`, the
+//! ablations and `sweep`) additionally accept `--trace-out PATH` (JSONL
+//! span/event trace) and `--metrics-out PATH` (JSON, or CSV if the path
+//! ends in `.csv`) — see [`telemetry_cli`] and `docs/OBSERVABILITY.md` —
+//! plus `--cache-dir PATH` / `--no-cache` to persist simulation results in
+//! a content-addressed store (see [`sweep`] and `docs/CACHING.md`) and
+//! `--threads N`. The `sweep` binary runs the whole experiment grid cell
+//! by cell through that store, so a rerun over the same cache directory
+//! finishes an interrupted sweep. `diagrams`, `fusion_example` and
+//! `validate_estimator` take no flags. An argument a binary does not read
+//! exits 2 naming it ([`reject_unknown_args`]).
 //!
 //! The engine A/B binaries (`trace_throughput`, `optimizer_throughput`,
 //! `analytic_throughput`) and `serve_load` also accept `--history-dir
@@ -53,6 +57,6 @@ pub mod versions;
 pub use history_cli::HistoryCli;
 pub use sim::{simulate_versions, SimResult};
 pub use table::Table;
-pub use telemetry_cli::{int_flag, TelemetryCli};
+pub use telemetry_cli::{int_flag, reject_unknown_args, TelemetryCli};
 pub use timing::{mflops, time_kernel};
 pub use versions::{build_versions, OptLevel, Versions};

@@ -31,7 +31,7 @@ pub fn result_cache() -> Option<Arc<ResultCache>> {
 }
 
 /// Miss rates of the three versions of one program.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimResult {
     /// Orig.
     pub orig: MissRateReport,

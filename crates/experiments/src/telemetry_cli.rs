@@ -1,7 +1,8 @@
 //! Shared `--trace-out` / `--metrics-out` plumbing for the experiment
 //! binaries.
 //!
-//! Every binary accepts two extra flags on top of its own options:
+//! The binaries built on [`TelemetryCli`] accept these flags on top of
+//! their own options:
 //!
 //! ```text
 //! --trace-out PATH      # span/event trace as JSONL
@@ -46,7 +47,10 @@
 //!
 //! [`int_flag`] reads a binary's own integer options (the size sweeps'
 //! `--step` and `--at`) with the same usage-error rule: a missing,
-//! non-numeric or out-of-range value exits 2 naming the flag.
+//! non-numeric or out-of-range value exits 2 naming the flag. Likewise
+//! [`reject_unknown_args`] exits 2 naming the first argument a binary does
+//! not read, so a mistyped or unsupported option is never silently
+//! dropped.
 //!
 //! [`default_threads`]: mlc_core::par::default_threads
 
@@ -152,9 +156,10 @@ impl TelemetryCli {
                 Ok(c) => Some(Arc::new(c)),
                 Err(e) => {
                     // A requested-but-unusable cache is a hard error: the
-                    // user asked for persistence (sharded CI runs depend
-                    // on it), so silently simulating fresh would be worse
-                    // than stopping.
+                    // user asked for persistence (a warm rerun or the
+                    // completion of an interrupted sweep depends on it),
+                    // so silently simulating fresh would be worse than
+                    // stopping.
                     eprintln!("rescache: cannot open cache dir {}: {e}", dir.display());
                     std::process::exit(1);
                 }
@@ -276,6 +281,40 @@ fn try_int_flag(args: &[String], flag: &str, default: usize, min: usize) -> Resu
     }
 }
 
+/// Exit with status 2, naming the first argument after `argv[0]` that the
+/// binary does not read: neither one of its `switches` nor one of its
+/// `value_flags`, each of which takes the next argument as its value (read
+/// with [`int_flag`]). Call it before any work, so a mistyped or unsupported
+/// option stops the run instead of being dropped.
+pub fn reject_unknown_args(args: &[String], switches: &[&str], value_flags: &[&str]) {
+    if let Some(arg) = first_unknown_arg(args, switches, value_flags) {
+        let bin = args
+            .first()
+            .and_then(|a| Path::new(a).file_name())
+            .map(|n| n.to_string_lossy().into_owned())
+            .unwrap_or_default();
+        eprintln!("{bin}: unknown argument {arg}");
+        std::process::exit(2);
+    }
+}
+
+/// The argument [`reject_unknown_args`] rejects, if any.
+fn first_unknown_arg<'a>(
+    args: &'a [String],
+    switches: &[&str],
+    value_flags: &[&str],
+) -> Option<&'a str> {
+    let mut rest = args.iter().skip(1).map(String::as_str);
+    while let Some(arg) = rest.next() {
+        if value_flags.contains(&arg) {
+            rest.next();
+        } else if !switches.contains(&arg) {
+            return Some(arg);
+        }
+    }
+    None
+}
+
 fn is_csv(path: &Path) -> bool {
     path.extension()
         .map(|e| e.eq_ignore_ascii_case("csv"))
@@ -391,6 +430,23 @@ mod tests {
             try_int_flag(&sv(&["fig12", "--at", "0"]), "--at", 1, 0),
             Ok(0)
         );
+    }
+
+    #[test]
+    fn first_unknown_arg_skips_argv0_and_flag_values() {
+        let unknown =
+            |a: &[&str]| first_unknown_arg(&sv(a), &["--csv"], &["--step"]).map(str::to_string);
+        assert_eq!(unknown(&["fig11"]), None);
+        assert_eq!(unknown(&["fig11", "--step", "3", "--csv"]), None);
+        // A value flag's value is never judged on its own, even when it
+        // looks like a flag: `int_flag` rejects it with its own message.
+        assert_eq!(unknown(&["fig11", "--step", "--bogus"]), None);
+        assert_eq!(unknown(&["fig11", "--csv", "--step"]), None);
+        assert_eq!(
+            unknown(&["fig11", "--csv", "--bogus", "run"]).as_deref(),
+            Some("--bogus")
+        );
+        assert_eq!(unknown(&["fig11", "run"]).as_deref(), Some("run"));
     }
 
     #[test]

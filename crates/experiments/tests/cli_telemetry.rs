@@ -191,6 +191,44 @@ fn bad_step_or_at_exits_2_naming_it() {
     }
 }
 
+/// An argument a binary does not read is a usage error before any work,
+/// not a silently dropped option. The binaries that simulate nothing take
+/// none of the shared telemetry and cache flags either.
+#[test]
+fn unknown_argument_exits_2_naming_it() {
+    let sweep = env!("CARGO_BIN_EXE_sweep");
+    for (bin, args, needle) in [
+        (
+            env!("CARGO_BIN_EXE_table1"),
+            &["--bogus"][..],
+            "table1: unknown argument --bogus",
+        ),
+        (
+            env!("CARGO_BIN_EXE_fusion_example"),
+            &["--csv"][..],
+            "fusion_example: unknown argument --csv",
+        ),
+        (
+            env!("CARGO_BIN_EXE_diagrams"),
+            &["--metrics-out", "m.json"][..],
+            "diagrams: unknown argument --metrics-out",
+        ),
+        (
+            sweep,
+            &["--shard", "0/2"][..],
+            "sweep: unknown argument --shard",
+        ),
+        (
+            sweep,
+            &["run", "--grid", "smoke"][..],
+            "unknown argument run",
+        ),
+        (sweep, &["--grid", "bogus"][..], r#"got "bogus""#),
+    ] {
+        assert_usage_error(bin, args, needle);
+    }
+}
+
 /// Without telemetry flags the binary writes nothing and prints the same
 /// simulate summary (stdout equality between a plain run and a run whose
 /// flags were merely absent is what users rely on for scripting).

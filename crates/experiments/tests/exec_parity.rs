@@ -9,14 +9,13 @@
 //!   the serialized miss reports bit-for-bit.
 //!
 //! The release CI sweep-cache job repeats the first check on the full
-//! conflict grid: `sweep run --threads 1 --no-cache` must `cmp` equal to
-//! the default-thread run.
+//! conflict grid: `sweep --grid conflict --threads 1 --no-cache` must
+//! `cmp` equal to the default-thread run.
 
 use mlc_core::exec::execute;
 use mlc_core::rescache::report_to_json;
 use mlc_experiments::sweep::{grid_cells, render_tables, run_cells, GridKind};
 use mlc_fuzz::{Case, CaseConfig};
-use std::collections::BTreeMap;
 
 /// A deliberately over-subscribed "max" for the parity runs: far more
 /// workers than the grid has cells on most machines, so chunk claiming and
@@ -26,9 +25,8 @@ const MAX_THREADS: usize = 8;
 #[test]
 fn smoke_sweep_is_byte_identical_across_thread_counts() {
     let cells = grid_cells(GridKind::Smoke);
-    let done = BTreeMap::new();
-    let (serial, _) = run_cells(&cells, 1, None, &done);
-    let (parallel, _) = run_cells(&cells, MAX_THREADS, None, &done);
+    let (serial, _) = run_cells(&cells, 1, None);
+    let (parallel, _) = run_cells(&cells, MAX_THREADS, None);
     assert_eq!(
         render_tables(&serial, false),
         render_tables(&parallel, false),

@@ -66,7 +66,6 @@ pub mod content_hash;
 pub mod corpus;
 pub mod dependence;
 pub mod diagram;
-pub mod distribute;
 pub mod expr;
 pub mod footprint;
 pub mod layout;

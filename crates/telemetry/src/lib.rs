@@ -38,8 +38,8 @@
 //!   without recompiling.
 //!
 //! The crate is dependency-free (std only) and sits below the simulator in
-//! the workspace graph: `mlc-cache-sim` depends on it (behind its default
-//! `telemetry` feature), not the other way around.
+//! the workspace graph: `mlc-cache-sim` depends on it, not the other way
+//! around.
 
 pub mod bench_report;
 pub mod classify;

@@ -9,8 +9,7 @@
 //!
 //! The simulator's hot path is generic over a no-op observer and only
 //! constructs events when a real probe is attached, so simulation results
-//! (and, with the simulator's `telemetry` feature disabled, the generated
-//! code) are identical whether or not a probe exists.
+//! are identical whether or not a probe exists.
 
 /// One cache-level probe outcome.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
