@@ -2,12 +2,11 @@
 
 //! # mlc-bench-history — the benchmark ledger's read side
 //!
-//! The benchmark binaries (`trace_throughput`, `optimizer_throughput`,
-//! `analytic_throughput`, `serve_load`, `fuzz`) append one
-//! [`BenchEntry`](mlc_telemetry::bench_report::BenchEntry) per measured
-//! metric to `results/bench_history/<family>.jsonl` — an append-only,
-//! commit-stamped ledger (see `mlc_telemetry::bench_report`). This crate
-//! is everything that *reads* the ledger:
+//! `serve_load` and `fuzz`, given `--history-dir results/bench_history`,
+//! append one [`BenchEntry`](mlc_telemetry::bench_report::BenchEntry) per
+//! measured metric to `results/bench_history/<family>.jsonl` — an
+//! append-only, commit-stamped ledger (see `mlc_telemetry::bench_report`).
+//! This crate is everything that *reads* the ledger:
 //!
 //! * [`series`] — grouping entries into per-metric time series keyed by
 //!   `family/case/metric` and build profile;

@@ -17,9 +17,9 @@
 //! [`crate::search`]. The exhaustive scan kept here is the reference it
 //! must match bitwise, reachable only through the explicitly named
 //! [`group_pad_quantized_exhaustive`] and [`group_pad_multi_exhaustive`]:
-//! the parity suite in `mlc-experiments`, the fuzz oracle and the
-//! `optimizer_throughput` A/B call those. Debug builds also cross-check
-//! every pruned placement against an exhaustive rescan.
+//! the parity suite in `mlc-experiments` and the fuzz oracle call those.
+//! Debug builds also cross-check every pruned placement against an
+//! exhaustive rescan.
 
 use crate::group::ProgramSkeleton;
 use crate::pad::{PadError, PadResult};
@@ -79,8 +79,8 @@ pub fn group_pad_quantized_with(
 /// [`group_pad_quantized`] on the exhaustive reference scan: every
 /// candidate position scored with a full recompute. Same pads, bases and
 /// `positions_tried` as the pruned default, with `positions_scored ==
-/// positions_tried`; only the time differs. For parity checks and A/B
-/// timing.
+/// positions_tried`; only the time differs. For parity checks and for
+/// timing the pruned engine against it.
 pub fn group_pad_quantized_exhaustive(
     program: &Program,
     cache: CacheConfig,
@@ -131,8 +131,7 @@ fn quantized_search(
 }
 
 /// The exhaustive scalar scan: every candidate position, full recompute.
-/// Kept verbatim as the reference the pruned engine is checked against and
-/// the baseline of the `optimizer_throughput` benchmark.
+/// Kept verbatim as the reference the pruned engine is checked against.
 fn exhaustive_search(
     skel: &ProgramSkeleton,
     cache: CacheConfig,

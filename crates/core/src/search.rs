@@ -42,8 +42,8 @@
 //! executor in [`crate::exec`].
 //!
 //! This engine is the only one behind [`crate::group_pad::group_pad`] and
-//! its siblings. The exhaustive scan stays reachable for parity checks and
-//! A/B timing through the explicitly named
+//! its siblings. The exhaustive scan stays reachable for parity checks, and
+//! for timing the pruned engine against it, through the explicitly named
 //! [`crate::group_pad::group_pad_quantized_exhaustive`] and
 //! [`crate::group_pad::group_pad_multi_exhaustive`].
 

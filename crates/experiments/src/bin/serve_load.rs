@@ -5,13 +5,15 @@
 //! default, or an external `--addr` — from `--clients` concurrent
 //! connections, and reports the latency distribution plus the
 //! coalesced/cached share of the work as JSON (default
-//! `BENCH_serve_latency.json`; CI archives it and gates the
-//! host-independent series through the `serve_latency` ledger family).
+//! `BENCH_serve_latency.json`). With `--history-dir PATH` it also appends
+//! the run to the `serve_latency` ledger family under PATH; CI passes
+//! `--history-dir results/bench_history`, archives the JSON and gates the
+//! host-independent series through that family.
 //!
 //! ```text
 //! serve_load [--addr HOST:PORT] [--requests N] [--clients N] [--pool N]
 //!            [--optimize-percent P] [--seed S] [--out PATH]
-//!            [--history-dir PATH] [--no-history]
+//!            [--history-dir PATH]
 //! ```
 //!
 //! The stream deliberately draws its bodies from a small case pool, so

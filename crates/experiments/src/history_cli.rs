@@ -1,25 +1,21 @@
-//! Shared `--history-dir` / `--no-history` plumbing for the benchmark
-//! binaries.
-//!
-//! Every bench emitter (`trace_throughput`, `optimizer_throughput`,
-//! `analytic_throughput`, `serve_load`; the fuzz smoke counters mirror the
-//! same flags) writes two artifacts per run:
-//!
-//! * its bespoke `BENCH_*.json` snapshot — the latest-run artifact CI
-//!   archives, unchanged in shape;
-//! * one [`BenchEntry`](mlc_telemetry::bench_report::BenchEntry) per
-//!   metric appended to the ledger at `results/bench_history/` (see
-//!   `docs/BENCHMARKS.md`), which `bench-history` gates and renders.
+//! `--history-dir` plumbing for `serve_load`, the one experiment binary
+//! that writes to the benchmark ledger (the `fuzz` binary parses the same
+//! flag itself).
 //!
 //! ```text
-//! --history-dir PATH    # ledger directory (default results/bench_history)
-//! --no-history          # skip the ledger append entirely
+//! --history-dir PATH    # append this run's entries to the ledger at PATH
 //! ```
 //!
+//! Without the flag nothing is appended, so a local run never touches the
+//! committed `results/bench_history/`. With it, the run appends one
+//! [`BenchEntry`](mlc_telemetry::bench_report::BenchEntry) per metric to
+//! `PATH/<family>.jsonl` (see `docs/BENCHMARKS.md`), which `bench-history`
+//! gates and renders; CI passes `--history-dir results/bench_history`.
+//!
 //! Appending is best-effort: an unwritable ledger warns on stderr but never
-//! fails the benchmark — the snapshot and the measurement matter more than
-//! the bookkeeping. (The `bench-history append` subcommand is the strict
-//! path; it refuses malformed or schema-violating entries.)
+//! fails the benchmark, whose own output matters more than the bookkeeping.
+//! (The `bench-history append` subcommand is the strict path; it refuses
+//! malformed or schema-violating entries.)
 
 use mlc_telemetry::bench_report::BenchReport;
 use std::path::PathBuf;
@@ -27,7 +23,7 @@ use std::path::PathBuf;
 /// Parsed ledger options.
 #[derive(Debug, Clone)]
 pub struct HistoryCli {
-    /// Ledger directory; `None` when `--no-history` was given.
+    /// Ledger directory; `None` unless `--history-dir` was given.
     pub dir: Option<PathBuf>,
 }
 
@@ -49,8 +45,7 @@ impl HistoryCli {
     fn try_extract(argv: Vec<String>) -> Result<(Self, Vec<String>), String> {
         const FLAG: &str = "--history-dir";
         let mut rest = Vec::with_capacity(argv.len());
-        let mut dir = PathBuf::from("results/bench_history");
-        let mut disabled = false;
+        let mut dir = None;
         let mut it = argv.into_iter();
         while let Some(arg) = it.next() {
             let value = if arg == FLAG {
@@ -63,30 +58,15 @@ impl HistoryCli {
             } else if let Some(v) = arg.strip_prefix("--history-dir=") {
                 v.to_string()
             } else {
-                if arg == "--no-history" {
-                    disabled = true;
-                } else {
-                    rest.push(arg);
-                }
+                rest.push(arg);
                 continue;
             };
             if value.is_empty() {
                 return Err(format!("{FLAG} needs a value"));
             }
-            dir = PathBuf::from(value);
+            dir = Some(PathBuf::from(value));
         }
-        Ok((
-            Self {
-                dir: (!disabled).then_some(dir),
-            },
-            rest,
-        ))
-    }
-
-    /// [`HistoryCli::extract`] applied to the process arguments. The
-    /// returned vector still includes `argv[0]`.
-    pub fn from_env() -> (Self, Vec<String>) {
-        Self::extract(std::env::args().collect())
+        Ok((Self { dir }, rest))
     }
 
     /// Append the report to the ledger (commit/host/rustc stamped from the
@@ -130,21 +110,9 @@ mod tests {
         assert_eq!(h.dir.as_deref(), Some(std::path::Path::new("/tmp/led")));
         assert_eq!(rest, sv(&["bench", "--reps", "3", "--out=x.json"]));
 
-        let (h, rest) = HistoryCli::extract(sv(&["bench", "--no-history"]));
-        assert_eq!(h.dir, None);
-        assert_eq!(rest, sv(&["bench"]));
-
-        let (h, _) = HistoryCli::extract(sv(&["bench", "--history-dir=d", "--no-history"]));
-        assert_eq!(h.dir, None, "--no-history wins regardless of order");
-    }
-
-    #[test]
-    fn default_dir_is_the_ledger() {
-        let (h, _) = HistoryCli::extract(sv(&["bench"]));
-        assert_eq!(
-            h.dir.as_deref(),
-            Some(std::path::Path::new("results/bench_history"))
-        );
+        let (h, rest) = HistoryCli::extract(sv(&["bench", "--reps", "3"]));
+        assert_eq!(h.dir, None, "no flag, no ledger");
+        assert_eq!(rest, sv(&["bench", "--reps", "3"]));
     }
 
     #[test]
@@ -156,12 +124,8 @@ mod tests {
             let err = HistoryCli::try_extract(argv).unwrap_err();
             assert_eq!(err, "--history-dir needs a value");
         }
-        let err =
-            HistoryCli::try_extract(sv(&["bench", "--history-dir", "--no-history"])).unwrap_err();
-        assert_eq!(
-            err,
-            "--history-dir needs a value, got the flag --no-history"
-        );
+        let err = HistoryCli::try_extract(sv(&["bench", "--history-dir", "--reps"])).unwrap_err();
+        assert_eq!(err, "--history-dir needs a value, got the flag --reps");
     }
 
     #[test]

@@ -34,12 +34,11 @@
 //! `validate_estimator` take no flags. An argument a binary does not read
 //! exits 2 naming it ([`reject_unknown_args`]).
 //!
-//! The engine A/B binaries (`trace_throughput`, `optimizer_throughput`,
-//! `analytic_throughput`) and `serve_load` also accept `--history-dir
-//! PATH` / `--no-history` (see [`history_cli`]): besides their
-//! `BENCH_*.json` snapshot they append commit-stamped entries to the
-//! `results/bench_history/` ledger that the `bench-history` binary gates
-//! and renders (`docs/BENCHMARKS.md`).
+//! `serve_load` also accepts `--history-dir PATH` (see [`history_cli`]):
+//! besides its `BENCH_serve_latency.json` snapshot it then appends
+//! commit-stamped entries to the ledger at PATH, which the `bench-history`
+//! binary gates and renders (`docs/BENCHMARKS.md`). Without the flag
+//! nothing is appended.
 //!
 //! The [`layout_sweep`] grid races data layouts instead of paddings —
 //! linear vs best-pad vs searched Morton words vs cache-oblivious tiling
@@ -54,7 +53,6 @@ pub mod telemetry_cli;
 pub mod timing;
 pub mod versions;
 
-pub use history_cli::HistoryCli;
 pub use sim::{simulate_versions, SimResult};
 pub use table::Table;
 pub use telemetry_cli::{int_flag, reject_unknown_args, TelemetryCli};

@@ -22,9 +22,9 @@
 //! run-length replay, the analytic closed form) and both padding-search
 //! engines (pruned, exhaustive) give bitwise-identical results, so which
 //! one runs is not a property of any output. The binaries always run the
-//! fastest; the A/B benchmarks and parity suites call the reference
-//! engines by name. The removed `--no-fast-path`, `--no-analytic` and
-//! `--no-fast-search` flags exit 2 rather than being silently ignored.
+//! fastest; the parity suites call the reference engines by name. The
+//! removed `--no-fast-path`, `--no-analytic` and `--no-fast-search` flags
+//! exit 2 rather than being silently ignored.
 //!
 //! `--cache-dir PATH` opens an `mlc_core::rescache::ResultCache` at PATH
 //! and installs it process-wide ([`crate::sim::install_result_cache`]),
@@ -41,9 +41,8 @@
 //! is consulted — the sweep executors, the padding search's candidate
 //! scans, and the `mlc-serve` server's worker pool (which sizes itself
 //! from `default_threads` when no explicit worker count is configured).
-//! A binary with its own `--threads` parsing (`optimizer_throughput`)
-//! keeps it; binaries built on this extractor get the flag for free and
-//! must not re-parse it.
+//! Binaries built on this extractor get the flag for free and must not
+//! re-parse it.
 //!
 //! [`int_flag`] reads a binary's own integer options (the size sweeps'
 //! `--step` and `--at`) with the same usage-error rule: a missing,
@@ -331,7 +330,7 @@ mod tests {
 
     #[test]
     fn extract_strips_flags_and_enables() {
-        let (t, rest) = TelemetryCli::extract(sv(&[
+        let (mut t, rest) = TelemetryCli::extract(sv(&[
             "mlc",
             "simulate",
             "--trace-out",
@@ -345,6 +344,7 @@ mod tests {
         assert_eq!(t.trace_out.as_deref(), Some(Path::new("t.jsonl")));
         assert_eq!(t.metrics_out.as_deref(), Some(Path::new("m.json")));
         assert_eq!(rest, sv(&["mlc", "simulate", "jacobi", "--opt", "pad"]));
+        t.finished = true; // keep Drop from writing both files
     }
 
     #[test]

@@ -15,10 +15,14 @@ use mlc_cache_sim::replacement::ReplacementPolicy;
 use mlc_cache_sim::{Hierarchy, HierarchyConfig};
 use mlc_core::analytic::AnalyticSink;
 use mlc_core::{try_simulate_analytic, try_simulate_steady_analytic};
+use mlc_experiments::versions::{build_versions, OptLevel};
+use mlc_kernels::expl::Expl;
+use mlc_kernels::jacobi::Jacobi;
 use mlc_kernels::registry::all_kernels;
+use mlc_kernels::shal::Shallow;
 use mlc_kernels::Kernel;
 use mlc_model::trace_gen::{simulate_steady_with, simulate_with, try_generate_with};
-use mlc_model::DataLayout;
+use mlc_model::{DataLayout, Program};
 
 /// Simulate `kernel` with the analytic engine in front and with plain
 /// replay, and demand identical counters *and* identical final cache
@@ -162,5 +166,68 @@ fn steady_state_protocol_matches() {
                 kernel.name()
             );
         }
+    }
+}
+
+/// Three of the paper's padded versions and one contiguous layout under a
+/// long steady protocol (2 warm-up sweeps, then T timed ones). Nests the
+/// closed form rejects replay only until their entry state repeats, after
+/// which every sweep is a memo hit: the sink's own fallback count after
+/// 2 + 8 sweeps equals the count after 2 + 64. And the analytic report
+/// equals plain replay's. The replay side of 2 + 64 sweeps is too slow for
+/// debug builds, which compare 2 + 8.
+#[test]
+fn long_steady_protocol_replays_only_until_state_repeats() {
+    let usp = HierarchyConfig::ultrasparc_i();
+    let alpha = HierarchyConfig::alpha_21164_like();
+    let padded = |kernel: &dyn Kernel, cfg: &HierarchyConfig| {
+        let v = build_versions(&kernel.model(), cfg, OptLevel::Conflict);
+        (v.l1l2.program, v.l1l2.layout)
+    };
+    let expl = Expl::new(256).model();
+    let contiguous = DataLayout::contiguous(&expl.arrays);
+    let cases: [(&str, &HierarchyConfig, (Program, DataLayout)); 4] = [
+        (
+            "jacobi256 L1&L2 on ultrasparc_i",
+            &usp,
+            padded(&Jacobi::new(256), &usp),
+        ),
+        (
+            "jacobi256 L1&L2 on alpha_21164_like",
+            &alpha,
+            padded(&Jacobi::new(256), &alpha),
+        ),
+        (
+            "swim256 L1&L2 on ultrasparc_i",
+            &usp,
+            padded(&Shallow::swim(256), &usp),
+        ),
+        (
+            "expl256 contiguous on ultrasparc_i",
+            &usp,
+            (expl, contiguous),
+        ),
+    ];
+    let timed = if cfg!(debug_assertions) { 8 } else { 64 };
+    for (name, cfg, (program, layout)) in &cases {
+        let fallbacks = |sweeps: usize| {
+            let mut h = Hierarchy::new((*cfg).clone());
+            let mut sink = AnalyticSink::new(&mut h);
+            for _ in 0..sweeps {
+                try_generate_with(program, layout, &mut sink, true).unwrap();
+            }
+            sink.nests_fallback()
+        };
+        assert_eq!(
+            fallbacks(2 + 8),
+            fallbacks(2 + 64),
+            "{name}: replay continued after the entry state repeated"
+        );
+        let analytic = try_simulate_steady_analytic(program, layout, cfg, 2, timed).unwrap();
+        let replay = simulate_steady_with(program, layout, cfg, 2, timed, true);
+        assert_eq!(
+            analytic, replay,
+            "{name}: steady reports diverge over 2 + {timed} sweeps"
+        );
     }
 }

@@ -155,16 +155,16 @@ fn removed_engine_flag_exits_2_naming_it() {
     }
 }
 
-/// A bench binary given `--history-dir` without a value stops before doing
-/// any work instead of appending to the default ledger.
+/// `serve_load` given `--history-dir` without a value stops before doing
+/// any work instead of running without its ledger append.
 #[test]
 fn valueless_history_dir_exits_2_naming_it() {
     for args in [
         &["--history-dir"][..],
-        &["--history-dir", "--reps", "1"][..],
+        &["--history-dir", "--requests", "1"][..],
     ] {
         assert_usage_error(
-            env!("CARGO_BIN_EXE_trace_throughput"),
+            env!("CARGO_BIN_EXE_serve_load"),
             args,
             "--history-dir needs a value",
         );

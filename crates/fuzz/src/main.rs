@@ -7,7 +7,9 @@
 //!
 //! Exit code 0 means every case passed every applicable oracle; 1 means at
 //! least one violation was found (reproducers are written to the failures
-//! directory); 2 means bad usage.
+//! directory); 2 means bad usage. `--history-dir DIR` appends the run's
+//! smoke counters to the `fuzz_smoke` ledger family under DIR; without it
+//! no ledger is written.
 
 use std::io::Write as _;
 use std::path::PathBuf;
@@ -25,15 +27,15 @@ struct Options {
     failures_dir: PathBuf,
     metrics_out: Option<PathBuf>,
     emit_case: Option<u64>,
-    /// Bench-ledger directory; `None` with `--no-history`. Smoke counters
-    /// (cases/s, violations, oracle checks) append under family
-    /// `fuzz_smoke` so CI can gate on them (`docs/BENCHMARKS.md`).
+    /// Bench-ledger directory; `None` unless `--history-dir` was given.
+    /// Smoke counters (cases/s, violations, oracle checks) append under
+    /// family `fuzz_smoke` so CI can gate on them (`docs/BENCHMARKS.md`).
     history_dir: Option<PathBuf>,
 }
 
 const USAGE: &str = "usage: fuzz [--seed N] [--cases N] [--max-arrays N] \
 [--failures-dir DIR] [--metrics-out FILE] [--emit-case SEED] \
-[--history-dir DIR] [--no-history]";
+[--history-dir DIR]";
 
 fn parse_args() -> Result<Options, String> {
     let mut opts = Options {
@@ -43,9 +45,8 @@ fn parse_args() -> Result<Options, String> {
         failures_dir: PathBuf::from("fuzz-failures"),
         metrics_out: None,
         emit_case: None,
-        history_dir: Some(PathBuf::from("results/bench_history")),
+        history_dir: None,
     };
-    let mut no_history = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         let mut value = |name: &str| {
@@ -60,7 +61,6 @@ fn parse_args() -> Result<Options, String> {
             "--metrics-out" => opts.metrics_out = Some(PathBuf::from(value("--metrics-out")?)),
             "--emit-case" => opts.emit_case = Some(parse_num(&value("--emit-case")?)?),
             "--history-dir" => opts.history_dir = Some(PathBuf::from(value("--history-dir")?)),
-            "--no-history" => no_history = true,
             "--help" | "-h" => {
                 println!("{USAGE}");
                 std::process::exit(0);
@@ -73,9 +73,6 @@ fn parse_args() -> Result<Options, String> {
     }
     if opts.max_arrays == 0 {
         return Err("--max-arrays must be positive".to_string());
-    }
-    if no_history {
-        opts.history_dir = None;
     }
     Ok(opts)
 }

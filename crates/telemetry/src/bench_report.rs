@@ -1,10 +1,9 @@
 //! The benchmark ledger: one versioned entry schema and an append-only,
 //! commit-stamped history store.
 //!
-//! Every `BENCH_*.json` family used to be a latest-snapshot-only artifact:
-//! each run overwrote the last and the repo had no performance trajectory.
-//! This module gives every benchmark run a second, durable output — a
-//! stream of [`BenchEntry`] records appended to
+//! A benchmark's `BENCH_*.json` snapshot holds only its latest run. This
+//! module gives a run a second, durable output — a stream of
+//! [`BenchEntry`] records appended to
 //! `results/bench_history/<family>.jsonl`, one JSON object per line,
 //! stamped with the commit id, timestamp, host/toolchain fingerprint and
 //! build profile, so the `bench-history` binary can compare commits, gate
@@ -156,13 +155,12 @@ fn run_capture(cmd: &str, args: &[&str]) -> Option<String> {
 pub struct BenchEntry {
     /// Entry format version ([`BENCH_SCHEMA_VERSION`]).
     pub schema_version: u64,
-    /// Benchmark family (`trace_throughput`, `analytic_throughput`, …);
-    /// names the history file the entry lives in.
+    /// Benchmark family (`fuzz_smoke`, `serve_latency`, …); names the
+    /// history file the entry lives in.
     pub family: String,
-    /// Case within the family (`expl512/ultrasparc_i`, `sweep`,
-    /// `geomean`, …).
+    /// Case within the family (`cases50`, `r200c4`, …).
     pub case: String,
-    /// Metric name (`speedup`, `geomean_speedup`, `fast_accesses_per_sec`, …).
+    /// Metric name (`violations`, `p50_ms`, `cache_hit_rate`, …).
     pub metric: String,
     /// Unit of `value` (`x`, `accesses/s`, `count`, `s`, …).
     pub unit: String,
@@ -248,11 +246,11 @@ impl BenchEntry {
 ///
 /// ```
 /// use mlc_telemetry::bench_report::{BenchReport, Direction, EnvInfo};
-/// let mut report = BenchReport::new("trace_throughput");
-/// report.metric("expl512/ultrasparc_i", "speedup", "x", 3.4, Direction::Higher);
+/// let mut report = BenchReport::new("serve_latency");
+/// report.metric("r200c4", "p50_ms", "ms", 3.4, Direction::Lower);
 /// let entries = report.entries(&EnvInfo::capture());
 /// assert_eq!(entries.len(), 1);
-/// assert_eq!(entries[0].series_key(), "trace_throughput/expl512/ultrasparc_i/speedup");
+/// assert_eq!(entries[0].series_key(), "serve_latency/r200c4/p50_ms");
 /// ```
 #[derive(Debug, Clone)]
 pub struct BenchReport {
@@ -458,12 +456,12 @@ mod tests {
 
     #[test]
     fn entry_round_trips_through_json_line() {
-        let mut r = BenchReport::new("trace_throughput");
+        let mut r = BenchReport::new("serve_latency");
         r.metric(
-            "expl512/ultrasparc_i",
-            "speedup",
-            "x",
-            3.375,
+            "r200c4",
+            "cache_hit_rate",
+            "ratio",
+            0.875,
             Direction::Higher,
         );
         r.metric("fuzz", "violations", "count", 0.0, Direction::Lower);

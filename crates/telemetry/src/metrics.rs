@@ -7,8 +7,8 @@
 //! span many orders of magnitude.
 //!
 //! The export format is frozen by `results/metrics_schema.json` (a JSON
-//! Schema) and validated in tests; `BENCH_*.json` artifacts and the
-//! experiment binaries share it.
+//! Schema) and validated in tests; it is the JSON that `--metrics-out`
+//! writes.
 
 use crate::envfilter::{EnvFilter, Level};
 use crate::json::JsonValue;

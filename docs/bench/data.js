@@ -1,129 +1,8 @@
 window.BENCHMARK_DATA = {
-  "lastUpdate": 1786220355000,
+  "lastUpdate": 1786227578000,
   "repoUrl": "",
   "schemaVersion": 1,
   "entries": {
-    "analytic_throughput": [
-      {
-        "commit": {
-          "id": "c41f435dc2f5dc2b61d005d80fa122ecaec284e9",
-          "timestamp": 1786220355
-        },
-        "date": 1786220355000,
-        "tool": "mlc",
-        "profile": "release",
-        "benches": [
-          {
-            "name": "jacobi1024_ultrasparc_i_multilvlpad/speedup",
-            "value": 130.56916621415175,
-            "unit": "x",
-            "direction": "higher"
-          },
-          {
-            "name": "jacobi1024_ultrasparc_i_multilvlpad/analytic_refs_per_sec",
-            "value": 69517709537.4377,
-            "unit": "refs/s",
-            "direction": "higher"
-          },
-          {
-            "name": "expl1024_ultrasparc_i_multilvlpad/speedup",
-            "value": 181.89219865995315,
-            "unit": "x",
-            "direction": "higher"
-          },
-          {
-            "name": "expl1024_ultrasparc_i_multilvlpad/analytic_refs_per_sec",
-            "value": 89078886590.49182,
-            "unit": "refs/s",
-            "direction": "higher"
-          },
-          {
-            "name": "swim512_ultrasparc_i_multilvlpad/speedup",
-            "value": 158.33883166979916,
-            "unit": "x",
-            "direction": "higher"
-          },
-          {
-            "name": "swim512_ultrasparc_i_multilvlpad/analytic_refs_per_sec",
-            "value": 94497222322.86371,
-            "unit": "refs/s",
-            "direction": "higher"
-          },
-          {
-            "name": "jacobi1024_alpha_21164_like_multilvlpad/speedup",
-            "value": 112.20317693730338,
-            "unit": "x",
-            "direction": "higher"
-          },
-          {
-            "name": "jacobi1024_alpha_21164_like_multilvlpad/analytic_refs_per_sec",
-            "value": 46017229576.79551,
-            "unit": "refs/s",
-            "direction": "higher"
-          },
-          {
-            "name": "expl512_ultrasparc_i_contiguous/speedup",
-            "value": 188.36739708298694,
-            "unit": "x",
-            "direction": "higher"
-          },
-          {
-            "name": "expl512_ultrasparc_i_contiguous/analytic_refs_per_sec",
-            "value": 20285964720.764095,
-            "unit": "refs/s",
-            "direction": "higher"
-          },
-          {
-            "name": "smoke/speedup",
-            "value": 24.705009402963483,
-            "unit": "x",
-            "direction": "higher"
-          },
-          {
-            "name": "smoke/analytic_refs_per_sec",
-            "value": 13652769017.751968,
-            "unit": "refs/s",
-            "direction": "higher"
-          },
-          {
-            "name": "expl512_random_assoc4_multilvlpad/speedup",
-            "value": 0.9771084995427997,
-            "unit": "x",
-            "direction": "higher"
-          },
-          {
-            "name": "expl512_random_assoc4_multilvlpad/analytic_refs_per_sec",
-            "value": 46550547.08414129,
-            "unit": "refs/s",
-            "direction": "higher"
-          },
-          {
-            "name": "expl512-cold_ultrasparc_i_contiguous/speedup",
-            "value": 0.9763543619508349,
-            "unit": "x",
-            "direction": "higher"
-          },
-          {
-            "name": "expl512-cold_ultrasparc_i_contiguous/analytic_refs_per_sec",
-            "value": 104349453.24647124,
-            "unit": "refs/s",
-            "direction": "higher"
-          },
-          {
-            "name": "sweep/geomean_speedup",
-            "value": 151.37376257968901,
-            "unit": "x",
-            "direction": "higher"
-          },
-          {
-            "name": "sweep/best_speedup",
-            "value": 188.36739708298694,
-            "unit": "x",
-            "direction": "higher"
-          }
-        ]
-      }
-    ],
     "fuzz_smoke": [
       {
         "commit": {
@@ -182,853 +61,30 @@ window.BENCHMARK_DATA = {
             "direction": "lower"
           }
         ]
-      }
-    ],
-    "optimizer_throughput": [
-      {
-        "commit": {
-          "id": "971407356465fc094252c22d37d87ccc20b774d3",
-          "timestamp": 1786208120
-        },
-        "date": 1786208120000,
-        "tool": "mlc",
-        "profile": "release",
-        "benches": [
-          {
-            "name": "adi32/speedup",
-            "value": 7.835665455244072,
-            "unit": "x",
-            "direction": "higher"
-          },
-          {
-            "name": "adi32/fast_searches_per_sec",
-            "value": 8004.995116952979,
-            "unit": "searches/s",
-            "direction": "higher"
-          },
-          {
-            "name": "dot512/speedup",
-            "value": 3.022488147453287,
-            "unit": "x",
-            "direction": "higher"
-          },
-          {
-            "name": "dot512/fast_searches_per_sec",
-            "value": 25353.041097279616,
-            "unit": "searches/s",
-            "direction": "higher"
-          },
-          {
-            "name": "erle64/speedup",
-            "value": 4.590932193255202,
-            "unit": "x",
-            "direction": "higher"
-          },
-          {
-            "name": "erle64/fast_searches_per_sec",
-            "value": 14948.57689547955,
-            "unit": "searches/s",
-            "direction": "higher"
-          },
-          {
-            "name": "expl512/speedup",
-            "value": 12.10641879477854,
-            "unit": "x",
-            "direction": "higher"
-          },
-          {
-            "name": "expl512/fast_searches_per_sec",
-            "value": 408.2839173698677,
-            "unit": "searches/s",
-            "direction": "higher"
-          },
-          {
-            "name": "irr500K/speedup",
-            "value": 7.928361282730215,
-            "unit": "x",
-            "direction": "higher"
-          },
-          {
-            "name": "irr500K/fast_searches_per_sec",
-            "value": 18387.76110620771,
-            "unit": "searches/s",
-            "direction": "higher"
-          },
-          {
-            "name": "jacobi512/speedup",
-            "value": 5.884927224772883,
-            "unit": "x",
-            "direction": "higher"
-          },
-          {
-            "name": "jacobi512/fast_searches_per_sec",
-            "value": 16280.811435641954,
-            "unit": "searches/s",
-            "direction": "higher"
-          },
-          {
-            "name": "linpackd/speedup",
-            "value": 5.632833995719963,
-            "unit": "x",
-            "direction": "higher"
-          },
-          {
-            "name": "linpackd/fast_searches_per_sec",
-            "value": 21836.92186749356,
-            "unit": "searches/s",
-            "direction": "higher"
-          },
-          {
-            "name": "shal512/speedup",
-            "value": 9.490129786458493,
-            "unit": "x",
-            "direction": "higher"
-          },
-          {
-            "name": "shal512/fast_searches_per_sec",
-            "value": 160.50563125981995,
-            "unit": "searches/s",
-            "direction": "higher"
-          },
-          {
-            "name": "appbt/speedup",
-            "value": 9.310297044298666,
-            "unit": "x",
-            "direction": "higher"
-          },
-          {
-            "name": "appbt/fast_searches_per_sec",
-            "value": 7370.826269624825,
-            "unit": "searches/s",
-            "direction": "higher"
-          },
-          {
-            "name": "applu/speedup",
-            "value": 12.887398865752061,
-            "unit": "x",
-            "direction": "higher"
-          },
-          {
-            "name": "applu/fast_searches_per_sec",
-            "value": 8579.78773605141,
-            "unit": "searches/s",
-            "direction": "higher"
-          },
-          {
-            "name": "appsp/speedup",
-            "value": 9.909673105357832,
-            "unit": "x",
-            "direction": "higher"
-          },
-          {
-            "name": "appsp/fast_searches_per_sec",
-            "value": 9417.88078846498,
-            "unit": "searches/s",
-            "direction": "higher"
-          },
-          {
-            "name": "buk/speedup",
-            "value": 4.432691171256352,
-            "unit": "x",
-            "direction": "higher"
-          },
-          {
-            "name": "buk/fast_searches_per_sec",
-            "value": 19698.223220265532,
-            "unit": "searches/s",
-            "direction": "higher"
-          },
-          {
-            "name": "cgm/speedup",
-            "value": 9.807177915703639,
-            "unit": "x",
-            "direction": "higher"
-          },
-          {
-            "name": "cgm/fast_searches_per_sec",
-            "value": 8656.434760779426,
-            "unit": "searches/s",
-            "direction": "higher"
-          },
-          {
-            "name": "embar/speedup",
-            "value": 2.818593038625349,
-            "unit": "x",
-            "direction": "higher"
-          },
-          {
-            "name": "embar/fast_searches_per_sec",
-            "value": 29372.888823615805,
-            "unit": "searches/s",
-            "direction": "higher"
-          },
-          {
-            "name": "fftpde/speedup",
-            "value": 6.831452796885568,
-            "unit": "x",
-            "direction": "higher"
-          },
-          {
-            "name": "fftpde/fast_searches_per_sec",
-            "value": 8247.966876165025,
-            "unit": "searches/s",
-            "direction": "higher"
-          },
-          {
-            "name": "mgrid/speedup",
-            "value": 12.692703777664088,
-            "unit": "x",
-            "direction": "higher"
-          },
-          {
-            "name": "mgrid/fast_searches_per_sec",
-            "value": 5501.18550547643,
-            "unit": "searches/s",
-            "direction": "higher"
-          },
-          {
-            "name": "apsi/speedup",
-            "value": 8.124511806227382,
-            "unit": "x",
-            "direction": "higher"
-          },
-          {
-            "name": "apsi/fast_searches_per_sec",
-            "value": 11943.578535000655,
-            "unit": "searches/s",
-            "direction": "higher"
-          },
-          {
-            "name": "fpppp/speedup",
-            "value": 4.141483311995712,
-            "unit": "x",
-            "direction": "higher"
-          },
-          {
-            "name": "fpppp/fast_searches_per_sec",
-            "value": 29773.424241522014,
-            "unit": "searches/s",
-            "direction": "higher"
-          },
-          {
-            "name": "hydro2d/speedup",
-            "value": 8.452171351583663,
-            "unit": "x",
-            "direction": "higher"
-          },
-          {
-            "name": "hydro2d/fast_searches_per_sec",
-            "value": 4828.981616066988,
-            "unit": "searches/s",
-            "direction": "higher"
-          },
-          {
-            "name": "su2cor/speedup",
-            "value": 9.666448021076711,
-            "unit": "x",
-            "direction": "higher"
-          },
-          {
-            "name": "su2cor/fast_searches_per_sec",
-            "value": 2710.4825200982277,
-            "unit": "searches/s",
-            "direction": "higher"
-          },
-          {
-            "name": "swim/speedup",
-            "value": 8.007003936380581,
-            "unit": "x",
-            "direction": "higher"
-          },
-          {
-            "name": "swim/fast_searches_per_sec",
-            "value": 136.4146306328329,
-            "unit": "searches/s",
-            "direction": "higher"
-          },
-          {
-            "name": "tomcatv/speedup",
-            "value": 7.760642907939309,
-            "unit": "x",
-            "direction": "higher"
-          },
-          {
-            "name": "tomcatv/fast_searches_per_sec",
-            "value": 700.640735953029,
-            "unit": "searches/s",
-            "direction": "higher"
-          },
-          {
-            "name": "turb3d/speedup",
-            "value": 10.78937200507598,
-            "unit": "x",
-            "direction": "higher"
-          },
-          {
-            "name": "turb3d/fast_searches_per_sec",
-            "value": 6313.4103148497725,
-            "unit": "searches/s",
-            "direction": "higher"
-          },
-          {
-            "name": "wave5/speedup",
-            "value": 9.151283805682596,
-            "unit": "x",
-            "direction": "higher"
-          },
-          {
-            "name": "wave5/fast_searches_per_sec",
-            "value": 12003.793198650774,
-            "unit": "searches/s",
-            "direction": "higher"
-          },
-          {
-            "name": "expl_sweep_250to520/speedup",
-            "value": 7.828705823729543,
-            "unit": "x",
-            "direction": "higher"
-          },
-          {
-            "name": "expl_sweep_250to520/fast_searches_per_sec",
-            "value": 353.0457699884113,
-            "unit": "searches/s",
-            "direction": "higher"
-          },
-          {
-            "name": "shal_sweep_250to520/speedup",
-            "value": 4.758073409656863,
-            "unit": "x",
-            "direction": "higher"
-          },
-          {
-            "name": "shal_sweep_250to520/fast_searches_per_sec",
-            "value": 94.80953742501184,
-            "unit": "searches/s",
-            "direction": "higher"
-          },
-          {
-            "name": "summary/geomean_speedup",
-            "value": 7.280334967367491,
-            "unit": "x",
-            "direction": "higher"
-          },
-          {
-            "name": "summary/best_speedup",
-            "value": 12.887398865752061,
-            "unit": "x",
-            "direction": "higher"
-          },
-          {
-            "name": "summary/fraction_pruned",
-            "value": 0.8811667441140025,
-            "unit": "fraction",
-            "direction": "higher"
-          }
-        ]
       },
       {
         "commit": {
-          "id": "c41f435dc2f5dc2b61d005d80fa122ecaec284e9",
-          "timestamp": 1786220293
+          "id": "986c4d76e36f471784b5c6ae37cbe7c3a0869b40",
+          "timestamp": 1786227578
         },
-        "date": 1786220293000,
+        "date": 1786227578000,
         "tool": "mlc",
         "profile": "release",
         "benches": [
           {
-            "name": "adi32/speedup",
-            "value": 5.769052503283064,
-            "unit": "x",
+            "name": "cases50/cases_per_sec",
+            "value": 328.09586467709687,
+            "unit": "cases/s",
             "direction": "higher"
           },
           {
-            "name": "adi32/fast_searches_per_sec",
-            "value": 8583.17525985563,
-            "unit": "searches/s",
-            "direction": "higher"
-          },
-          {
-            "name": "dot512/speedup",
-            "value": 2.4798096748612215,
-            "unit": "x",
-            "direction": "higher"
-          },
-          {
-            "name": "dot512/fast_searches_per_sec",
-            "value": 31720.856463124503,
-            "unit": "searches/s",
-            "direction": "higher"
-          },
-          {
-            "name": "erle64/speedup",
-            "value": 4.804401574546993,
-            "unit": "x",
-            "direction": "higher"
-          },
-          {
-            "name": "erle64/fast_searches_per_sec",
-            "value": 16265.981326653438,
-            "unit": "searches/s",
-            "direction": "higher"
-          },
-          {
-            "name": "expl512/speedup",
-            "value": 8.002835116743821,
-            "unit": "x",
-            "direction": "higher"
-          },
-          {
-            "name": "expl512/fast_searches_per_sec",
-            "value": 316.207533328274,
-            "unit": "searches/s",
-            "direction": "higher"
-          },
-          {
-            "name": "irr500K/speedup",
-            "value": 5.47147898883782,
-            "unit": "x",
-            "direction": "higher"
-          },
-          {
-            "name": "irr500K/fast_searches_per_sec",
-            "value": 20518.71306631648,
-            "unit": "searches/s",
-            "direction": "higher"
-          },
-          {
-            "name": "jacobi512/speedup",
-            "value": 4.584915206596084,
-            "unit": "x",
-            "direction": "higher"
-          },
-          {
-            "name": "jacobi512/fast_searches_per_sec",
-            "value": 18738.873793684998,
-            "unit": "searches/s",
-            "direction": "higher"
-          },
-          {
-            "name": "linpackd/speedup",
-            "value": 4.262202480293732,
-            "unit": "x",
-            "direction": "higher"
-          },
-          {
-            "name": "linpackd/fast_searches_per_sec",
-            "value": 25675.91855598634,
-            "unit": "searches/s",
-            "direction": "higher"
-          },
-          {
-            "name": "shal512/speedup",
-            "value": 8.132763137862149,
-            "unit": "x",
-            "direction": "higher"
-          },
-          {
-            "name": "shal512/fast_searches_per_sec",
-            "value": 151.18933849070405,
-            "unit": "searches/s",
-            "direction": "higher"
-          },
-          {
-            "name": "appbt/speedup",
-            "value": 8.776286052327682,
-            "unit": "x",
-            "direction": "higher"
-          },
-          {
-            "name": "appbt/fast_searches_per_sec",
-            "value": 7084.7119001905785,
-            "unit": "searches/s",
-            "direction": "higher"
-          },
-          {
-            "name": "applu/speedup",
-            "value": 11.916823902092817,
-            "unit": "x",
-            "direction": "higher"
-          },
-          {
-            "name": "applu/fast_searches_per_sec",
-            "value": 8655.16107254756,
-            "unit": "searches/s",
-            "direction": "higher"
-          },
-          {
-            "name": "appsp/speedup",
-            "value": 11.197464446107784,
-            "unit": "x",
-            "direction": "higher"
-          },
-          {
-            "name": "appsp/fast_searches_per_sec",
-            "value": 11695.359281437126,
-            "unit": "searches/s",
-            "direction": "higher"
-          },
-          {
-            "name": "buk/speedup",
-            "value": 4.334391125582935,
-            "unit": "x",
-            "direction": "higher"
-          },
-          {
-            "name": "buk/fast_searches_per_sec",
-            "value": 27594.580424404645,
-            "unit": "searches/s",
-            "direction": "higher"
-          },
-          {
-            "name": "cgm/speedup",
-            "value": 11.150942251084878,
-            "unit": "x",
-            "direction": "higher"
-          },
-          {
-            "name": "cgm/fast_searches_per_sec",
-            "value": 10115.416906907818,
-            "unit": "searches/s",
-            "direction": "higher"
-          },
-          {
-            "name": "embar/speedup",
-            "value": 2.5068455715574016,
-            "unit": "x",
-            "direction": "higher"
-          },
-          {
-            "name": "embar/fast_searches_per_sec",
-            "value": 27327.63096767141,
-            "unit": "searches/s",
-            "direction": "higher"
-          },
-          {
-            "name": "fftpde/speedup",
-            "value": 7.258138968690656,
-            "unit": "x",
-            "direction": "higher"
-          },
-          {
-            "name": "fftpde/fast_searches_per_sec",
-            "value": 9738.52071870283,
-            "unit": "searches/s",
-            "direction": "higher"
-          },
-          {
-            "name": "mgrid/speedup",
-            "value": 14.04579843726541,
-            "unit": "x",
-            "direction": "higher"
-          },
-          {
-            "name": "mgrid/fast_searches_per_sec",
-            "value": 6527.713407270567,
-            "unit": "searches/s",
-            "direction": "higher"
-          },
-          {
-            "name": "apsi/speedup",
-            "value": 3.611987199361019,
-            "unit": "x",
-            "direction": "higher"
-          },
-          {
-            "name": "apsi/fast_searches_per_sec",
-            "value": 5254.777906811768,
-            "unit": "searches/s",
-            "direction": "higher"
-          },
-          {
-            "name": "fpppp/speedup",
-            "value": 3.5111057576487594,
-            "unit": "x",
-            "direction": "higher"
-          },
-          {
-            "name": "fpppp/fast_searches_per_sec",
-            "value": 24090.58058299205,
-            "unit": "searches/s",
-            "direction": "higher"
-          },
-          {
-            "name": "hydro2d/speedup",
-            "value": 7.391126132914254,
-            "unit": "x",
-            "direction": "higher"
-          },
-          {
-            "name": "hydro2d/fast_searches_per_sec",
-            "value": 4305.6123657187145,
-            "unit": "searches/s",
-            "direction": "higher"
-          },
-          {
-            "name": "su2cor/speedup",
-            "value": 8.186123727560743,
-            "unit": "x",
-            "direction": "higher"
-          },
-          {
-            "name": "su2cor/fast_searches_per_sec",
-            "value": 2376.7252054084756,
-            "unit": "searches/s",
-            "direction": "higher"
-          },
-          {
-            "name": "swim/speedup",
-            "value": 9.092530163524465,
-            "unit": "x",
-            "direction": "higher"
-          },
-          {
-            "name": "swim/fast_searches_per_sec",
-            "value": 162.38774946818012,
-            "unit": "searches/s",
-            "direction": "higher"
-          },
-          {
-            "name": "tomcatv/speedup",
-            "value": 9.458984120263345,
-            "unit": "x",
-            "direction": "higher"
-          },
-          {
-            "name": "tomcatv/fast_searches_per_sec",
-            "value": 945.1099068310654,
-            "unit": "searches/s",
-            "direction": "higher"
-          },
-          {
-            "name": "turb3d/speedup",
-            "value": 8.618894256575416,
-            "unit": "x",
-            "direction": "higher"
-          },
-          {
-            "name": "turb3d/fast_searches_per_sec",
-            "value": 5161.237045295016,
-            "unit": "searches/s",
-            "direction": "higher"
-          },
-          {
-            "name": "wave5/speedup",
-            "value": 7.064166793660469,
-            "unit": "x",
-            "direction": "higher"
-          },
-          {
-            "name": "wave5/fast_searches_per_sec",
-            "value": 9524.53520268211,
-            "unit": "searches/s",
-            "direction": "higher"
-          },
-          {
-            "name": "expl_sweep_250to520/speedup",
-            "value": 8.162645975220016,
-            "unit": "x",
-            "direction": "higher"
-          },
-          {
-            "name": "expl_sweep_250to520/fast_searches_per_sec",
-            "value": 397.24381459104626,
-            "unit": "searches/s",
-            "direction": "higher"
-          },
-          {
-            "name": "shal_sweep_250to520/speedup",
-            "value": 5.199082272416402,
-            "unit": "x",
-            "direction": "higher"
-          },
-          {
-            "name": "shal_sweep_250to520/fast_searches_per_sec",
-            "value": 124.98758382269989,
-            "unit": "searches/s",
-            "direction": "higher"
-          },
-          {
-            "name": "summary/geomean_speedup",
-            "value": 6.463305979297044,
-            "unit": "x",
-            "direction": "higher"
-          },
-          {
-            "name": "summary/best_speedup",
-            "value": 14.04579843726541,
-            "unit": "x",
-            "direction": "higher"
-          },
-          {
-            "name": "summary/fraction_pruned",
-            "value": 0.8811667441140025,
-            "unit": "fraction",
-            "direction": "higher"
-          }
-        ]
-      }
-    ],
-    "sweep_cache": [
-      {
-        "commit": {
-          "id": "971407356465fc094252c22d37d87ccc20b774d3",
-          "timestamp": 1786208133
-        },
-        "date": 1786208133000,
-        "tool": "mlc",
-        "profile": "release",
-        "benches": [
-          {
-            "name": "conflict/speedup",
-            "value": 1918.1734526473676,
-            "unit": "x",
-            "direction": "higher"
-          },
-          {
-            "name": "conflict/warm_s",
-            "value": 0.001670773,
-            "unit": "s",
-            "direction": "lower"
-          },
-          {
-            "name": "conflict/warm_hits",
-            "value": 24,
+            "name": "cases50/checked_total",
+            "value": 503,
             "unit": "count",
             "direction": "higher"
           },
           {
-            "name": "conflict/cache_hits",
-            "value": 24,
-            "unit": "count",
-            "direction": "higher"
-          },
-          {
-            "name": "conflict/cache_misses",
-            "value": 24,
-            "unit": "count",
-            "direction": "lower"
-          },
-          {
-            "name": "conflict/cache_stores",
-            "value": 24,
-            "unit": "count",
-            "direction": "lower"
-          },
-          {
-            "name": "conflict/cache_corrupt",
-            "value": 0,
-            "unit": "count",
-            "direction": "lower"
-          },
-          {
-            "name": "conflict/cache_stale",
-            "value": 0,
-            "unit": "count",
-            "direction": "lower"
-          },
-          {
-            "name": "smoke/speedup",
-            "value": 139.71039668216946,
-            "unit": "x",
-            "direction": "higher"
-          },
-          {
-            "name": "smoke/warm_s",
-            "value": 0.000319727,
-            "unit": "s",
-            "direction": "lower"
-          },
-          {
-            "name": "smoke/warm_hits",
-            "value": 4,
-            "unit": "count",
-            "direction": "higher"
-          },
-          {
-            "name": "smoke/cache_hits",
-            "value": 4,
-            "unit": "count",
-            "direction": "higher"
-          },
-          {
-            "name": "smoke/cache_misses",
-            "value": 4,
-            "unit": "count",
-            "direction": "lower"
-          },
-          {
-            "name": "smoke/cache_stores",
-            "value": 4,
-            "unit": "count",
-            "direction": "lower"
-          },
-          {
-            "name": "smoke/cache_corrupt",
-            "value": 0,
-            "unit": "count",
-            "direction": "lower"
-          },
-          {
-            "name": "smoke/cache_stale",
-            "value": 0,
-            "unit": "count",
-            "direction": "lower"
-          }
-        ]
-      },
-      {
-        "commit": {
-          "id": "c41f435dc2f5dc2b61d005d80fa122ecaec284e9",
-          "timestamp": 1786220293
-        },
-        "date": 1786220293000,
-        "tool": "mlc",
-        "profile": "release",
-        "benches": [
-          {
-            "name": "smoke/speedup",
-            "value": 209.9516956778057,
-            "unit": "x",
-            "direction": "higher"
-          },
-          {
-            "name": "smoke/warm_s",
-            "value": 0.000161145,
-            "unit": "s",
-            "direction": "lower"
-          },
-          {
-            "name": "smoke/warm_hits",
-            "value": 4,
-            "unit": "count",
-            "direction": "higher"
-          },
-          {
-            "name": "smoke/cache_hits",
-            "value": 4,
-            "unit": "count",
-            "direction": "higher"
-          },
-          {
-            "name": "smoke/cache_misses",
-            "value": 4,
-            "unit": "count",
-            "direction": "lower"
-          },
-          {
-            "name": "smoke/cache_stores",
-            "value": 4,
-            "unit": "count",
-            "direction": "lower"
-          },
-          {
-            "name": "smoke/cache_corrupt",
-            "value": 0,
-            "unit": "count",
-            "direction": "lower"
-          },
-          {
-            "name": "smoke/cache_stale",
+            "name": "cases50/violations",
             "value": 0,
             "unit": "count",
             "direction": "lower"
@@ -1036,409 +92,133 @@ window.BENCHMARK_DATA = {
         ]
       }
     ],
-    "sweep_scaling": [
+    "serve_latency": [
       {
         "commit": {
-          "id": "3aca9313f8da89546762d4028121a878fb445410",
-          "timestamp": 1786210914
+          "id": "a60ee14beb4836f37fd18cf88a885653266922d0",
+          "timestamp": 1786224042
         },
-        "date": 1786210914000,
+        "date": 1786224042000,
         "tool": "mlc",
         "profile": "release",
         "benches": [
           {
-            "name": "conflict_t1/cells_per_sec",
-            "value": 8.993652344255198,
-            "unit": "cells/s",
-            "direction": "higher"
-          },
-          {
-            "name": "conflict_t1/efficiency",
-            "value": 1,
-            "unit": "ratio",
-            "direction": "higher"
-          },
-          {
-            "name": "conflict_t1/elapsed_s",
-            "value": 2.668548781,
-            "unit": "s",
+            "name": "r200c4/p50_ms",
+            "value": 0.546,
+            "unit": "ms",
             "direction": "lower"
           },
           {
-            "name": "conflict_t1/steals",
+            "name": "r200c4/p99_ms",
+            "value": 1.456,
+            "unit": "ms",
+            "direction": "lower"
+          },
+          {
+            "name": "r200c4/req_per_sec",
+            "value": 6642.866162920412,
+            "unit": "req/s",
+            "direction": "higher"
+          },
+          {
+            "name": "r200c4/ok",
+            "value": 200,
+            "unit": "count",
+            "direction": "higher"
+          },
+          {
+            "name": "r200c4/server_errors",
             "value": 0,
             "unit": "count",
-            "direction": "higher"
+            "direction": "lower"
           },
           {
-            "name": "conflict_t2/cells_per_sec",
-            "value": 8.571778547962637,
-            "unit": "cells/s",
-            "direction": "higher"
-          },
-          {
-            "name": "conflict_t2/efficiency",
-            "value": 0.47654602489932596,
+            "name": "r200c4/cache_hit_rate",
+            "value": 0.9458128078817734,
             "unit": "ratio",
             "direction": "higher"
           },
           {
-            "name": "conflict_t2/elapsed_s",
-            "value": 2.799885679,
-            "unit": "s",
+            "name": "r200c4/p50_ms",
+            "value": 0.685,
+            "unit": "ms",
             "direction": "lower"
           },
           {
-            "name": "conflict_t2/steals",
-            "value": 4,
+            "name": "r200c4/p99_ms",
+            "value": 3.08,
+            "unit": "ms",
+            "direction": "lower"
+          },
+          {
+            "name": "r200c4/req_per_sec",
+            "value": 4260.925348140503,
+            "unit": "req/s",
+            "direction": "higher"
+          },
+          {
+            "name": "r200c4/ok",
+            "value": 200,
             "unit": "count",
             "direction": "higher"
           },
           {
-            "name": "conflict_t4/cells_per_sec",
-            "value": 8.748174377661682,
-            "unit": "cells/s",
-            "direction": "higher"
-          },
-          {
-            "name": "conflict_t4/efficiency",
-            "value": 0.24317635491129702,
-            "unit": "ratio",
-            "direction": "higher"
-          },
-          {
-            "name": "conflict_t4/elapsed_s",
-            "value": 2.743429539,
-            "unit": "s",
-            "direction": "lower"
-          },
-          {
-            "name": "conflict_t4/steals",
-            "value": 5,
-            "unit": "count",
-            "direction": "higher"
-          },
-          {
-            "name": "smoke_t1/cells_per_sec",
-            "value": 95.27388419216427,
-            "unit": "cells/s",
-            "direction": "higher"
-          },
-          {
-            "name": "smoke_t1/efficiency",
-            "value": 1,
-            "unit": "ratio",
-            "direction": "higher"
-          },
-          {
-            "name": "smoke_t1/elapsed_s",
-            "value": 0.041984223,
-            "unit": "s",
-            "direction": "lower"
-          },
-          {
-            "name": "smoke_t1/steals",
+            "name": "r200c4/server_errors",
             "value": 0,
             "unit": "count",
-            "direction": "higher"
-          },
-          {
-            "name": "smoke_t2/cells_per_sec",
-            "value": 96.16357346916246,
-            "unit": "cells/s",
-            "direction": "higher"
-          },
-          {
-            "name": "smoke_t2/efficiency",
-            "value": 0.5046691141257751,
-            "unit": "ratio",
-            "direction": "higher"
-          },
-          {
-            "name": "smoke_t2/elapsed_s",
-            "value": 0.041595792,
-            "unit": "s",
             "direction": "lower"
           },
           {
-            "name": "smoke_t2/steals",
-            "value": 1,
-            "unit": "count",
+            "name": "r200c4/cache_hit_rate",
+            "value": 0.9458128078817734,
+            "unit": "ratio",
             "direction": "higher"
           }
         ]
       },
       {
         "commit": {
-          "id": "c41f435dc2f5dc2b61d005d80fa122ecaec284e9",
-          "timestamp": 1786220293
+          "id": "986c4d76e36f471784b5c6ae37cbe7c3a0869b40",
+          "timestamp": 1786227578
         },
-        "date": 1786220293000,
+        "date": 1786227578000,
         "tool": "mlc",
         "profile": "release",
         "benches": [
           {
-            "name": "smoke_t1/cells_per_sec",
-            "value": 122.8495493509981,
-            "unit": "cells/s",
-            "direction": "higher"
-          },
-          {
-            "name": "smoke_t1/efficiency",
-            "value": 1,
-            "unit": "ratio",
-            "direction": "higher"
-          },
-          {
-            "name": "smoke_t1/elapsed_s",
-            "value": 0.032560152,
-            "unit": "s",
+            "name": "r200c4/p50_ms",
+            "value": 0.505,
+            "unit": "ms",
             "direction": "lower"
           },
           {
-            "name": "smoke_t1/steals",
+            "name": "r200c4/p99_ms",
+            "value": 3.555,
+            "unit": "ms",
+            "direction": "lower"
+          },
+          {
+            "name": "r200c4/req_per_sec",
+            "value": 5579.029632681152,
+            "unit": "req/s",
+            "direction": "higher"
+          },
+          {
+            "name": "r200c4/ok",
+            "value": 200,
+            "unit": "count",
+            "direction": "higher"
+          },
+          {
+            "name": "r200c4/server_errors",
             "value": 0,
             "unit": "count",
-            "direction": "higher"
-          },
-          {
-            "name": "smoke_t2/cells_per_sec",
-            "value": 90.49835384625582,
-            "unit": "cells/s",
-            "direction": "higher"
-          },
-          {
-            "name": "smoke_t2/efficiency",
-            "value": 0.36833001962298434,
-            "unit": "ratio",
-            "direction": "higher"
-          },
-          {
-            "name": "smoke_t2/elapsed_s",
-            "value": 0.044199699,
-            "unit": "s",
             "direction": "lower"
           },
           {
-            "name": "smoke_t2/steals",
-            "value": 1,
-            "unit": "count",
-            "direction": "higher"
-          }
-        ]
-      }
-    ],
-    "trace_throughput": [
-      {
-        "commit": {
-          "id": "971407356465fc094252c22d37d87ccc20b774d3",
-          "timestamp": 1786208109
-        },
-        "date": 1786208109000,
-        "tool": "mlc",
-        "profile": "release",
-        "benches": [
-          {
-            "name": "expl512_ultrasparc_i_multilvlpad/speedup",
-            "value": 4.511855065723408,
-            "unit": "x",
-            "direction": "higher"
-          },
-          {
-            "name": "expl512_ultrasparc_i_multilvlpad/fast_accesses_per_sec",
-            "value": 644713312.3534175,
-            "unit": "accesses/s",
-            "direction": "higher"
-          },
-          {
-            "name": "jacobi512_ultrasparc_i_multilvlpad/speedup",
-            "value": 4.175367732559056,
-            "unit": "x",
-            "direction": "higher"
-          },
-          {
-            "name": "jacobi512_ultrasparc_i_multilvlpad/fast_accesses_per_sec",
-            "value": 655707535.7837703,
-            "unit": "accesses/s",
-            "direction": "higher"
-          },
-          {
-            "name": "swim_ultrasparc_i_multilvlpad/speedup",
-            "value": 4.0790240754854175,
-            "unit": "x",
-            "direction": "higher"
-          },
-          {
-            "name": "swim_ultrasparc_i_multilvlpad/fast_accesses_per_sec",
-            "value": 617648340.6454151,
-            "unit": "accesses/s",
-            "direction": "higher"
-          },
-          {
-            "name": "expl512_alpha_21164_like_multilvlpad/speedup",
-            "value": 2.385008922622133,
-            "unit": "x",
-            "direction": "higher"
-          },
-          {
-            "name": "expl512_alpha_21164_like_multilvlpad/fast_accesses_per_sec",
-            "value": 335359214.513381,
-            "unit": "accesses/s",
-            "direction": "higher"
-          },
-          {
-            "name": "jacobi512_alpha_21164_like_multilvlpad/speedup",
-            "value": 3.1219243906557375,
-            "unit": "x",
-            "direction": "higher"
-          },
-          {
-            "name": "jacobi512_alpha_21164_like_multilvlpad/fast_accesses_per_sec",
-            "value": 423311423.18325794,
-            "unit": "accesses/s",
-            "direction": "higher"
-          },
-          {
-            "name": "expl512_ultrasparc_i_contiguous/speedup",
-            "value": 1.0393450178686423,
-            "unit": "x",
-            "direction": "higher"
-          },
-          {
-            "name": "expl512_ultrasparc_i_contiguous/fast_accesses_per_sec",
-            "value": 109405882.93003783,
-            "unit": "accesses/s",
-            "direction": "higher"
-          },
-          {
-            "name": "expl512_ultrasparc_like_assoc4_multilvlpad/speedup",
-            "value": 1.062555038443623,
-            "unit": "x",
-            "direction": "higher"
-          },
-          {
-            "name": "expl512_ultrasparc_like_assoc4_multilvlpad/fast_accesses_per_sec",
-            "value": 94173782.55746391,
-            "unit": "accesses/s",
-            "direction": "higher"
-          },
-          {
-            "name": "sweep/geomean_speedup",
-            "value": 3.5604402804151642,
-            "unit": "x",
-            "direction": "higher"
-          },
-          {
-            "name": "sweep/best_speedup",
-            "value": 4.511855065723408,
-            "unit": "x",
-            "direction": "higher"
-          }
-        ]
-      },
-      {
-        "commit": {
-          "id": "c41f435dc2f5dc2b61d005d80fa122ecaec284e9",
-          "timestamp": 1786220291
-        },
-        "date": 1786220291000,
-        "tool": "mlc",
-        "profile": "release",
-        "benches": [
-          {
-            "name": "expl512_ultrasparc_i_multilvlpad/speedup",
-            "value": 5.269380760355628,
-            "unit": "x",
-            "direction": "higher"
-          },
-          {
-            "name": "expl512_ultrasparc_i_multilvlpad/fast_accesses_per_sec",
-            "value": 648319500.7287838,
-            "unit": "accesses/s",
-            "direction": "higher"
-          },
-          {
-            "name": "jacobi512_ultrasparc_i_multilvlpad/speedup",
-            "value": 4.387890426772962,
-            "unit": "x",
-            "direction": "higher"
-          },
-          {
-            "name": "jacobi512_ultrasparc_i_multilvlpad/fast_accesses_per_sec",
-            "value": 665778876.1749839,
-            "unit": "accesses/s",
-            "direction": "higher"
-          },
-          {
-            "name": "swim_ultrasparc_i_multilvlpad/speedup",
-            "value": 3.9866120226218706,
-            "unit": "x",
-            "direction": "higher"
-          },
-          {
-            "name": "swim_ultrasparc_i_multilvlpad/fast_accesses_per_sec",
-            "value": 618163669.3061334,
-            "unit": "accesses/s",
-            "direction": "higher"
-          },
-          {
-            "name": "expl512_alpha_21164_like_multilvlpad/speedup",
-            "value": 2.118986141777535,
-            "unit": "x",
-            "direction": "higher"
-          },
-          {
-            "name": "expl512_alpha_21164_like_multilvlpad/fast_accesses_per_sec",
-            "value": 268845413.96856993,
-            "unit": "accesses/s",
-            "direction": "higher"
-          },
-          {
-            "name": "jacobi512_alpha_21164_like_multilvlpad/speedup",
-            "value": 3.793838965268435,
-            "unit": "x",
-            "direction": "higher"
-          },
-          {
-            "name": "jacobi512_alpha_21164_like_multilvlpad/fast_accesses_per_sec",
-            "value": 442101452.1698411,
-            "unit": "accesses/s",
-            "direction": "higher"
-          },
-          {
-            "name": "expl512_ultrasparc_i_contiguous/speedup",
-            "value": 1.0167235557870815,
-            "unit": "x",
-            "direction": "higher"
-          },
-          {
-            "name": "expl512_ultrasparc_i_contiguous/fast_accesses_per_sec",
-            "value": 111775055.00317033,
-            "unit": "accesses/s",
-            "direction": "higher"
-          },
-          {
-            "name": "expl512_ultrasparc_like_assoc4_multilvlpad/speedup",
-            "value": 1.0892583457783644,
-            "unit": "x",
-            "direction": "higher"
-          },
-          {
-            "name": "expl512_ultrasparc_like_assoc4_multilvlpad/fast_accesses_per_sec",
-            "value": 101722917.89922692,
-            "unit": "accesses/s",
-            "direction": "higher"
-          },
-          {
-            "name": "sweep/geomean_speedup",
-            "value": 3.7494301500467984,
-            "unit": "x",
-            "direction": "higher"
-          },
-          {
-            "name": "sweep/best_speedup",
-            "value": 5.269380760355628,
-            "unit": "x",
+            "name": "r200c4/cache_hit_rate",
+            "value": 0.9458128078817734,
+            "unit": "ratio",
             "direction": "higher"
           }
         ]
