@@ -42,27 +42,42 @@ impl CacheConfig {
         associativity: usize,
         replacement: ReplacementPolicy,
     ) -> Self {
-        assert!(
-            size.is_power_of_two(),
-            "cache size {size} must be a power of two"
-        );
-        assert!(
-            line.is_power_of_two(),
-            "line size {line} must be a power of two"
-        );
-        assert!(line <= size, "line size {line} exceeds cache size {size}");
-        assert!(associativity >= 1, "associativity must be at least 1");
+        Self::try_new(size, line, associativity, replacement).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`CacheConfig::new`], returning the violated invariant instead of
+    /// panicking: the constructor for geometry that comes from outside the
+    /// program (command lines, `.case` files).
+    pub fn try_new(
+        size: usize,
+        line: usize,
+        associativity: usize,
+        replacement: ReplacementPolicy,
+    ) -> Result<Self, String> {
+        if !size.is_power_of_two() {
+            return Err(format!("cache size {size} must be a power of two"));
+        }
+        if !line.is_power_of_two() {
+            return Err(format!("line size {line} must be a power of two"));
+        }
+        if line > size {
+            return Err(format!("line size {line} exceeds cache size {size}"));
+        }
+        if associativity == 0 {
+            return Err("associativity must be at least 1".to_string());
+        }
         let lines = size / line;
-        assert!(
-            associativity <= lines && lines.is_multiple_of(associativity),
-            "associativity {associativity} must divide line count {lines}"
-        );
-        Self {
+        if associativity > lines || !lines.is_multiple_of(associativity) {
+            return Err(format!(
+                "associativity {associativity} must divide line count {lines}"
+            ));
+        }
+        Ok(Self {
             size,
             line,
             associativity,
             replacement,
-        }
+        })
     }
 
     /// Number of lines in the cache.
@@ -126,31 +141,41 @@ impl HierarchyConfig {
     /// # Panics
     /// Panics if any invariant is violated or `levels` is empty.
     pub fn new(levels: Vec<CacheConfig>, miss_penalty: Vec<f64>) -> Self {
-        assert!(!levels.is_empty(), "hierarchy needs at least one level");
-        assert_eq!(
-            levels.len(),
-            miss_penalty.len(),
-            "one miss penalty per level"
-        );
+        Self::try_new(levels, miss_penalty).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`HierarchyConfig::new`], returning the violated invariant instead
+    /// of panicking.
+    pub fn try_new(levels: Vec<CacheConfig>, miss_penalty: Vec<f64>) -> Result<Self, String> {
+        if levels.is_empty() {
+            return Err("hierarchy needs at least one level".to_string());
+        }
+        if levels.len() != miss_penalty.len() {
+            return Err(format!(
+                "one miss penalty per level: {} levels, {} penalties",
+                levels.len(),
+                miss_penalty.len()
+            ));
+        }
         for w in levels.windows(2) {
             let (inner, outer) = (w[0], w[1]);
-            assert!(
-                outer.size >= inner.size && outer.size % inner.size == 0,
-                "outer cache size {} must be a multiple of inner size {}",
-                outer.size,
-                inner.size
-            );
-            assert!(
-                outer.line >= inner.line,
-                "outer line {} smaller than inner line {}",
-                outer.line,
-                inner.line
-            );
+            if outer.size < inner.size || !outer.size.is_multiple_of(inner.size) {
+                return Err(format!(
+                    "outer cache size {} must be a multiple of inner size {}",
+                    outer.size, inner.size
+                ));
+            }
+            if outer.line < inner.line {
+                return Err(format!(
+                    "outer line {} smaller than inner line {}",
+                    outer.line, inner.line
+                ));
+            }
         }
-        Self {
+        Ok(Self {
             levels,
             miss_penalty,
-        }
+        })
     }
 
     /// The paper's simulated machine and timing platform: Sun UltraSparc I.

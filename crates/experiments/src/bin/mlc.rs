@@ -16,6 +16,11 @@
 //!   --metrics-out PATH                       # write metrics JSON (.csv: CSV)
 //! ```
 //!
+//! Exit status 2 means bad input, reported before any work: an unknown
+//! command, program, flag or `--opt`, a value that does not parse, or a
+//! cache geometry the simulator cannot build. 1 means a failed run
+//! (writing the telemetry outputs).
+//!
 //! Run via `cargo run --release -p mlc-experiments --bin mlc -- <args>`.
 
 use mlc_cache_sim::{CacheConfig, HierarchyConfig, ReplacementPolicy};
@@ -52,47 +57,44 @@ fn parse(argv: &[String]) -> Result<Args, String> {
     };
     let mut i = 2;
     while i < argv.len() {
-        let flag = &argv[i];
-        let mut take = |name: &str| -> Result<String, String> {
-            i += 1;
-            argv.get(i)
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
+        let flag = argv[i].as_str();
+        let value = argv
+            .get(i + 1)
+            .cloned()
+            .ok_or_else(|| format!("{flag} needs a value"));
+        let number = |v: String| {
+            v.parse::<usize>()
+                .map_err(|_| format!("{flag} needs a non-negative integer, got {v:?}"))
         };
-        match flag.as_str() {
-            "--opt" => a.opt = take("--opt")?,
-            "--assoc" => {
-                a.assoc = take("--assoc")?
-                    .parse()
-                    .map_err(|e| format!("--assoc: {e}"))?
-            }
-            "--l1" => a.l1 = take("--l1")?.parse().map_err(|e| format!("--l1: {e}"))?,
-            "--l2" => a.l2 = take("--l2")?.parse().map_err(|e| format!("--l2: {e}"))?,
-            "--nest" => {
-                a.nest = take("--nest")?
-                    .parse()
-                    .map_err(|e| format!("--nest: {e}"))?
-            }
-            "--sweeps" => {
-                a.sweeps = take("--sweeps")?
-                    .parse()
-                    .map_err(|e| format!("--sweeps: {e}"))?
-            }
+        match flag {
+            "--opt" => a.opt = value?,
+            "--assoc" => a.assoc = number(value?)?,
+            "--l1" => a.l1 = number(value?)?,
+            "--l2" => a.l2 = number(value?)?,
+            "--nest" => a.nest = number(value?)?,
+            "--sweeps" => a.sweeps = number(value?)?,
             other => return Err(format!("unknown flag {other}")),
         }
-        i += 1;
+        i += 2;
     }
     Ok(a)
 }
 
-fn hierarchy(a: &Args) -> HierarchyConfig {
-    HierarchyConfig::new(
+/// One LRU cache level sized by `flag`, or an error naming the flag.
+fn level(flag: &str, size: usize, line: usize, assoc: usize) -> Result<CacheConfig, String> {
+    CacheConfig::try_new(size, line, assoc, ReplacementPolicy::Lru)
+        .map_err(|e| format!("{flag} {size}: {e}"))
+}
+
+fn hierarchy(a: &Args) -> Result<HierarchyConfig, String> {
+    HierarchyConfig::try_new(
         vec![
-            CacheConfig::new(a.l1, 32, a.assoc, ReplacementPolicy::Lru),
-            CacheConfig::new(a.l2, 64, a.assoc, ReplacementPolicy::Lru),
+            level("--l1", a.l1, 32, a.assoc)?,
+            level("--l2", a.l2, 64, a.assoc)?,
         ],
         vec![6.0, 50.0],
     )
+    .map_err(|e| format!("--l1 {} with --l2 {}: {e}", a.l1, a.l2))
 }
 
 fn options(opt: &str) -> Option<Option<OptimizeOptions>> {
@@ -105,6 +107,10 @@ fn options(opt: &str) -> Option<Option<OptimizeOptions>> {
         "group+l2" => Some(Some(OptimizeOptions::multilvl_group())),
         _ => None,
     }
+}
+
+fn bad_opt(opt: &str) -> String {
+    format!("unknown --opt {opt} (none|pad|multilvl|group|group+l2)")
 }
 
 fn load(name: &Option<String>) -> Result<Box<dyn Kernel>, String> {
@@ -142,12 +148,12 @@ fn run(tcli: &mut TelemetryCli, argv: &[String]) -> Result<(), String> {
         }
         "simulate" => {
             let k = load(&a.program)?;
-            let h = hierarchy(&a);
+            let h = hierarchy(&a)?;
             let p = k.model();
             let root = tel.tracer.begin("simulate");
             tel.tracer.attr(root, "program", k.name());
             tel.tracer.attr(root, "opt", a.opt.as_str());
-            let (program, layout, label) = match options(&a.opt).ok_or("bad --opt")? {
+            let (program, layout, label) = match options(&a.opt).ok_or_else(|| bad_opt(&a.opt))? {
                 None => (
                     p.clone(),
                     DataLayout::contiguous(&p.arrays),
@@ -210,9 +216,9 @@ fn run(tcli: &mut TelemetryCli, argv: &[String]) -> Result<(), String> {
         }
         "optimize" => {
             let k = load(&a.program)?;
-            let h = hierarchy(&a);
+            let h = hierarchy(&a)?;
             let opts = options(&a.opt)
-                .ok_or("bad --opt")?
+                .ok_or_else(|| bad_opt(&a.opt))?
                 .unwrap_or_else(OptimizeOptions::multilvl_group);
             let o = optimize_traced(&k.model(), &h, &opts, tel);
             println!("{}", o.report);
@@ -229,7 +235,7 @@ fn run(tcli: &mut TelemetryCli, argv: &[String]) -> Result<(), String> {
                 return Err(format!("{} has {} nests", k.name(), p.nests.len()));
             }
             let layout = DataLayout::contiguous(&p.arrays);
-            let cache = CacheConfig::new(a.l1, 32, 1, ReplacementPolicy::Lru);
+            let cache = level("--l1", a.l1, 32, 1)?;
             println!("{}", render_nest(&p, &p.nests[a.nest], &layout, cache, 72));
             Ok(())
         }
@@ -273,7 +279,8 @@ fn main() {
         std::process::exit(1);
     }
     if let Err(e) = result {
+        // Every error `run` returns is bad input (see the module docs).
         eprintln!("mlc: {e}");
-        std::process::exit(1);
+        std::process::exit(2);
     }
 }

@@ -11,19 +11,29 @@
 //!       [--duration SECS]
 //! ```
 //!
+//! Exit status 2 means bad usage, reported before the server starts; 1
+//! means it could not start or could not write its telemetry outputs.
+//!
 //! Plus the shared `TelemetryCli` flags: `--threads N` pins the worker
 //! pool size process-wide (`workers` defaults to it), `--cache-dir PATH`
 //! shares a persistent content-addressed result store across restarts,
 //! and `--trace-out` / `--metrics-out` capture per-request spans and the
 //! `serve.*` / `serve.rescache.*` counters at shutdown.
 
-use mlc_experiments::TelemetryCli;
+use mlc_experiments::{flag_value, TelemetryCli};
 use mlc_serve::{Server, ServerConfig};
 use std::sync::{Arc, Mutex};
 
+/// A failed run: exit 1.
 fn fail(msg: &str) -> ! {
     eprintln!("serve: {msg}");
     std::process::exit(1);
+}
+
+/// Bad usage: exit 2, before the server starts.
+fn usage(msg: &str) -> ! {
+    eprintln!("serve: {msg}");
+    std::process::exit(2);
 }
 
 fn main() {
@@ -37,37 +47,26 @@ fn main() {
     let mut it = args.into_iter().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--addr" => addr = it.next().unwrap_or_else(|| fail("--addr needs HOST:PORT")),
+            "--addr" => addr = it.next().unwrap_or_else(|| usage("--addr needs HOST:PORT")),
             "--workers" => {
-                workers = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&n| n > 0)
-                        .unwrap_or_else(|| fail("--workers needs a positive count")),
-                );
+                workers = Some(flag_value(
+                    it.next(),
+                    "--workers",
+                    "a positive count",
+                    |&n| n > 0,
+                ));
             }
             "--queue-depth" => {
-                queue_depth = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| fail("--queue-depth needs a positive count"));
+                queue_depth =
+                    flag_value(it.next(), "--queue-depth", "a positive count", |&n| n > 0);
             }
             "--max-body" => {
-                max_body = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| fail("--max-body needs a positive byte count"));
+                max_body = flag_value(it.next(), "--max-body", "a positive byte count", |&n| n > 0);
             }
             "--duration" => {
-                duration = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| fail("--duration needs seconds")),
-                );
+                duration = Some(flag_value(it.next(), "--duration", "seconds", |_| true));
             }
-            other => fail(&format!("unknown argument {other:?}")),
+            other => usage(&format!("unknown argument {other}")),
         }
     }
 

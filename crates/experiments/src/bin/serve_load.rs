@@ -5,16 +5,16 @@
 //! default, or an external `--addr` — from `--clients` concurrent
 //! connections, and reports the latency distribution plus the
 //! coalesced/cached share of the work as JSON (default
-//! `BENCH_serve_latency.json`). With `--history-dir PATH` it also appends
-//! the run to the `serve_latency` ledger family under PATH; CI passes
-//! `--history-dir results/bench_history`, archives the JSON and gates the
-//! host-independent series through that family.
+//! `BENCH_serve_latency.json`).
 //!
 //! ```text
 //! serve_load [--addr HOST:PORT] [--requests N] [--clients N] [--pool N]
 //!            [--optimize-percent P] [--seed S] [--out PATH]
-//!            [--history-dir PATH]
 //! ```
+//!
+//! Exit status 0 means every request got a 2xx answer; 1 means some did
+//! not (a 4xx, a 5xx, or a 429 still refused after the last retry) or the
+//! run itself failed; 2 means bad usage, reported before any request.
 //!
 //! The stream deliberately draws its bodies from a small case pool, so
 //! identical `CacheKey`s recur and the rescache front's hit/coalesce path
@@ -26,11 +26,9 @@
 //! `--threads` (via the shared `TelemetryCli` extractor) sizes the
 //! self-hosted worker pool.
 
-use mlc_experiments::history_cli::HistoryCli;
-use mlc_experiments::TelemetryCli;
+use mlc_experiments::{flag_value, TelemetryCli};
 use mlc_fuzz::requests::{RequestStream, RequestStreamConfig};
 use mlc_serve::{send_request, Server, ServerConfig};
-use mlc_telemetry::bench_report::{BenchReport, Direction};
 use mlc_telemetry::json::JsonValue;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -39,9 +37,16 @@ use std::time::{Duration, Instant};
 /// Give up on a request after this many queue-full retries.
 const MAX_RETRIES_429: u32 = 50;
 
+/// A failed run: exit 1.
 fn fail(msg: &str) -> ! {
     eprintln!("serve_load: {msg}");
     std::process::exit(1);
+}
+
+/// Bad usage: exit 2, before any request is sent.
+fn usage(msg: &str) -> ! {
+    eprintln!("serve_load: {msg}");
+    std::process::exit(2);
 }
 
 struct Sample {
@@ -52,7 +57,6 @@ struct Sample {
 
 fn main() {
     let (tcli, argv) = TelemetryCli::from_env();
-    let (history, argv) = HistoryCli::extract(argv);
 
     let mut addr: Option<SocketAddr> = None;
     let mut requests = 200usize;
@@ -65,45 +69,22 @@ fn main() {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--addr" => {
-                let v = it.next().unwrap_or_else(|| fail("--addr needs HOST:PORT"));
-                addr = Some(v.parse().unwrap_or_else(|_| fail("--addr: bad address")));
+                addr = Some(flag_value(it.next(), "--addr", "HOST:PORT", |_| true));
             }
             "--requests" => {
-                requests = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| fail("--requests needs a positive count"));
+                requests = flag_value(it.next(), "--requests", "a positive count", |&n| n > 0);
             }
             "--clients" => {
-                clients = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| fail("--clients needs a positive count"));
+                clients = flag_value(it.next(), "--clients", "a positive count", |&n| n > 0);
             }
-            "--pool" => {
-                pool = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| fail("--pool needs a positive count"));
-            }
+            "--pool" => pool = flag_value(it.next(), "--pool", "a positive count", |&n| n > 0),
             "--optimize-percent" => {
-                optimize_percent = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n <= 100)
-                    .unwrap_or_else(|| fail("--optimize-percent needs 0..=100"));
+                optimize_percent =
+                    flag_value(it.next(), "--optimize-percent", "0..=100", |&n| n <= 100);
             }
-            "--seed" => {
-                seed = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| fail("--seed needs a number"));
-            }
-            "--out" => out = it.next().unwrap_or_else(|| fail("--out needs a path")),
-            other => fail(&format!("unknown argument {other:?}")),
+            "--seed" => seed = flag_value(it.next(), "--seed", "a number", |_| true),
+            "--out" => out = it.next().unwrap_or_else(|| usage("--out needs a path")),
+            other => usage(&format!("unknown argument {other}")),
         }
     }
 
@@ -283,39 +264,12 @@ fn main() {
         100.0 * cache_hit_rate,
     );
 
-    // Ledger entries. Latency and throughput are host-dependent (recorded,
-    // regression-gated against the rolling median only); the error counts
-    // and the hit rate are host-independent and carry absolute floors in
-    // CI. ok is Higher/errors Lower so any departure from a clean run is
-    // an automatic regression.
-    let mut report = BenchReport::new("serve_latency");
-    report.metric(&case, "p50_ms", "ms", p50_ms, Direction::Lower);
-    report.metric(&case, "p99_ms", "ms", p99_ms, Direction::Lower);
-    report.metric(
-        &case,
-        "req_per_sec",
-        "req/s",
-        req_per_sec,
-        Direction::Higher,
-    );
-    report.metric(&case, "ok", "count", ok as f64, Direction::Higher);
-    report.metric(
-        &case,
-        "server_errors",
-        "count",
-        server_errors as f64,
-        Direction::Lower,
-    );
-    report.metric(
-        &case,
-        "cache_hit_rate",
-        "ratio",
-        cache_hit_rate,
-        Direction::Higher,
-    );
-    history.append(&report);
-
-    if server_errors > 0 {
-        fail(&format!("{server_errors} requests answered 5xx"));
+    let refused = requests - ok;
+    if refused > 0 {
+        let throttled = samples.iter().filter(|s| s.status == 429).count();
+        fail(&format!(
+            "{refused} of {requests} requests got no 2xx answer: {client_errors} 4xx \
+             ({throttled} of them 429 after {MAX_RETRIES_429} retries), {server_errors} 5xx"
+        ));
     }
 }

@@ -34,17 +34,10 @@
 //! `validate_estimator` take no flags. An argument a binary does not read
 //! exits 2 naming it ([`reject_unknown_args`]).
 //!
-//! `serve_load` also accepts `--history-dir PATH` (see [`history_cli`]):
-//! besides its `BENCH_serve_latency.json` snapshot it then appends
-//! commit-stamped entries to the ledger at PATH, which the `bench-history`
-//! binary gates and renders (`docs/BENCHMARKS.md`). Without the flag
-//! nothing is appended.
-//!
 //! The [`layout_sweep`] grid races data layouts instead of paddings —
 //! linear vs best-pad vs searched Morton words vs cache-oblivious tiling
 //! (`docs/LAYOUTS.md`) — and the `layout_search` binary prints its table.
 
-pub mod history_cli;
 pub mod layout_sweep;
 pub mod sim;
 pub mod sweep;
@@ -55,6 +48,6 @@ pub mod versions;
 
 pub use sim::{simulate_versions, SimResult};
 pub use table::Table;
-pub use telemetry_cli::{int_flag, reject_unknown_args, TelemetryCli};
+pub use telemetry_cli::{flag_value, int_flag, reject_unknown_args, TelemetryCli};
 pub use timing::{mflops, time_kernel};
 pub use versions::{build_versions, OptLevel, Versions};

@@ -46,7 +46,9 @@
 //!
 //! [`int_flag`] reads a binary's own integer options (the size sweeps'
 //! `--step` and `--at`) with the same usage-error rule: a missing,
-//! non-numeric or out-of-range value exits 2 naming the flag. Likewise
+//! non-numeric or out-of-range value exits 2 naming the flag.
+//! [`flag_value`] applies the rule to any option a binary reads in its own
+//! argument loop (`serve`, `serve_load`). Likewise
 //! [`reject_unknown_args`] exits 2 naming the first argument a binary does
 //! not read, so a mistyped or unsupported option is never silently
 //! dropped.
@@ -278,6 +280,31 @@ fn try_int_flag(args: &[String], flag: &str, default: usize, min: usize) -> Resu
             None => Err(format!("{flag} needs a value")),
         },
     }
+}
+
+/// The value of a binary's own option `flag` (the argument after it,
+/// `None` when there is none) parsed as a `T` that passes `ok`. A missing
+/// value, or one that does not parse or pass, prints a message naming the
+/// flag, what it takes (`want`) and the value it got, and exits with status
+/// 2 before the binary does any work. For options read in a loop over the
+/// arguments, where [`int_flag`]'s lookup by position does not fit.
+pub fn flag_value<T: std::str::FromStr>(
+    value: Option<String>,
+    flag: &str,
+    want: &str,
+    ok: impl Fn(&T) -> bool,
+) -> T {
+    let parsed = match &value {
+        None => Err(format!("{flag} needs {want}")),
+        Some(v) => match v.parse() {
+            Ok(x) if ok(&x) => Ok(x),
+            _ => Err(format!("{flag} needs {want}, got {v:?}")),
+        },
+    };
+    parsed.unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    })
 }
 
 /// Exit with status 2, naming the first argument after `argv[0]` that the

@@ -155,22 +155,6 @@ fn removed_engine_flag_exits_2_naming_it() {
     }
 }
 
-/// `serve_load` given `--history-dir` without a value stops before doing
-/// any work instead of running without its ledger append.
-#[test]
-fn valueless_history_dir_exits_2_naming_it() {
-    for args in [
-        &["--history-dir"][..],
-        &["--history-dir", "--requests", "1"][..],
-    ] {
-        assert_usage_error(
-            env!("CARGO_BIN_EXE_serve_load"),
-            args,
-            "--history-dir needs a value",
-        );
-    }
-}
-
 /// A bad `--step` or `--at` is a usage error before any work: a zero step
 /// never advances, and a value that does not parse must not fall back to
 /// the default sweep.
@@ -191,12 +175,16 @@ fn bad_step_or_at_exits_2_naming_it() {
     }
 }
 
-/// An argument a binary does not read is a usage error before any work,
-/// not a silently dropped option. The binaries that simulate nothing take
-/// none of the shared telemetry and cache flags either.
+/// An argument a binary does not read, or a value it cannot use, is a
+/// usage error before any work, not a silently dropped option, a panic or
+/// the exit status of a failed run. The binaries that simulate nothing take
+/// none of the shared telemetry and cache flags either, and `serve_load`
+/// no longer takes `--history-dir`.
 #[test]
 fn unknown_argument_exits_2_naming_it() {
     let sweep = env!("CARGO_BIN_EXE_sweep");
+    let mlc = env!("CARGO_BIN_EXE_mlc");
+    let serve_load = env!("CARGO_BIN_EXE_serve_load");
     for (bin, args, needle) in [
         (
             env!("CARGO_BIN_EXE_table1"),
@@ -224,6 +212,48 @@ fn unknown_argument_exits_2_naming_it() {
             "unknown argument run",
         ),
         (sweep, &["--grid", "bogus"][..], r#"got "bogus""#),
+        (mlc, &["--bogus"][..], "unknown command '--bogus'"),
+        (
+            mlc,
+            &["simulate", "dot512", "--bogus"][..],
+            "unknown flag --bogus",
+        ),
+        (mlc, &["simulate", "nosuch"][..], "unknown program 'nosuch'"),
+        (
+            mlc,
+            &["simulate", "dot512", "--opt", "bogus"][..],
+            "unknown --opt bogus",
+        ),
+        (
+            mlc,
+            &["simulate", "dot512", "--l1", "1000"][..],
+            "--l1 1000: cache size 1000 must be a power of two",
+        ),
+        (
+            mlc,
+            &["simulate", "dot512", "--assoc", "3"][..],
+            "associativity 3 must divide",
+        ),
+        (
+            env!("CARGO_BIN_EXE_serve"),
+            &["--bogus"][..],
+            "serve: unknown argument --bogus",
+        ),
+        (
+            serve_load,
+            &["--bogus"][..],
+            "serve_load: unknown argument --bogus",
+        ),
+        (
+            serve_load,
+            &["--requests", "x"][..],
+            r#"--requests needs a positive count, got "x""#,
+        ),
+        (
+            serve_load,
+            &["--history-dir", "ledger"][..],
+            "serve_load: unknown argument --history-dir",
+        ),
     ] {
         assert_usage_error(bin, args, needle);
     }

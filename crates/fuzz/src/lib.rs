@@ -20,7 +20,8 @@
 //! * `MULTILVLPAD` / `PAD`-per-level leave no severe conflict at any level
 //!   (the Section 3.1.2 modular-arithmetic theorem);
 //! * `L2MAXPAD` preserves the L1 layout exactly (bases unchanged mod `S1`,
-//!   exploited-reuse count untouched — Section 3.2.2);
+//!   exploited-reuse count untouched — Section 3.2.2 — and simulated L1
+//!   counts unchanged wherever no L1 line holds bytes of two arrays);
 //! * the skeleton severe-conflict counter agrees with the reference
 //!   implementation in [`mlc_core::conflict`] exactly;
 //! * the fusion cost model's deltas are internally consistent and its
@@ -32,7 +33,7 @@
 //!   (pads, per-level miss counters, or the documented typed error).
 //!
 //! The [`requests`] module reuses the case generator to build seed-stable
-//! HTTP request streams for the `serve_load` benchmark.
+//! HTTP request streams for the `serve_load` load generator.
 //!
 //! A failing case is [shrunk](shrink) to a minimal reproducer and
 //! serialized in a line-oriented text format ([`corpus`]) meant to be

@@ -7,17 +7,13 @@
 //!
 //! Exit code 0 means every case passed every applicable oracle; 1 means at
 //! least one violation was found (reproducers are written to the failures
-//! directory); 2 means bad usage. `--history-dir DIR` appends the run's
-//! smoke counters to the `fuzz_smoke` ledger family under DIR; without it
-//! no ledger is written.
+//! directory); 2 means bad usage.
 
 use std::io::Write as _;
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::time::Instant;
 
 use mlc_fuzz::{check_case, corpus, shrink, Case, CaseConfig, ORACLES};
-use mlc_telemetry::bench_report::{BenchReport, Direction};
 use mlc_telemetry::MetricsRegistry;
 
 struct Options {
@@ -27,15 +23,10 @@ struct Options {
     failures_dir: PathBuf,
     metrics_out: Option<PathBuf>,
     emit_case: Option<u64>,
-    /// Bench-ledger directory; `None` unless `--history-dir` was given.
-    /// Smoke counters (cases/s, violations, oracle checks) append under
-    /// family `fuzz_smoke` so CI can gate on them (`docs/BENCHMARKS.md`).
-    history_dir: Option<PathBuf>,
 }
 
 const USAGE: &str = "usage: fuzz [--seed N] [--cases N] [--max-arrays N] \
-[--failures-dir DIR] [--metrics-out FILE] [--emit-case SEED] \
-[--history-dir DIR]";
+[--failures-dir DIR] [--metrics-out FILE] [--emit-case SEED]";
 
 fn parse_args() -> Result<Options, String> {
     let mut opts = Options {
@@ -45,7 +36,6 @@ fn parse_args() -> Result<Options, String> {
         failures_dir: PathBuf::from("fuzz-failures"),
         metrics_out: None,
         emit_case: None,
-        history_dir: None,
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -60,7 +50,6 @@ fn parse_args() -> Result<Options, String> {
             "--failures-dir" => opts.failures_dir = PathBuf::from(value("--failures-dir")?),
             "--metrics-out" => opts.metrics_out = Some(PathBuf::from(value("--metrics-out")?)),
             "--emit-case" => opts.emit_case = Some(parse_num(&value("--emit-case")?)?),
-            "--history-dir" => opts.history_dir = Some(PathBuf::from(value("--history-dir")?)),
             "--help" | "-h" => {
                 println!("{USAGE}");
                 std::process::exit(0);
@@ -115,7 +104,6 @@ fn main() -> ExitCode {
 
     let mut metrics = MetricsRegistry::new();
     let mut failures = 0u64;
-    let loop_start = Instant::now();
 
     for i in 0..opts.cases {
         let seed = opts.seed.wrapping_add(i);
@@ -152,47 +140,7 @@ fn main() -> ExitCode {
         }
     }
 
-    let loop_secs = loop_start.elapsed().as_secs_f64();
     let _ = std::panic::take_hook();
-
-    if let Some(dir) = &opts.history_dir {
-        // One series per run shape: runs with different case counts check
-        // different amounts of work, so they must not share a series.
-        let case = format!("cases{}", opts.cases);
-        let checked_total: u64 = ORACLES
-            .iter()
-            .map(|o| metrics.counter(&format!("fuzz_checked_{o}")))
-            .sum();
-        let mut report = BenchReport::new("fuzz_smoke");
-        report.metric(
-            &case,
-            "cases_per_sec",
-            "cases/s",
-            opts.cases as f64 / loop_secs.max(1e-9),
-            Direction::Higher,
-        );
-        report.metric(
-            &case,
-            "checked_total",
-            "count",
-            checked_total as f64,
-            Direction::Higher,
-        );
-        report.metric(
-            &case,
-            "violations",
-            "count",
-            failures as f64,
-            Direction::Lower,
-        );
-        match report.append_to(dir) {
-            Ok(n) => eprintln!("bench-history: appended {n} entries to {}", dir.display()),
-            Err(e) => eprintln!(
-                "bench-history: could not append to {}: {e} (fuzz outcome is unaffected)",
-                dir.display()
-            ),
-        }
-    }
 
     if let Some(path) = &opts.metrics_out {
         if let Err(e) = std::fs::write(path, metrics.to_json_string()) {

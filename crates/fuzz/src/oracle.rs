@@ -9,6 +9,7 @@
 
 use crate::case::Case;
 use mlc_cache_sim::tlb::Tlb;
+use mlc_cache_sim::HierarchyConfig;
 use mlc_core::conflict::severe_conflicts;
 use mlc_core::fusion::{accounting_cost, fusion_profit, reuse_layout};
 use mlc_core::group::{exploited_count, ProgramSkeleton};
@@ -19,7 +20,7 @@ use mlc_core::maxpad::l2_max_pad;
 use mlc_core::pad::{multilvl_pad, pad_all_levels, PadResult};
 use mlc_core::{estimate_misses, MissCosts};
 use mlc_model::trace_gen::{try_generate_with, try_simulate_steady_with, try_simulate_with};
-use mlc_model::DataLayout;
+use mlc_model::{DataLayout, Program};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Names of every oracle, in the order they run. Telemetry counters and the
@@ -912,8 +913,9 @@ fn check_multilvlpad(case: &Case, r: &mut Report) {
 }
 
 /// `L2MAXPAD` preserves the GROUPPAD L1 layout exactly: every base address
-/// unchanged mod `S1`, every extra pad an `S1` multiple, and the count of
-/// references exploiting group reuse on L1 untouched (Section 3.2.2).
+/// unchanged mod `S1`, every extra pad an `S1` multiple, the count of
+/// references exploiting group reuse on L1 untouched (Section 3.2.2), and,
+/// where [`compare_l1_counts`] applies, the simulated L1 counts too.
 fn check_l2maxpad(case: &Case, r: &mut Report) {
     let oracle = "l2maxpad-preserves-l1";
     let (p, h) = (&case.program, &case.hierarchy);
@@ -971,7 +973,73 @@ fn check_l2maxpad(case: &Case, r: &mut Report) {
         );
         return;
     }
+    if let Err(detail) = compare_l1_counts(p, h, &g.layout, &m.layout) {
+        r.fail(oracle, detail);
+        return;
+    }
     r.checked.push(oracle);
+}
+
+/// Compare the simulated L1 counters (cold, and steady after one warm-up
+/// sweep) of two layouts whose bases agree mod `S1`. The counts must match
+/// when no L1 line holds bytes of two arrays in either layout: every L1
+/// line then holds the same bytes in the same set under both layouts, and
+/// L1 outcomes never depend on deeper levels (levels are non-inclusive and
+/// nothing below L1 feeds back into it). A shared line is excluded because
+/// moving one of its arrays by `S1` splits it into two lines.
+///
+/// Returns whether the counts were compared; `Err` names a mismatch. A
+/// layout the trace generator rejects is not compared.
+fn compare_l1_counts(
+    p: &Program,
+    h: &HierarchyConfig,
+    a: &DataLayout,
+    b: &DataLayout,
+) -> Result<bool, String> {
+    let line = h.levels[0].line as u64;
+    if shares_a_line(p, a, line) || shares_a_line(p, b, line) {
+        return Ok(false);
+    }
+    for (proto, ra, rb) in [
+        (
+            "cold",
+            try_simulate_with(p, a, h, true),
+            try_simulate_with(p, b, h, true),
+        ),
+        (
+            "steady",
+            try_simulate_steady_with(p, a, h, 1, 1, true),
+            try_simulate_steady_with(p, b, h, 1, 1, true),
+        ),
+    ] {
+        let (Ok(ra), Ok(rb)) = (ra, rb) else {
+            return Ok(false);
+        };
+        if ra.levels[0] != rb.levels[0] {
+            return Err(format!(
+                "{proto} L1 counts changed: {:?} under GROUPPAD, {:?} under L2MAXPAD",
+                ra.levels[0], rb.levels[0]
+            ));
+        }
+    }
+    Ok(true)
+}
+
+/// Whether some `line`-byte cache line holds bytes of two arrays.
+fn shares_a_line(p: &Program, layout: &DataLayout, line: u64) -> bool {
+    let mut spans: Vec<(u64, u64)> = p
+        .arrays
+        .iter()
+        .enumerate()
+        .map(|(k, a)| {
+            let base = layout.bases[k];
+            (base, base + layout.family(k).alloc_bytes(a))
+        })
+        .collect();
+    spans.sort_unstable();
+    spans
+        .windows(2)
+        .any(|w| (w[0].1 - 1) / line >= w[1].0 / line)
 }
 
 /// The fusion cost model's published fields must be internally consistent:
@@ -1195,5 +1263,51 @@ mod tests {
         for name in ORACLES {
             assert!(seen.contains(name), "oracle {name} never ran in 40 cases");
         }
+    }
+
+    /// GROUPPAD and L2MAXPAD layouts of a generated case, when both
+    /// searches succeed on a hierarchy of two or more levels.
+    fn l2maxpad_pair(case: &Case) -> Option<(DataLayout, DataLayout)> {
+        let (p, h) = (&case.program, &case.hierarchy);
+        if h.depth() < 2 {
+            return None;
+        }
+        let g = caught(|| group_pad(p, h.levels[0])).ok()?;
+        let m = caught(|| l2_max_pad(p, h.levels[0], h.levels[1], &g.pads))
+            .ok()?
+            .ok()?;
+        Some((g.layout, m.layout))
+    }
+
+    #[test]
+    fn l2maxpad_l1_counts_are_compared_on_moved_layouts() {
+        // The count comparison must not be starved by its line-sharing
+        // condition: on some generated case it runs where L2MAXPAD moved a
+        // base, so the two simulations differ in their L2 layout.
+        let cfg = CaseConfig::default();
+        let compared = (0..40)
+            .filter(|&seed| {
+                let case = Case::generate(seed, &cfg);
+                l2maxpad_pair(&case).is_some_and(|(g, m)| {
+                    g.bases != m.bases
+                        && compare_l1_counts(&case.program, &case.hierarchy, &g, &m) == Ok(true)
+                })
+            })
+            .count();
+        assert!(compared > 0, "no moved layout had its L1 counts compared");
+    }
+
+    #[test]
+    fn l2maxpad_l1_counts_may_differ_when_arrays_share_a_line() {
+        // Seed 98: GROUPPAD leaves two arrays on one L1 line, L2MAXPAD
+        // moves one of them by a multiple of S1 and so splits that line,
+        // and the L1 miss counts differ. The comparison must exclude it.
+        let case = Case::generate(98, &CaseConfig::default());
+        let (p, h) = (&case.program, &case.hierarchy);
+        let (g, m) = l2maxpad_pair(&case).expect("both searches succeed");
+        assert!(shares_a_line(p, &g, h.levels[0].line as u64));
+        let l1 = |layout: &DataLayout| try_simulate_with(p, layout, h, true).unwrap().levels[0];
+        assert_ne!(l1(&g), l1(&m));
+        assert_eq!(compare_l1_counts(p, h, &g, &m), Ok(false));
     }
 }

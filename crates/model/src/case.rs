@@ -61,7 +61,8 @@ impl Case {
 
     /// The case's data layout (pads and families materialized into base
     /// addresses). Infallible because [`Case::validate`] already checked
-    /// the family vector against the declarations.
+    /// the family vector against the declarations and the layout's end
+    /// against the address range.
     pub fn layout(&self) -> DataLayout {
         if self.families.is_empty() {
             DataLayout::with_pads(&self.program.arrays, &self.pads)
@@ -72,8 +73,10 @@ impl Case {
     }
 
     /// Structural sanity: the program validates, the pad vector covers
-    /// every array, and any layout families fit their declarations. Shrink
-    /// steps and corpus parsing gate on this.
+    /// every array, any layout families fit their declarations, and the
+    /// layout ends inside the `i64` address range
+    /// ([`DataLayout::checked_end`]). Shrink steps and corpus parsing gate
+    /// on this.
     pub fn validate(&self) -> Result<(), String> {
         self.program.validate()?;
         if self.pads.len() != self.program.arrays.len() {
@@ -95,6 +98,9 @@ impl Case {
                 fam.validate(a)
                     .map_err(|e| format!("array {}: {e}", a.name))?;
             }
+        }
+        if DataLayout::checked_end(&self.program.arrays, &self.pads, &self.families).is_none() {
+            return Err(format!("the layout would end past byte {}", i64::MAX));
         }
         Ok(())
     }

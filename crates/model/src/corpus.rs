@@ -35,7 +35,7 @@ use crate::case::Case;
 use crate::expr::AffineExpr;
 use crate::layout::LayoutFamily;
 use crate::nest::{Loop, LoopNest};
-use crate::{ArrayDecl, ArrayRef, Program};
+use crate::{ArrayDecl, ArrayRef, DataLayout, Program};
 use mlc_cache_sim::{CacheConfig, HierarchyConfig, ReplacementPolicy};
 use std::path::Path;
 
@@ -148,18 +148,14 @@ pub fn parse_case(text: &str) -> Result<(Case, Option<String>), String> {
                 let l: usize = field(&rest, 1, "line").map_err(&err)?;
                 let assoc: usize = field(&rest, 2, "associativity").map_err(&err)?;
                 let pen: f64 = field(&rest, 3, "penalty").map_err(&err)?;
-                // Pre-check the constructor invariants so a hand-edited
-                // file yields a parse error, not a panic.
-                if !size.is_power_of_two()
-                    || !l.is_power_of_two()
-                    || l == 0
-                    || l > size
-                    || assoc == 0
-                    || !(size / l).is_multiple_of(assoc)
-                {
-                    return Err(err(format!("illegal cache geometry {size}/{l}/{assoc}")));
+                if !(pen.is_finite() && pen >= 0.0) {
+                    return Err(err(format!(
+                        "miss penalty {pen} is not a finite non-negative number"
+                    )));
                 }
-                levels.push(CacheConfig::new(size, l, assoc, ReplacementPolicy::Lru));
+                levels.push(
+                    CacheConfig::try_new(size, l, assoc, ReplacementPolicy::Lru).map_err(&err)?,
+                );
                 penalties.push(pen);
             }
             "array" => {
@@ -190,6 +186,7 @@ pub fn parse_case(text: &str) -> Result<(Case, Option<String>), String> {
                 }
                 program.add_array(decl);
                 pads.push(pad);
+                check_layout_end(&program, &pads, &families, name).map_err(&err)?;
             }
             "layout" => {
                 let array: usize = field(&rest, 0, "array index").map_err(&err)?;
@@ -204,8 +201,13 @@ pub fn parse_case(text: &str) -> Result<(Case, Option<String>), String> {
                 match family {
                     "morton" => {
                         let word: Vec<u8> = list(&rest, 2, "interleave word").map_err(&err)?;
+                        let decl = &program.arrays[array];
+                        let family = LayoutFamily::Morton(word);
+                        family.validate(decl).map_err(&err)?;
                         families.resize(program.arrays.len(), LayoutFamily::Linear);
-                        families[array] = LayoutFamily::Morton(word);
+                        families[array] = family;
+                        check_layout_end(&program, &pads, &families, &program.arrays[array].name)
+                            .map_err(&err)?;
                     }
                     other => return Err(err(format!("unknown layout family {other}"))),
                 }
@@ -263,22 +265,7 @@ pub fn parse_case(text: &str) -> Result<(Case, Option<String>), String> {
     if nest.is_some() {
         return Err("unterminated nest at end of file".to_string());
     }
-    if levels.is_empty() {
-        return Err("case declares no cache levels".to_string());
-    }
-    for (i, w) in levels.windows(2).enumerate() {
-        let (inner, outer) = (w[0], w[1]);
-        if outer.size < inner.size
-            || !outer.size.is_multiple_of(inner.size)
-            || outer.line < inner.line
-        {
-            return Err(format!(
-                "levels {} and {} violate the nesting invariants",
-                i + 1,
-                i + 2
-            ));
-        }
-    }
+    let hierarchy = HierarchyConfig::try_new(levels, penalties)?;
     if !families.is_empty() {
         families.resize(program.arrays.len(), LayoutFamily::Linear);
     }
@@ -287,10 +274,27 @@ pub fn parse_case(text: &str) -> Result<(Case, Option<String>), String> {
         program,
         pads,
         families,
-        hierarchy: HierarchyConfig::new(levels, penalties),
+        hierarchy,
     };
     case.validate()?;
     Ok((case, oracle))
+}
+
+/// An error naming `array` when the arrays declared so far would lay out
+/// past the `i64` address range ([`DataLayout::checked_end`]).
+fn check_layout_end(
+    program: &Program,
+    pads: &[u64],
+    families: &[LayoutFamily],
+    array: &str,
+) -> Result<(), String> {
+    match DataLayout::checked_end(&program.arrays, pads, families) {
+        Some(_) => Ok(()),
+        None => Err(format!(
+            "array {array}: the layout would end past byte {}",
+            i64::MAX
+        )),
+    }
 }
 
 /// Read and parse one corpus file.
@@ -389,9 +393,75 @@ mod tests {
 
     #[test]
     fn parse_rejects_malformed_input() {
-        assert!(parse_case("").is_err(), "no levels");
-        assert!(parse_case("level 1000 32 1 6\n").is_err(), "size not a power of two is a panic domain; 1000 parses but construction must be caught upstream"
-        );
+        // Each input fails with an error naming its line (when one line is
+        // at fault) instead of panicking or wrapping when the case is laid
+        // out or simulated.
+        let level = "level 1024 32 1 6\n";
+        let big = 1u64 << 62;
+        for (text, needle) in [
+            (String::new(), "at least one level"),
+            (
+                "level 1000 32 1 6\n".to_string(),
+                "line 1: cache size 1000 must be a power of two",
+            ),
+            (
+                "level 1024 32 3 6\n".to_string(),
+                "line 1: associativity 3 must divide",
+            ),
+            (
+                "level 1024 32 1 NaN\n".to_string(),
+                "line 1: miss penalty NaN",
+            ),
+            (
+                "level 1024 32 1 inf\n".to_string(),
+                "line 1: miss penalty inf",
+            ),
+            (
+                "level 1024 32 1 -6\n".to_string(),
+                "line 1: miss penalty -6",
+            ),
+            (
+                format!("{level}level 512 32 1 50\n"),
+                "outer cache size 512 must be a multiple of inner size 1024",
+            ),
+            // An extent whose byte size overflows.
+            (
+                format!("{level}array a 8 {big} 0 0\n"),
+                "line 2: array a: the layout would end past",
+            ),
+            // Extents whose element count fits but whose byte size does not.
+            (
+                format!("{level}array a 8 4000000000,4000000000 0,0 0\n"),
+                "line 2: array a: the layout would end past",
+            ),
+            // An intra-pad that overflows the allocated extent.
+            (
+                format!("{level}array a 8 8 {} 0\n", usize::MAX),
+                "line 2: array a: the layout would end past",
+            ),
+            // An inter-pad that overflows the cursor, and one that stays a
+            // valid u64 but leaves the i64 address range.
+            (
+                format!("{level}array a 8 8 0 0\narray b 8 8 0 {}\n", u64::MAX),
+                "line 3: array b: the layout would end past",
+            ),
+            (
+                format!("{level}array a 8 8 0 {}\n", 1u64 << 63),
+                "line 2: array a: the layout would end past",
+            ),
+            // A Morton envelope whose byte size overflows.
+            (
+                format!(
+                    "{level}array a {} 2 0 0\nlayout 0 morton {}\n",
+                    1u64 << 40,
+                    vec!["0"; 40].join(",")
+                ),
+                "line 3: array a: the layout would end past",
+            ),
+        ] {
+            let err = parse_case(&text).unwrap_err();
+            assert!(err.contains(needle), "{text:?}: {err}");
+        }
     }
 
     #[test]

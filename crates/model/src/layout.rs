@@ -233,6 +233,36 @@ impl DataLayout {
         })
     }
 
+    /// The `total_size` [`DataLayout::with_pads_and_families`] would give,
+    /// computed with checked arithmetic, or `None` when some array's size
+    /// or the layout's end would not fit in an `i64` byte address (the
+    /// address type of trace generation). Arrays past the end of
+    /// `families` count as linear. Declarations and pads that come from
+    /// outside the program are checked with this before a layout is built.
+    pub fn checked_end(
+        arrays: &[ArrayDecl],
+        pads: &[u64],
+        families: &[LayoutFamily],
+    ) -> Option<u64> {
+        let mut cursor = 0u64;
+        for (k, (a, &pad)) in arrays.iter().zip(pads).enumerate() {
+            let bytes = match families.get(k) {
+                Some(LayoutFamily::Morton(word)) => 1u64
+                    .checked_shl(u32::try_from(word.len()).ok()?)?
+                    .checked_mul(a.elem_size as u64)?,
+                _ => a
+                    .dims
+                    .iter()
+                    .zip(&a.dim_pad)
+                    .try_fold(a.elem_size, |acc, (&d, &p)| {
+                        acc.checked_mul(d.checked_add(p)?)
+                    })? as u64,
+            };
+            cursor = cursor.checked_add(pad)?.checked_add(bytes)?;
+        }
+        (cursor <= i64::MAX as u64).then_some(cursor)
+    }
+
     /// The pads this layout implies, given the declarations it was built for
     /// (inverse of [`DataLayout::with_pads`]).
     pub fn pads(&self, arrays: &[ArrayDecl]) -> Vec<u64> {

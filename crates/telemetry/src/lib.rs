@@ -25,14 +25,10 @@
 //!   every experiment binary.
 //! * [`json`] / [`schema`] — a dependency-free JSON parser/serializer and
 //!   a small JSON Schema validator used to check the metrics export
-//!   against `results/metrics_schema.json` and benchmark-ledger entries
-//!   against `results/bench_entry_schema.json`.
-//! * [`bench_report`] — the benchmark ledger: one versioned
-//!   [`BenchEntry`](bench_report::BenchEntry) schema (commit, timestamp,
-//!   host/toolchain fingerprint, metric name/unit/value and a
-//!   higher-or-lower-is-better direction) plus the append-only JSONL
-//!   history store under `results/bench_history/` that the
-//!   `bench-history` binary compares, gates, and renders.
+//!   against `results/metrics_schema.json`.
+//! * [`bench_report`] — the [`EnvInfo`](bench_report::EnvInfo) stamp
+//!   (commit, timestamp, host, toolchain, build profile) the end-to-end
+//!   benchmark writes into every results file.
 //! * [`envfilter`] — an `MLC_LOG` (`RUST_LOG`-style) filter applied to
 //!   span/metrics exports, so noisy probe counters can be silenced
 //!   without recompiling.
@@ -52,7 +48,6 @@ pub mod span;
 
 mod bundle;
 
-pub use bench_report::{BenchEntry, BenchReport, Direction, EnvInfo};
 pub use bundle::Telemetry;
 pub use classify::{MissBreakdown, MissClass, MissClassifier, ShadowGeometry};
 pub use envfilter::{EnvFilter, Level};

@@ -1,12 +1,10 @@
 //! A minimal JSON Schema validator over [`JsonValue`].
 //!
 //! Supports the subset of draft-07 needed to pin down the metrics export
-//! format in `results/metrics_schema.json` and the benchmark-ledger entry
-//! format in `results/bench_entry_schema.json`: `type` (string or array of
+//! format in `results/metrics_schema.json`: `type` (string or array of
 //! strings), `properties`, `required`, `additionalProperties` (boolean or
-//! schema), `items` (single schema), `enum`, `minimum`, `maximum`,
-//! `minLength`, `maxLength`, `minItems`, and `const`. Unknown keywords are
-//! ignored, as the spec requires.
+//! schema), `items` (single schema), `enum`, `minimum`, and `const`.
+//! Unknown keywords are ignored, as the spec requires.
 //!
 //! Not a general-purpose validator — no `$ref`, no `oneOf`, no string
 //! formats — but enough that the experiment binaries' output can be
@@ -123,48 +121,6 @@ fn validate_at(schema: &JsonValue, value: &JsonValue, path: &str, errors: &mut V
                 errors.push(SchemaError {
                     path: path.to_string(),
                     message: format!("value {n} below minimum {min}"),
-                });
-            }
-        }
-    }
-
-    if let Some(max) = field("maximum").and_then(JsonValue::as_f64) {
-        if let Some(n) = value.as_f64() {
-            if n > max {
-                errors.push(SchemaError {
-                    path: path.to_string(),
-                    message: format!("value {n} above maximum {max}"),
-                });
-            }
-        }
-    }
-
-    if let JsonValue::Str(s) = value {
-        let chars = s.chars().count() as f64;
-        if let Some(min) = field("minLength").and_then(JsonValue::as_f64) {
-            if chars < min {
-                errors.push(SchemaError {
-                    path: path.to_string(),
-                    message: format!("string length {chars} below minLength {min}"),
-                });
-            }
-        }
-        if let Some(max) = field("maxLength").and_then(JsonValue::as_f64) {
-            if chars > max {
-                errors.push(SchemaError {
-                    path: path.to_string(),
-                    message: format!("string length {chars} above maxLength {max}"),
-                });
-            }
-        }
-    }
-
-    if let JsonValue::Array(items) = value {
-        if let Some(min) = field("minItems").and_then(JsonValue::as_f64) {
-            if (items.len() as f64) < min {
-                errors.push(SchemaError {
-                    path: path.to_string(),
-                    message: format!("array length {} below minItems {min}", items.len()),
                 });
             }
         }
@@ -291,37 +247,5 @@ mod tests {
         let s = schema(r#"{"type":"number","minimum":0}"#);
         assert!(validate(&s, &JsonValue::Num(0.0)).is_empty());
         assert_eq!(validate(&s, &JsonValue::Num(-1.0)).len(), 1);
-    }
-
-    #[test]
-    fn maximum_is_checked() {
-        let s = schema(r#"{"type":"number","maximum":10}"#);
-        assert!(validate(&s, &JsonValue::Num(10.0)).is_empty());
-        assert_eq!(validate(&s, &JsonValue::Num(10.5)).len(), 1);
-    }
-
-    #[test]
-    fn string_length_bounds_are_checked() {
-        let s = schema(r#"{"type":"string","minLength":1,"maxLength":4}"#);
-        assert!(validate(&s, &JsonValue::from("abc")).is_empty());
-        let too_short = validate(&s, &JsonValue::from(""));
-        assert_eq!(too_short.len(), 1);
-        assert!(too_short[0].message.contains("minLength"));
-        let too_long = validate(&s, &JsonValue::from("abcde"));
-        assert_eq!(too_long.len(), 1);
-        assert!(too_long[0].message.contains("maxLength"));
-        // Length keywords are ignored on non-strings.
-        assert!(validate(&s, &JsonValue::Num(1.0)).len() == 1); // type error only
-    }
-
-    #[test]
-    fn min_items_is_checked() {
-        let s = schema(r#"{"type":"array","minItems":2}"#);
-        let two = JsonValue::parse("[1,2]").unwrap();
-        assert!(validate(&s, &two).is_empty());
-        let one = JsonValue::parse("[1]").unwrap();
-        let errs = validate(&s, &one);
-        assert_eq!(errs.len(), 1);
-        assert!(errs[0].message.contains("minItems"));
     }
 }

@@ -7,10 +7,14 @@
 //! and the same typed failures. The differential logic lives in the fuzz
 //! battery's `serve-parity` oracle (`mlc_fuzz::oracle`); this test pins it
 //! to plain `cargo test` so a wire-format or handler regression cannot
-//! land silently.
+//! land silently. The `serve_load` request stream, replayed from several
+//! clients, pins the result-cache front: repeats of a request are answered
+//! without computing it again.
 
 use mlc_fuzz::oracle::check_serve_parity_only;
-use mlc_fuzz::{corpus, Case, CaseConfig};
+use mlc_fuzz::{corpus, Case, CaseConfig, RequestStream, RequestStreamConfig};
+use mlc_serve::{send_request, Server, ServerConfig};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Fresh generator cases replayed through the server per run.
 const FRESH_CASES: u64 = 200;
@@ -61,5 +65,53 @@ fn fresh_seeded_cases_serve_identically() {
     assert!(
         judged >= FRESH_CASES * 9 / 10,
         "only {judged}/{FRESH_CASES} cases were actually judged"
+    );
+}
+
+/// The default `serve_load` stream (seed 0: 200 requests over an 8-case
+/// pool), replayed from 4 client threads through a self-hosted server: every
+/// request gets a 2xx answer, and the server computes each distinct
+/// `(case, endpoint)` key at most once. Racing duplicates coalesce onto one
+/// compute and later ones are cache hits, so without the result-cache
+/// front nearly every request would compute.
+#[test]
+fn request_stream_computes_each_distinct_key_at_most_once() {
+    let stream = RequestStream::generate(0, &RequestStreamConfig::default());
+    let mut server = Server::start(ServerConfig::default()).expect("server starts");
+    let addr = server.addr();
+    let next = AtomicUsize::new(0);
+    let statuses: Vec<u16> = std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..4)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut mine = Vec::new();
+                    while let Some(req) = stream.requests.get(next.fetch_add(1, Ordering::Relaxed))
+                    {
+                        let resp = send_request(addr, "POST", &req.path_and_query, &req.body)
+                            .expect("request answered");
+                        mine.push(resp.status);
+                    }
+                    mine
+                })
+            })
+            .collect();
+        clients
+            .into_iter()
+            .flat_map(|c| c.join().expect("client thread"))
+            .collect()
+    });
+    let computes = server.counters().computes.load(Ordering::Relaxed);
+    server.shutdown();
+
+    assert_eq!(statuses.len(), 200);
+    let refused: Vec<u16> = statuses
+        .into_iter()
+        .filter(|s| !(200..300).contains(s))
+        .collect();
+    assert!(refused.is_empty(), "answers without 2xx: {refused:?}");
+    assert!(
+        computes <= stream.distinct_keys as u64,
+        "{computes} computes for {} distinct keys",
+        stream.distinct_keys
     );
 }
