@@ -1,8 +1,8 @@
 //! Work-stealing executor for the embarrassingly parallel sweeps.
 //!
 //! The evaluation grid (kernels × padding families × hierarchies) and the
-//! padding search's candidate scans both fan a fixed, indexed work set out
-//! over OS threads. Results never pass through a single consumer (one
+//! Morton layout search's candidate scans both fan a fixed, indexed work
+//! set out over OS threads. Results never pass through a single consumer (one
 //! receiver draining the whole machine's output would make added cores
 //! queue behind it instead of finishing the sweep sooner):
 //!

@@ -25,13 +25,14 @@
 //! exploits it on L2, or must go to memory (leading references, and arcs
 //! exploited nowhere).
 //!
-//! Because `GROUPPAD` evaluates this accounting for every candidate base
-//! address (hundreds of positions per variable, and the Figure 11/12
-//! sweeps rerun it for hundreds of problem sizes), the analysis is split
-//! into a precompiled, allocation-free [`ProgramSkeleton`]: everything that
-//! does not depend on base addresses (uniformly generated sets, per-
-//! reference offsets, identical-reference classes) is computed once; a
-//! candidate layout is then just a `bases` slice.
+//! Because `GROUPPAD` evaluates this accounting over many candidate base
+//! addresses (and the Figure 11/12 sweeps rerun it for hundreds of problem
+//! sizes), the analysis is split into a precompiled, allocation-free
+//! [`ProgramSkeleton`]: everything that does not depend on base addresses
+//! (uniformly generated sets, per-reference offsets, identical-reference
+//! classes) is computed once; a candidate layout is then just a `bases`
+//! slice. The per-pair and per-intervener tests are exposed separately so
+//! the search in [`crate::search`] can turn each into a window of pads.
 
 use mlc_cache_sim::CacheConfig;
 use mlc_model::diagram::reference_addresses;
@@ -150,20 +151,8 @@ impl NestSkeleton {
         self.array.is_empty()
     }
 
-    /// Cache location of reference `r` under the given base addresses.
-    #[inline]
-    fn loc(&self, r: usize, bases: &[u64], cache: CacheConfig) -> u64 {
-        cache.location(bases[self.array[r]] + self.offset[r])
-    }
-
     /// The arc test (see module docs), parametric in base addresses.
     /// `visible[a] == false` hides array `a`'s references entirely.
-    ///
-    /// An intervening reference only flushes the cached data if it brings a
-    /// **different tag** to the slot: a reference whose sweep reaches the
-    /// leading element's cache slot while reading that very memory line
-    /// (e.g. a group sibling trailing a few bytes behind) refreshes the
-    /// line instead of evicting it.
     pub(crate) fn arc_exploited(
         &self,
         bases: &[u64],
@@ -173,55 +162,97 @@ impl NestSkeleton {
         span_bytes: u64,
         visible: Option<&[bool]>,
     ) -> bool {
-        let s = cache.size as u64;
-        let line = cache.line as u64;
         if span_bytes == 0 {
             return true; // same element: register-level reuse
         }
-        if span_bytes + line > s {
+        if span_bytes + cache.line as u64 > cache.size as u64 {
             return false; // the span cannot be held
         }
-        let lead_loc = self.loc(leading, bases, cache);
+        !(0..self.len()).any(|r| {
+            self.intervenes(r, trailing, leading, visible)
+                && self.flushes(bases, cache, r, leading, span_bytes)
+        })
+    }
+
+    /// Can reference `r` disturb the arc from `trailing` to `leading` at
+    /// all? Only if it is visible and touches neither end's data: identical
+    /// references (same data) never flush the shared line.
+    pub(crate) fn intervenes(
+        &self,
+        r: usize,
+        trailing: usize,
+        leading: usize,
+        visible: Option<&[bool]>,
+    ) -> bool {
+        r != trailing
+            && r != leading
+            && visible.is_none_or(|vis| vis[self.array[r]])
+            && self.data_id[r] != self.data_id[leading]
+            && self.data_id[r] != self.data_id[trailing]
+    }
+
+    /// Does intervening reference `r` flush the line `leading` brought in
+    /// before the trailing reference `span_bytes` behind it reuses it?
+    ///
+    /// It does iff its offset under the lead, `(loc(lead) − loc(r)) mod s`,
+    /// lies in `[0, span + line)` (its sweep covers the slot) or in
+    /// `(s − line, s)` (it sits within a line above the lead) — unless it
+    /// brings the cached line's own tag. Same-tag accesses refresh rather
+    /// than evict, but only same-array adjacency is stable under
+    /// inter-variable padding (two different arrays can share a line only by
+    /// the accident of being laid out back-to-back); the model counts on the
+    /// former and conservatively ignores the latter.
+    pub(crate) fn flushes(
+        &self,
+        bases: &[u64],
+        cache: CacheConfig,
+        r: usize,
+        leading: usize,
+        span_bytes: u64,
+    ) -> bool {
+        let s = cache.size as u64;
+        let line = cache.line as u64;
         let lead_addr = bases[self.array[leading]] + self.offset[leading];
-        for r in 0..self.len() {
-            if r == trailing || r == leading {
-                continue;
-            }
-            if let Some(vis) = visible {
-                if !vis[self.array[r]] {
-                    continue;
-                }
-            }
-            // Identical references (same data) never flush the shared line.
-            if self.data_id[r] == self.data_id[leading] || self.data_id[r] == self.data_id[trailing]
-            {
-                continue;
-            }
-            // Same-tag accesses refresh rather than evict, but only
-            // same-array adjacency is stable under inter-variable padding
-            // (two different arrays can share a line only by the accident
-            // of being laid out back-to-back); the model counts on the
-            // former and conservatively ignores the latter.
-            let same_array = self.array[r] == self.array[leading];
-            let r_addr = bases[self.array[r]] + self.offset[r];
-            let off = (lead_loc + s - self.loc(r, bases, cache)) % s;
-            if off < span_bytes + line {
-                // r's sweep covers the slot; it evicts unless it is a group
-                // sibling arriving with the cached line's own tag. Its data
-                // address upon reaching the slot is r_addr + off
-                // (unit-stride lockstep motion).
-                if !(same_array && (r_addr + off).abs_diff(lead_addr) < line) {
-                    return false;
-                }
-            } else if off > s - line {
-                // r sits within a line above the lead: same slot at the
-                // start; a foreign tag evicts immediately.
-                if !(same_array && r_addr.abs_diff(lead_addr) < line) {
-                    return false;
-                }
-            }
+        let r_addr = bases[self.array[r]] + self.offset[r];
+        let same_array = self.array[r] == self.array[leading];
+        let off = (cache.location(lead_addr) + s - cache.location(r_addr)) % s;
+        if off < span_bytes + line {
+            // r's sweep covers the slot; it evicts unless it is a group
+            // sibling arriving with the cached line's own tag. Its data
+            // address upon reaching the slot is r_addr + off (unit-stride
+            // lockstep motion).
+            !(same_array && (r_addr + off).abs_diff(lead_addr) < line)
+        } else if off > s - line {
+            // r sits within a line above the lead: same slot at the start;
+            // a foreign tag evicts immediately.
+            !(same_array && r_addr.abs_diff(lead_addr) < line)
+        } else {
+            false
         }
-        true
+    }
+
+    /// The arcs among the visible references, as `(trailing, leading,
+    /// span_bytes)`: every reference of a uniformly generated set that has a
+    /// memory-adjacent leader. Register-level duplicates and leading
+    /// references have none, so every span is positive.
+    pub(crate) fn arcs<'s>(
+        &'s self,
+        visible: Option<&'s [bool]>,
+    ) -> impl Iterator<Item = (usize, usize, u64)> + 's {
+        self.groups.iter().flat_map(move |g| {
+            g.members
+                .iter()
+                .enumerate()
+                .filter_map(move |(k, &(body, off))| {
+                    if !visible.is_none_or(|vis| vis[self.array[body]])
+                        || g.members[..k].iter().any(|&(_, o)| o == off)
+                    {
+                        return None; // hidden, or a register-level duplicate
+                    }
+                    let &(lead, lead_off) = g.members[k + 1..].iter().find(|&&(_, o)| o != off)?;
+                    Some((body, lead, (lead_off - off) as u64 * g.elem))
+                })
+        })
     }
 
     /// Classify every body reference (Section 4 accounting).
@@ -270,31 +301,12 @@ impl NestSkeleton {
     ///
     /// Equivalent to counting [`RefClass::L1`] in
     /// [`NestSkeleton::classify`] with `l2 = None`, but allocation-free —
-    /// this sits in the innermost loop of the padding search, which scores
-    /// hundreds of candidate positions per variable.
+    /// GROUPPAD's exhaustive reference scan calls it at every candidate
+    /// position.
     pub fn exploited(&self, bases: &[u64], cache: CacheConfig, visible: Option<&[bool]>) -> usize {
-        let mut count = 0;
-        for g in &self.groups {
-            for (k, &(body, off)) in g.members.iter().enumerate() {
-                if let Some(vis) = visible {
-                    if !vis[self.array[body]] {
-                        continue;
-                    }
-                }
-                if g.members[..k].iter().any(|&(_, o)| o == off) {
-                    continue; // register-level duplicate
-                }
-                let Some(&(lead, lead_off)) = g.members[k + 1..].iter().find(|&&(_, o)| o != off)
-                else {
-                    continue; // leading reference
-                };
-                let span = (lead_off - off) as u64 * g.elem;
-                if self.arc_exploited(bases, cache, body, lead, span, visible) {
-                    count += 1;
-                }
-            }
-        }
-        count
+        self.arcs(visible)
+            .filter(|&(t, l, span)| self.arc_exploited(bases, cache, t, l, span, visible))
+            .count()
     }
 }
 
@@ -437,30 +449,15 @@ impl ProgramSkeleton {
         cache: CacheConfig,
         visible: Option<&[bool]>,
     ) -> usize {
-        let line = cache.line as u64;
-        let s = cache.size as u64;
         let nest = &self.nests[n];
-        let mut count = 0;
-        for &(i, j) in &self.lockstep[n] {
-            if let Some(vis) = visible {
-                if !vis[nest.array[i]] || !vis[nest.array[j]] {
-                    continue;
-                }
-            }
-            let ai = bases[nest.array[i]] + nest.offset[i];
-            let aj = bases[nest.array[j]] + nest.offset[j];
-            if ai.abs_diff(aj) < line {
-                continue; // same memory line: sharing, not ping-ponging
-            }
-            let d = {
-                let d = (ai % s).abs_diff(aj % s);
-                d.min(s - d)
-            };
-            if d < line {
-                count += 1;
-            }
-        }
-        count
+        let addr = |r: usize| bases[nest.array[r]] + nest.offset[r];
+        self.lockstep[n]
+            .iter()
+            .filter(|&&(i, j)| {
+                visible.is_none_or(|vis| vis[nest.array[i]] && vis[nest.array[j]])
+                    && severe_pair(addr(i), addr(j), cache)
+            })
+            .count()
     }
 
     /// References of nest `n` exploiting group reuse on `cache`.
@@ -473,6 +470,16 @@ impl ProgramSkeleton {
     ) -> usize {
         self.nests[n].exploited(bases, cache, visible)
     }
+}
+
+/// The severe-conflict test for one lockstep pair at byte addresses `ai`
+/// and `aj`: within a line of each other modulo the cache size
+/// (ping-ponging), but not on one memory line (sharing).
+pub(crate) fn severe_pair(ai: u64, aj: u64, cache: CacheConfig) -> bool {
+    let line = cache.line as u64;
+    let s = cache.size as u64;
+    let d = (ai % s).abs_diff(aj % s);
+    ai.abs_diff(aj) >= line && d.min(s - d) < line
 }
 
 /// All arcs of a nest with exploitation status on `cache`.

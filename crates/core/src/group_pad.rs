@@ -13,13 +13,14 @@
 //! lexicographic objective *(fewest severe conflicts, most references
 //! exploiting group reuse among placed variables, smallest pad)*.
 //!
-//! The default entry points run the pruned incremental engine in
-//! [`crate::search`]. The exhaustive scan kept here is the reference it
-//! must match bitwise, reachable only through the explicitly named
+//! The default entry points run the interval sweep in [`crate::search`],
+//! which scores each placement's constant-score segments in one pass. The
+//! exhaustive scan kept here is the reference it must match bitwise,
+//! reachable only through the explicitly named
 //! [`group_pad_quantized_exhaustive`] and [`group_pad_multi_exhaustive`]:
 //! the parity suite in `mlc-experiments` and the fuzz oracle call those.
-//! Debug builds also cross-check every pruned placement against an
-//! exhaustive rescan.
+//! Debug builds also cross-check every placement against an exhaustive
+//! rescan.
 
 use crate::group::ProgramSkeleton;
 use crate::pad::{PadError, PadResult};
@@ -78,9 +79,9 @@ pub fn group_pad_quantized_with(
 
 /// [`group_pad_quantized`] on the exhaustive reference scan: every
 /// candidate position scored with a full recompute. Same pads, bases and
-/// `positions_tried` as the pruned default, with `positions_scored ==
+/// `positions_tried` as the sweep, with `positions_scored ==
 /// positions_tried`; only the time differs. For parity checks and for
-/// timing the pruned engine against it.
+/// timing the sweep against it.
 pub fn group_pad_quantized_exhaustive(
     program: &Program,
     cache: CacheConfig,
@@ -131,7 +132,7 @@ fn quantized_search(
 }
 
 /// The exhaustive scalar scan: every candidate position, full recompute.
-/// Kept verbatim as the reference the pruned engine is checked against.
+/// Kept verbatim as the reference the sweep is checked against.
 fn exhaustive_search(
     skel: &ProgramSkeleton,
     cache: CacheConfig,
@@ -372,7 +373,7 @@ mod tests {
         let cache = CacheConfig::direct_mapped(1024, 32);
         let base = [32, 64, 96];
         for (engine, r) in [
-            ("pruned", group_pad_quantized(&p, cache, 1024, &base)),
+            ("sweep", group_pad_quantized(&p, cache, 1024, &base)),
             (
                 "exhaustive",
                 group_pad_quantized_exhaustive(&p, cache, 1024, &base),

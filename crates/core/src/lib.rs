@@ -98,8 +98,8 @@ pub use maxpad::{l2_max_pad, max_pad};
 pub use order::{loop_costs, permute_for_locality};
 pub use pad::{multilvl_pad, pad, PadError, PadResult};
 pub use pipeline::{
-    optimize, optimize_traced, try_optimize, try_optimize_traced, OptimizeOptions, OptimizeTarget,
+    optimize, optimize_both_targets, optimize_traced, try_optimize, try_optimize_traced,
+    OptimizeOptions, OptimizeTarget,
 };
 pub use rescache::{CacheKey, CacheStats, ResultCache, SimProtocol, SIM_VERSION_SALT};
-pub use search::SearchStats;
 pub use tiling::{select_tile, TilePolicy, TileSelection};

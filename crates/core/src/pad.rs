@@ -27,13 +27,12 @@ pub struct PadResult {
     /// Bytes of padding inserted before each array.
     pub pads: Vec<u64>,
     /// Candidate positions examined across all variables (effort metric).
-    /// Identical whether or not the pruned search runs — it counts the
-    /// positions the exhaustive scan would cover.
+    /// Identical for GROUPPAD's sweep and its exhaustive scan — it counts
+    /// the positions the exhaustive scan would cover.
     pub positions_tried: u64,
     /// Candidate positions actually *scored*. Equal to `positions_tried`
-    /// for the exhaustive scans; smaller when [`crate::search`] prunes
-    /// constant-score windows. `tried / scored` is the pruning ratio shown
-    /// in telemetry spans.
+    /// for the exhaustive scans; for GROUPPAD's sweep ([`crate::search`]),
+    /// the number of constant-score segment starts it scored.
     pub positions_scored: u64,
 }
 

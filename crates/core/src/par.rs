@@ -8,10 +8,10 @@
 
 /// Process-wide thread-count override (0 = none). Set from CLI `--threads`
 /// flags so an explicit flag beats the `MLC_THREADS` environment variable
-/// everywhere — including nested uses like the padding search's candidate
-/// scans, which consult [`default_threads`] well below the CLI layer.
-/// Without this, `MLC_THREADS` set in the environment would silently win
-/// over an explicit `--threads` inside those nested scans.
+/// everywhere — including nested uses like the Morton layout search's
+/// candidate scans, which consult [`default_threads`] well below the CLI
+/// layer. Without this, `MLC_THREADS` set in the environment would silently
+/// win over an explicit `--threads` inside those nested scans.
 static THREAD_OVERRIDE: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
 
 /// Pin (or with `None` release) the process-wide thread count consulted by

@@ -16,7 +16,7 @@ use crate::group::account;
 use crate::group_pad::group_pad;
 use crate::intra_pad::intra_pad;
 use crate::maxpad::l2_max_pad;
-use crate::pad::{multilvl_pad, pad, PadError};
+use crate::pad::{multilvl_pad, pad, PadError, PadResult};
 use crate::report::{OptimizeReport, PassSummary};
 use crate::MissCosts;
 use mlc_cache_sim::HierarchyConfig;
@@ -145,14 +145,89 @@ pub fn try_optimize_traced(
     options: &OptimizeOptions,
     tel: &mut Telemetry,
 ) -> Result<Optimized, PadError> {
-    let l1 = hierarchy.l1();
-    let l2 = hierarchy.levels.get(1).copied();
-    let mut passes = Vec::new();
-
     let root = tel.tracer.begin("optimize");
     tel.tracer.attr(root, "program", program.name.as_str());
     tel.tracer.attr(root, "arrays", program.arrays.len());
     tel.tracer.attr(root, "nests", program.nests.len());
+    let (current, passes) = pre_passes(program, hierarchy, options, tel);
+
+    // 4. Inter-variable padding.
+    let span = tel.tracer.begin("pass.pad");
+    let (algo, r) = pad_pass(
+        &current,
+        hierarchy,
+        options.preserve_group_reuse,
+        options.target,
+    )?;
+    let total_pad = r.total_padding();
+    tel.tracer.attr(span, "algorithm", algo);
+    tel.tracer.attr(span, "positions_tried", r.positions_tried);
+    tel.tracer
+        .attr(span, "positions_scored", r.positions_scored);
+    tel.tracer.attr(span, "pad_bytes", total_pad);
+    tel.tracer.end(span);
+    tel.metrics.count("optimizer.pad.runs", 1);
+    tel.metrics
+        .count("optimizer.pad.positions_tried", r.positions_tried);
+    tel.metrics
+        .count("optimizer.pad.positions_scored", r.positions_scored);
+    tel.metrics.count("optimizer.pad.bytes", total_pad);
+
+    let optimized = assemble(current, passes, algo, r, hierarchy);
+    let padding_bytes = optimized.report.padding_bytes;
+    tel.tracer.attr(root, "padding_bytes", padding_bytes);
+    tel.tracer.end(root);
+    tel.metrics
+        .set_value("optimizer.padding_bytes", padding_bytes as f64);
+    Ok(optimized)
+}
+
+/// The "L1 Opt" and "L1&L2 Opt" versions of a program from the L1 Opt
+/// `options` (`target` must be [`OptimizeTarget::L1Only`]): the same
+/// results as [`optimize`] with those options and with `target` set to
+/// [`OptimizeTarget::MultiLevel`], with the shared work done once. The
+/// passes before inter-variable padding run once, and under
+/// `preserve_group_reuse` so does GROUPPAD: L1&L2 Opt is L2MAXPAD applied
+/// to the L1 Opt search, as the paper builds it (§3.2.2).
+///
+/// Panics only on a hierarchy whose cache sizes do not nest, like
+/// [`optimize`].
+pub fn optimize_both_targets(
+    program: &Program,
+    hierarchy: &HierarchyConfig,
+    options: &OptimizeOptions,
+) -> (Optimized, Optimized) {
+    debug_assert_eq!(
+        options.target,
+        OptimizeTarget::L1Only,
+        "optimize_both_targets takes the L1 Opt options"
+    );
+    let (current, passes) = pre_passes(program, hierarchy, options, &mut Telemetry::disabled());
+    let group = options.preserve_group_reuse;
+    let (algo, r) = pad_pass(&current, hierarchy, group, OptimizeTarget::L1Only)
+        .expect("L1 padding cannot fail");
+    let (algo2, r2) = if group {
+        l2_max_pass(&current, hierarchy, &r)
+    } else {
+        pad_pass(&current, hierarchy, group, OptimizeTarget::MultiLevel)
+    }
+    .expect("padding cannot fail on a nested hierarchy");
+    let l1 = assemble(current.clone(), passes.clone(), algo, r, hierarchy);
+    let l1l2 = assemble(current, passes, algo2, r2, hierarchy);
+    (l1, l1l2)
+}
+
+/// The passes before inter-variable padding: intra-variable padding, loop
+/// permutation and fusion, as `options` enables them.
+fn pre_passes(
+    program: &Program,
+    hierarchy: &HierarchyConfig,
+    options: &OptimizeOptions,
+    tel: &mut Telemetry,
+) -> (Program, Vec<PassSummary>) {
+    let l1 = hierarchy.l1();
+    let l2 = hierarchy.levels.get(1).copied();
+    let mut passes = Vec::new();
 
     // 1. Intra-variable padding (Section 6.1 pre-pass).
     let mut current = if options.enable_intra_pad {
@@ -230,103 +305,81 @@ pub fn try_optimize_traced(
         }
     }
 
-    // 4. Inter-variable padding.
-    let span = tel.tracer.begin("pass.pad");
-    crate::search::take_stats(); // attribute the pruning counters to this pass
-    let (layout, algo, pads, tried, scored) = match (options.preserve_group_reuse, options.target) {
-        (false, OptimizeTarget::L1Only) => {
-            let r = pad(&current, l1);
-            (
-                r.layout,
-                "PAD",
-                r.pads,
-                r.positions_tried,
-                r.positions_scored,
-            )
-        }
-        (false, OptimizeTarget::MultiLevel) => {
-            let r = multilvl_pad(&current, hierarchy);
-            (
-                r.layout,
-                "MULTILVLPAD",
-                r.pads,
-                r.positions_tried,
-                r.positions_scored,
-            )
-        }
-        (true, OptimizeTarget::L1Only) => {
-            let r = group_pad(&current, l1);
-            (
-                r.layout,
-                "GROUPPAD",
-                r.pads,
-                r.positions_tried,
-                r.positions_scored,
-            )
-        }
+    (current, passes)
+}
+
+/// The inter-variable padding pass for one target: PAD or MULTILVLPAD, or
+/// with `group` GROUPPAD, then L2MAXPAD under `MultiLevel`.
+fn pad_pass(
+    current: &Program,
+    hierarchy: &HierarchyConfig,
+    group: bool,
+    target: OptimizeTarget,
+) -> Result<(&'static str, PadResult), PadError> {
+    let l1 = hierarchy.l1();
+    Ok(match (group, target) {
+        (false, OptimizeTarget::L1Only) => ("PAD", pad(current, l1)),
+        (false, OptimizeTarget::MultiLevel) => ("MULTILVLPAD", multilvl_pad(current, hierarchy)),
+        (true, OptimizeTarget::L1Only) => ("GROUPPAD", group_pad(current, l1)),
         (true, OptimizeTarget::MultiLevel) => {
-            let g = group_pad(&current, l1);
-            let l2c = l2.expect("MultiLevel group padding needs an L2 cache");
-            let m = l2_max_pad(&current, l1, l2c, &g.pads)?;
-            (
-                m.layout,
-                "GROUPPAD+L2MAXPAD",
-                m.pads,
-                g.positions_tried + m.positions_tried,
-                g.positions_scored + m.positions_scored,
-            )
+            l2_max_pass(current, hierarchy, &group_pad(current, l1))?
         }
-    };
-    let search_stats = crate::search::take_stats();
-    let total_pad: u64 = pads.iter().sum();
-    tel.tracer.attr(span, "algorithm", algo);
-    tel.tracer.attr(span, "positions_tried", tried);
-    tel.tracer.attr(span, "positions_scored", scored);
-    tel.tracer.attr(span, "pad_bytes", total_pad);
-    tel.tracer.end(span);
-    tel.metrics.count("optimizer.pad.runs", 1);
-    tel.metrics.count("optimizer.pad.positions_tried", tried);
-    tel.metrics.count("optimizer.pad.positions_scored", scored);
-    tel.metrics.count("optimizer.pad.bytes", total_pad);
-    tel.metrics.count(
-        "optimizer.search.candidates_pruned",
-        search_stats.candidates_pruned,
-    );
-    tel.metrics.count(
-        "optimizer.search.nests_rescored",
-        search_stats.nests_rescored,
-    );
-    tel.metrics
-        .count("optimizer.search.nests_skipped", search_stats.nests_skipped);
+    })
+}
+
+/// L2MAXPAD on top of the GROUPPAD result `g`, counting both searches'
+/// positions.
+fn l2_max_pass(
+    current: &Program,
+    hierarchy: &HierarchyConfig,
+    g: &PadResult,
+) -> Result<(&'static str, PadResult), PadError> {
+    let l2 = hierarchy.levels.get(1).copied();
+    let l2 = l2.expect("MultiLevel group padding needs an L2 cache");
+    let m = l2_max_pad(current, hierarchy.l1(), l2, &g.pads)?;
+    Ok((
+        "GROUPPAD+L2MAXPAD",
+        PadResult {
+            positions_tried: g.positions_tried + m.positions_tried,
+            positions_scored: g.positions_scored + m.positions_scored,
+            ..m
+        },
+    ))
+}
+
+/// The pipeline's result: `current` laid out by the padding pass `r`
+/// (`algorithm`), with its report.
+fn assemble(
+    current: Program,
+    mut passes: Vec<PassSummary>,
+    algorithm: &'static str,
+    r: PadResult,
+    hierarchy: &HierarchyConfig,
+) -> Optimized {
     passes.push(PassSummary::Pad {
-        algorithm: algo,
+        algorithm,
         pads: current
             .arrays
             .iter()
-            .zip(&pads)
+            .zip(&r.pads)
             .map(|(a, &p)| (a.name.clone(), p))
             .collect(),
-        positions_tried: tried,
-        positions_scored: scored,
+        positions_tried: r.positions_tried,
+        positions_scored: r.positions_scored,
     });
-
-    let accounting = account(&current, &layout, l1, l2);
-    let padding_bytes = layout.padding_overhead(&current.arrays);
-    tel.tracer.attr(root, "padding_bytes", padding_bytes);
-    tel.tracer.end(root);
-    tel.metrics
-        .set_value("optimizer.padding_bytes", padding_bytes as f64);
-    let report = OptimizeReport {
-        program: current.name.clone(),
-        passes,
-        accounting,
-        padding_bytes,
-    };
-    Ok(Optimized {
+    let l2 = hierarchy.levels.get(1).copied();
+    let accounting = account(&current, &r.layout, hierarchy.l1(), l2);
+    let padding_bytes = r.layout.padding_overhead(&current.arrays);
+    Optimized {
+        report: OptimizeReport {
+            program: current.name.clone(),
+            passes,
+            accounting,
+            padding_bytes,
+        },
         program: current,
-        layout,
-        report,
-    })
+        layout: r.layout,
+    }
 }
 
 #[cfg(test)]
@@ -385,6 +438,29 @@ mod tests {
         let txt = o.report.to_string();
         assert!(txt.contains("GROUPPAD+L2MAXPAD"), "{txt}");
         assert!(o.report.accounting.l1_refs > 0);
+    }
+
+    #[test]
+    fn group_multilevel_report_counts_both_searches() {
+        // L1&L2 Opt's pad pass reports GROUPPAD's positions plus
+        // L2MAXPAD's, run on the intra-padded program.
+        let p = figure2_example(512);
+        let h = ultra();
+        let o = optimize(&p, &h, &OptimizeOptions::multilvl_group());
+        let current = intra_pad(&p, h.l1()).program;
+        let g = group_pad(&current, h.l1());
+        let m = l2_max_pad(&current, h.l1(), h.levels[1], &g.pads).unwrap();
+        let Some(PassSummary::Pad {
+            positions_tried,
+            positions_scored,
+            ..
+        }) = o.report.passes.last()
+        else {
+            panic!("the pad pass comes last: {:?}", o.report.passes);
+        };
+        assert_eq!(*positions_tried, g.positions_tried + m.positions_tried);
+        assert_eq!(*positions_scored, g.positions_scored + m.positions_scored);
+        assert_eq!(o.layout, m.layout);
     }
 
     #[test]

@@ -32,8 +32,8 @@ pub enum PassSummary {
         pads: Vec<(String, u64)>,
         /// Positions tried.
         positions_tried: u64,
-        /// Positions actually scored (less than tried when the pruned
-        /// search skips constant-score windows).
+        /// Positions actually scored: all of them for PAD and MULTILVLPAD,
+        /// one per constant-score segment for GROUPPAD's sweep.
         positions_scored: u64,
     },
 }
@@ -101,7 +101,7 @@ impl fmt::Display for PassSummary {
 }
 
 /// Full report of an [`crate::pipeline::optimize`] run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OptimizeReport {
     /// Program name.
     pub program: String,

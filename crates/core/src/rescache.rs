@@ -11,8 +11,9 @@
 //!   IR, the data layout, the full hierarchy configuration (sizes, lines,
 //!   associativity, replacement policy, miss penalties), the simulation
 //!   protocol, and [`SIM_VERSION_SALT`]. Anything that can change a result
-//!   perturbs the key; anything that cannot (the run-length fast path, the
-//!   pruned search engine — both differentially proven identical) does not.
+//!   perturbs the key; anything that cannot (the run-length fast path,
+//!   GROUPPAD's interval sweep — both differentially proven identical) does
+//!   not.
 //! * [`ResultCache`] — one JSON file per entry under a cache directory,
 //!   with a versioned header, a key echo, and an integrity checksum over
 //!   the payload. Writes are atomic (`tmp` + rename), so a crashed or

@@ -1,93 +1,54 @@
-//! Fast padding-position search: incremental delta scoring + candidate
-//! pruning for GROUPPAD's coordinate ascent.
+//! GROUPPAD's padding-position search as one exact sweep per placement.
 //!
-//! The scalar search in [`crate::group_pad`] scores every candidate
+//! The exhaustive scan in [`crate::group_pad`] scores every candidate
 //! position (`cache.size / quantum` of them — 512 per variable on the
 //! 16 KiB L1) with a full severe-conflict + exploited-arc recompute over
-//! every nest. This module exploits two structural facts to get the same
-//! answer much faster:
+//! every nest. This engine gets the same answer from two structural facts:
 //!
 //! **Suffix shifts.** The layout is cumulative (`base[j] = Σ pads[..=j] +
-//! Σ sizes[..j]`), so changing `pads[k]` moves the bases of arrays `k..`
-//! by one common delta. A nest whose referenced arrays all move, or all
-//! stay, keeps every pairwise distance modulo the cache size — its severe
-//! and exploited counts are invariant under the move. Only nests whose
-//! references straddle the split (`min_array < k <= max_array`, the
-//! per-variable index on [`ProgramSkeleton`]) can change, so the engine
-//! caches per-nest counts and rescores just those ([`GroupPadSearch::
-//! rescore_move`]).
+//! Σ sizes[..j]`), so placing variable `k` at candidate `c` shifts the
+//! bases of arrays `k..` by one common delta `δ = c·quantum`. A nest whose
+//! referenced arrays all move, or all stay, keeps every pairwise distance
+//! modulo the cache size, so its severe and exploited counts are
+//! invariant. Only nests whose references straddle the split (`min_array <
+//! k <= max_array`, the per-variable index on [`ProgramSkeleton`]) can
+//! change; the engine caches per-nest counts and folds the others into
+//! constants ([`GroupPadSearch::rescore_move`] keeps the cache current).
 //!
-//! **Conflict windows.** Within an affected nest, every position-dependent
-//! condition is an interval test on the shift delta:
+//! **Conflict windows.** Within an affected nest, every condition the
+//! score depends on is a window of shift deltas — the paper's modular
+//! arithmetic (§3), and the lattice view of conflicts in "Model-Driven
+//! Automatic Tiling with Cache Associativity Lattices":
 //!
-//! * a severe lockstep pair (one side moving) flips when the circular
-//!   distance crosses `0`, `line`, or `s − line`, and when the absolute
-//!   same-line window `|a_m + δ − a_f| < line` opens or closes;
-//! * an intervening reference under an arc (mixed moving/fixed — same-array
-//!   pairs always move together, so the same-tag exceptions are invariant)
-//!   kills the arc iff its offset under the lead lies in `[0, span + line)
-//!   ∪ (s − line, s)`, flipping at `0`, `span + line`, and `s − line`.
+//! * a lockstep pair with one side moving is severe on its circular-distance
+//!   window `(a_m + δ − a_f) mod s ∈ (s − line, s) ∪ [0, line)`, minus its
+//!   same-line window `|a_m + δ − a_f| < line`, which lies inside it;
+//! * an intervener under an arc, with exactly one of it and the lead moving,
+//!   kills the arc on its window `off ∈ [0, span + line) ∪ (s − line, s)`,
+//!   where `off = ±δ + const` is its offset under the lead. It is a
+//!   different array from the lead, so the same-tag exception never applies.
 //!
-//! The objective is therefore piecewise constant in the delta; the engine
-//! collects every flip point (±1 margin), maps each onto the first quantized
-//! candidate at or past it, and scores only those — one representative per
-//! constant-score segment. Evaluating the representatives in ascending
-//! order with strict `<` improvement reproduces the scalar search's
-//! first-best tie-break bitwise. Debug builds re-run the exhaustive scan
-//! after every placement and assert the pruned result identical
-//! (`debug_assertions` cross-check); release parity is covered by the
-//! differential suite in `mlc-experiments`.
-//!
-//! Large candidate scans additionally fan out over the work-stealing
-//! executor in [`crate::exec`].
+//! Pairs and interveners whose two sides move together are position
+//! invariant and fold into constants. Each window maps exactly onto the
+//! candidate indices `ceil(lo / q) ..= floor(hi / q)`, split where it wraps
+//! past `s`. One walk over the sorted endpoints keeps the severe count and
+//! one killer count per arc (an arc is exploited while its count is zero),
+//! and scores each segment start with the exhaustive scan's
+//! `(severe, −exploited, pad)` first-best rule: within a segment the score
+//! is constant and the start has the smallest pad, so the result is the
+//! exhaustive scan's bitwise. Debug builds re-run the exhaustive scan after
+//! every placement and assert the result identical; release parity is
+//! covered by the differential suite in `mlc-experiments` and the fuzz
+//! `search-parity` oracle.
 //!
 //! This engine is the only one behind [`crate::group_pad::group_pad`] and
-//! its siblings. The exhaustive scan stays reachable for parity checks, and
-//! for timing the pruned engine against it, through the explicitly named
+//! its siblings. The exhaustive scan stays reachable for parity checks
+//! through the explicitly named
 //! [`crate::group_pad::group_pad_quantized_exhaustive`] and
 //! [`crate::group_pad::group_pad_multi_exhaustive`].
 
-use crate::group::ProgramSkeleton;
+use crate::group::{severe_pair, ProgramSkeleton};
 use mlc_cache_sim::CacheConfig;
-use std::cell::Cell;
-
-/// Per-thread counters for the pruned search, exported as telemetry by the
-/// pipeline. Thread-local because the sweep drivers run one optimization
-/// per worker thread; each worker reads its own run's counters.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct SearchStats {
-    /// Candidate positions actually scored.
-    pub candidates_scored: u64,
-    /// Candidate positions skipped by conflict-window pruning.
-    pub candidates_pruned: u64,
-    /// Per-nest rescores performed (affected nests × scored candidates).
-    pub nests_rescored: u64,
-    /// Per-nest rescores avoided by the suffix-shift invariance
-    /// (unaffected nests × scored candidates).
-    pub nests_skipped: u64,
-}
-
-thread_local! {
-    static STATS: Cell<SearchStats> = const { Cell::new(SearchStats {
-        candidates_scored: 0,
-        candidates_pruned: 0,
-        nests_rescored: 0,
-        nests_skipped: 0,
-    }) };
-}
-
-/// Read and reset the calling thread's search counters.
-pub fn take_stats() -> SearchStats {
-    STATS.with(|s| s.replace(SearchStats::default()))
-}
-
-fn bump_stats(f: impl FnOnce(&mut SearchStats)) {
-    STATS.with(|s| {
-        let mut v = s.get();
-        f(&mut v);
-        s.set(v);
-    });
-}
 
 /// Cumulative layout arithmetic without allocating a layout: array `j` gets
 /// base `Σ pads[..=j] + Σ sizes[..j]`.
@@ -101,8 +62,65 @@ pub(crate) fn compute_bases(sizes: &[u64], pads: &[u64], out: &mut Vec<u64>) {
     }
 }
 
-/// Candidate scans at least this large fan out over the executor.
-const PAR_CANDIDATES: usize = 64;
+/// [`Event::arc`] of an event on the severe-conflict count.
+const SEVERE: u32 = u32::MAX;
+
+/// One window endpoint: from candidate `at` on, add `delta` to the severe
+/// count (`arc == SEVERE`) or to arc `arc`'s killer count.
+#[derive(Debug, Clone, Copy)]
+struct Event {
+    at: u64,
+    delta: i32,
+    arc: u32,
+}
+
+/// The window endpoints of one placement, on candidate indices.
+struct Windows {
+    /// Cache size: shift deltas live in `0..s`.
+    s: u64,
+    /// Pad quantum; it divides `s`.
+    q: u64,
+    /// Number of candidates, `s / q`.
+    candidates: u64,
+    events: Vec<Event>,
+}
+
+impl Windows {
+    /// Add `delta` on the shift deltas `lo..=hi` (`lo <= hi < s`), i.e. on
+    /// the candidates `ceil(lo / q) ..= floor(hi / q)`.
+    fn linear(&mut self, lo: u64, hi: u64, delta: i32, arc: u32) {
+        let (first, last) = (lo.div_ceil(self.q), hi / self.q);
+        if first > last {
+            return; // the window falls between two candidates
+        }
+        self.events.push(Event {
+            at: first,
+            delta,
+            arc,
+        });
+        if last + 1 < self.candidates {
+            self.events.push(Event {
+                at: last + 1,
+                delta: -delta,
+                arc,
+            });
+        }
+    }
+
+    /// Add `delta` on the `len` shift deltas from `from` on, circularly mod
+    /// `s` (`from < s`); a window of `s` or more covers every candidate.
+    fn circular(&mut self, from: u64, len: u64, delta: i32, arc: u32) {
+        let s = self.s;
+        if len >= s {
+            self.linear(0, s - 1, delta, arc);
+        } else if from + len <= s {
+            self.linear(from, from + len - 1, delta, arc);
+        } else {
+            self.linear(from, s - 1, delta, arc);
+            self.linear(0, from + len - 1 - s, delta, arc);
+        }
+    }
+}
 
 /// The incremental GROUPPAD search state: current pads, visibility mask,
 /// and cached per-nest severe/exploited counts kept consistent with them.
@@ -123,11 +141,10 @@ pub(crate) struct GroupPadSearch<'a> {
     sev: Vec<usize>,
     /// Cached exploited-arc count per nest under (`bases`, `visible`).
     expl: Vec<usize>,
-    threads: usize,
-    /// Candidate positions considered (pruned or not) — matches the scalar
-    /// search's `positions_tried` exactly.
+    /// Candidate positions considered — matches the exhaustive scan's
+    /// `positions_tried` exactly.
     pub(crate) tried: u64,
-    /// Candidate positions actually scored.
+    /// Segment starts scored by the sweeps.
     pub(crate) scored: u64,
 }
 
@@ -156,7 +173,6 @@ impl<'a> GroupPadSearch<'a> {
             bases,
             sev: vec![0; n_nests],
             expl: vec![0; n_nests],
-            threads: crate::par::default_threads(),
             tried: 0,
             scored: 0,
         }
@@ -194,140 +210,8 @@ impl<'a> GroupPadSearch<'a> {
         }
     }
 
-    /// Score candidate `c` for variable `k`: severe/exploited totals over
-    /// the affected nests only (`bases0` is the layout at candidate 0).
-    fn eval_candidate(&self, k: usize, bases0: &[u64], affected: &[usize], c: u64) -> (usize, i64) {
-        let delta = c * self.quantum;
-        let mut bases = bases0.to_vec();
-        for b in &mut bases[k..] {
-            *b += delta;
-        }
-        let mut sev = 0usize;
-        let mut expl = 0i64;
-        for &n in affected {
-            sev += self
-                .skel
-                .severe_in_nest(n, &bases, self.cache, Some(&self.visible));
-            expl += self
-                .skel
-                .exploited_in_nest(n, &bases, self.cache, Some(&self.visible))
-                as i64;
-        }
-        (sev, expl)
-    }
-
-    /// The candidate positions where the objective can change, derived from
-    /// the conflict-distance arithmetic (see module docs). Sorted ascending,
-    /// deduplicated, always contains position 0; the first candidate of
-    /// every constant-score segment is included, so scanning this list with
-    /// strict `<` improvement matches the exhaustive first-best scan.
-    fn candidate_positions(&self, k: usize, bases0: &[u64], affected: &[usize]) -> Vec<u64> {
-        let s = self.cache.size as u64;
-        let line = self.cache.line as u64;
-        let q = self.quantum;
-        let limit = self.candidates;
-        let mut cands: Vec<u64> = vec![0];
-        // A score segment starting at shift delta `d` first covers the
-        // quantized candidate `ceil(d / q)`.
-        fn push_delta(cands: &mut Vec<u64>, q: u64, limit: u64, d: u64) {
-            let c = d.div_ceil(q);
-            if c < limit {
-                cands.push(c);
-            }
-        }
-        // Flip point in circular delta space, with ±1 margin.
-        let push_circ = |cands: &mut Vec<u64>, d: u64| {
-            push_delta(cands, q, limit, (d + s - 1) % s);
-            push_delta(cands, q, limit, d);
-            push_delta(cands, q, limit, (d + 1) % s);
-        };
-        for &n in affected {
-            let nest = &self.skel.nests[n];
-            // Severe lockstep pairs with exactly one side moving.
-            for &(i, j) in &self.skel.lockstep[n] {
-                if !self.visible[nest.array[i]] || !self.visible[nest.array[j]] {
-                    continue;
-                }
-                let mi = nest.array[i] >= k;
-                let mj = nest.array[j] >= k;
-                if mi == mj {
-                    continue; // pairwise distance invariant under the move
-                }
-                let (m, f) = if mi { (i, j) } else { (j, i) };
-                let am0 = (bases0[nest.array[m]] + nest.offset[m]) as i128;
-                let af0 = (bases0[nest.array[f]] + nest.offset[f]) as i128;
-                // Same-line skip window |a_m + δ − a_f| < line: linear in
-                // delta, opens/closes at a_f − a_m ∓ line.
-                for t in [af0 - am0 - line as i128, af0 - am0 + line as i128] {
-                    for dd in [t - 1, t, t + 1] {
-                        if dd > 0 && dd < s as i128 {
-                            push_delta(&mut cands, q, limit, dd as u64);
-                        }
-                    }
-                }
-                // Circular distance min(x, s−x) < line, x = (a_m + δ − a_f)
-                // mod s: flips at x ∈ {0, line, s − line}.
-                let x0 = (am0 - af0).rem_euclid(s as i128) as u64;
-                for t in [0, line, s - line] {
-                    push_circ(&mut cands, (t + s - x0) % s);
-                }
-            }
-            // Arc interveners with exactly one of (intervener, lead) moving.
-            for g in &nest.groups {
-                for (gi, &(body, off)) in g.members.iter().enumerate() {
-                    if !self.visible[nest.array[body]] {
-                        continue;
-                    }
-                    if g.members[..gi].iter().any(|&(_, o)| o == off) {
-                        continue; // register-level duplicate
-                    }
-                    let Some(&(lead, lead_off)) =
-                        g.members[gi + 1..].iter().find(|&&(_, o)| o != off)
-                    else {
-                        continue; // leading reference
-                    };
-                    let span = (lead_off - off) as u64 * g.elem;
-                    if span == 0 || span + line > s {
-                        continue; // arc status constant at any position
-                    }
-                    let w = span + line;
-                    let lead_moving = nest.array[lead] >= k;
-                    let lead_loc0 = (bases0[nest.array[lead]] + nest.offset[lead]) % s;
-                    for r in 0..nest.array.len() {
-                        if r == body || r == lead || !self.visible[nest.array[r]] {
-                            continue;
-                        }
-                        if nest.data_id[r] == nest.data_id[lead]
-                            || nest.data_id[r] == nest.data_id[body]
-                        {
-                            continue;
-                        }
-                        if (nest.array[r] >= k) == lead_moving {
-                            continue; // offset under the lead invariant
-                        }
-                        // Kill iff off ∈ [0, span+line) ∪ (s−line, s); off
-                        // moves with +δ if the lead moves, −δ if r moves.
-                        let loc_r0 = (bases0[nest.array[r]] + nest.offset[r]) % s;
-                        let x0 = (lead_loc0 + s - loc_r0) % s;
-                        for t in [0, w % s, s - line] {
-                            let d = if lead_moving {
-                                (t + s - x0) % s
-                            } else {
-                                (x0 + s - t % s) % s
-                            };
-                            push_circ(&mut cands, d);
-                        }
-                    }
-                }
-            }
-        }
-        cands.sort_unstable();
-        cands.dedup();
-        cands
-    }
-
     /// Exhaustive scan with full recomputation — the scalar search's exact
-    /// loop — used to validate the pruned result in debug builds.
+    /// loop — used to validate the sweep's result in debug builds.
     #[cfg(debug_assertions)]
     fn exhaustive_best(&self, k: usize, bases0: &[u64]) -> (usize, i64, u64) {
         let mut best: Option<(usize, i64, u64)> = None;
@@ -349,71 +233,135 @@ impl<'a> GroupPadSearch<'a> {
     }
 
     /// Find and commit the best position for variable `k` under the current
-    /// visibility mask. Reproduces the scalar scan's result bitwise.
+    /// visibility mask, in one sweep over the conflict windows of the nests
+    /// the move straddles (see module docs). Reproduces the exhaustive
+    /// scan's result bitwise.
     pub(crate) fn place(&mut self, k: usize) {
-        // Layout at candidate 0 (pads[k] at its base value); every other
-        // candidate shifts bases[k..] by c·quantum.
+        // Layout at candidate 0 (pads[k] at its base value); candidate c
+        // shifts bases[k..] by c·quantum.
         self.pads[k] = self.base[k];
         let mut bases0 = Vec::with_capacity(self.pads.len());
         compute_bases(self.skel.array_sizes(), &self.pads, &mut bases0);
 
-        // Split nests: affected ones get rescored per candidate; the rest
-        // contribute their cached counts as a delta-independent constant.
-        let n_nests = self.skel.nests().len();
-        let mut affected = Vec::new();
-        let mut const_sev = 0usize;
-        let mut const_expl = 0i64;
-        for n in 0..n_nests {
-            if self.skel.nest_affected_by_move(n, k) {
-                affected.push(n);
-            } else {
-                const_sev += self.sev[n];
-                const_expl += self.expl[n] as i64;
+        let s = self.cache.size as u64;
+        let line = self.cache.line as u64;
+        let visible = Some(self.visible.as_slice());
+        let mut w = Windows {
+            s,
+            q: self.quantum,
+            candidates: self.candidates,
+            events: Vec::new(),
+        };
+        // Counts no candidate changes, and the number of arcs some
+        // candidate does (each gets a killer count, indexed from 0).
+        let (mut sev, mut expl, mut arcs) = (0i64, 0i64, 0u32);
+        for n in 0..self.skel.nests().len() {
+            if !self.skel.nest_affected_by_move(n, k) {
+                sev += self.sev[n] as i64;
+                expl += self.expl[n] as i64;
+                continue;
+            }
+            let nest = &self.skel.nests[n];
+            let addr0 = |r: usize| bases0[nest.array[r]] + nest.offset[r];
+            let moves = |r: usize| nest.array[r] >= k;
+            for &(i, j) in &self.skel.lockstep[n] {
+                if !self.visible[nest.array[i]] || !self.visible[nest.array[j]] {
+                    continue;
+                }
+                if moves(i) == moves(j) {
+                    sev += severe_pair(addr0(i), addr0(j), self.cache) as i64;
+                    continue;
+                }
+                let (am, af) = if moves(i) {
+                    (addr0(i), addr0(j))
+                } else {
+                    (addr0(j), addr0(i))
+                };
+                // Severe where x = (am − af + δ) mod s is within a line of 0 ...
+                let x0 = (am % s + s - af % s) % s;
+                w.circular((2 * s - line + 1 - x0) % s, 2 * line - 1, 1, SEVERE);
+                // ... unless |am + δ − af| < line: one memory line.
+                let (d, l) = (af as i128 - am as i128, line as i128);
+                let (lo, hi) = ((d - l + 1).max(0), (d + l - 1).min(s as i128 - 1));
+                if lo <= hi {
+                    w.linear(lo as u64, hi as u64, -1, SEVERE);
+                }
+            }
+            for (trailing, lead, span) in nest.arcs(visible) {
+                if span + line > s {
+                    continue; // never exploited
+                }
+                // off ∈ [0, span + line) ∪ (s − line, s): `len` offsets
+                // circularly from s − line + 1.
+                let len = span + 2 * line - 1;
+                let lead_loc0 = addr0(lead) % s;
+                let mark = w.events.len();
+                let mut killed = false;
+                for r in 0..nest.len() {
+                    if !nest.intervenes(r, trailing, lead, visible) {
+                        continue;
+                    }
+                    if moves(r) == moves(lead) {
+                        killed = killed || nest.flushes(&bases0, self.cache, r, lead, span);
+                        continue;
+                    }
+                    // off = x0 + δ if the lead moves, x0 − δ if r does.
+                    let x0 = (lead_loc0 + s - addr0(r) % s) % s;
+                    let from = if moves(lead) {
+                        (2 * s - line + 1 - x0) % s
+                    } else {
+                        (x0 + line + s - len.min(s)) % s
+                    };
+                    w.circular(from, len, 1, arcs);
+                }
+                if killed {
+                    w.events.truncate(mark);
+                } else if w.events.len() == mark {
+                    expl += 1;
+                } else {
+                    arcs += 1;
+                }
             }
         }
 
-        let cands = self.candidate_positions(k, &bases0, &affected);
-        let scores: Vec<(usize, i64)> = if cands.len() >= PAR_CANDIDATES && self.threads > 1 {
-            let this = &*self;
-            let bases0 = &bases0;
-            let affected = &affected;
-            crate::exec::execute(cands.clone(), this.threads, |&c| {
-                this.eval_candidate(k, bases0, affected, c)
-            })
-            .0
-        } else {
-            cands
-                .iter()
-                .map(|&c| self.eval_candidate(k, &bases0, &affected, c))
-                .collect()
-        };
-
+        // Walk the endpoints; every arc starts with no killer.
+        w.events.sort_unstable_by_key(|e| e.at);
+        let mut killers = vec![0i32; arcs as usize];
+        expl += arcs as i64;
         let mut best: Option<(usize, i64, u64)> = None;
-        for (&c, &(sev, expl)) in cands.iter().zip(&scores) {
-            let candidate = self.base[k] + c * self.quantum;
-            let score = (const_sev + sev, -(const_expl + expl), candidate);
+        let mut events = w.events.iter().peekable();
+        let mut at = 0;
+        loop {
+            while let Some(e) = events.next_if(|e| e.at == at) {
+                if e.arc == SEVERE {
+                    sev += e.delta as i64;
+                } else {
+                    let count = &mut killers[e.arc as usize];
+                    let was_exploited = *count == 0;
+                    *count += e.delta;
+                    expl += (*count == 0) as i64 - was_exploited as i64;
+                }
+            }
+            self.scored += 1;
+            let score = (sev as usize, -expl, self.base[k] + at * self.quantum);
             if best.is_none_or(|b| score < b) {
                 best = Some(score);
             }
+            match events.peek() {
+                Some(e) => at = e.at,
+                None => break,
+            }
         }
-        let best = best.expect("candidate position 0 is always scored");
-
+        let best = best.expect("candidate 0 is always scored");
         self.tried += self.candidates;
-        self.scored += cands.len() as u64;
-        bump_stats(|st| {
-            st.candidates_scored += cands.len() as u64;
-            st.candidates_pruned += self.candidates - cands.len() as u64;
-            st.nests_rescored += (affected.len() * cands.len()) as u64;
-            st.nests_skipped += ((n_nests - affected.len()) * cands.len()) as u64;
-        });
 
-        // Exhaustive cross-check: the full recompute validates both the
-        // pruning windows and the cached unaffected-nest constants.
+        // Exhaustive cross-check: the full recompute validates the windows,
+        // the folded constants and the cached unaffected-nest counts.
         #[cfg(debug_assertions)]
         assert_eq!(
             self.exhaustive_best(k, &bases0),
             best,
-            "pruned search diverged from exhaustive scan placing variable {k}"
+            "GROUPPAD sweep diverged from the exhaustive scan placing variable {k}"
         );
 
         self.rescore_move(k, best.2);
@@ -421,10 +369,10 @@ impl<'a> GroupPadSearch<'a> {
 }
 
 /// The full GROUPPAD coordinate ascent (greedy placement in declaration
-/// order, then up to two refinement sweeps) on the pruned incremental
-/// engine. Returns `(pads, positions_tried, positions_scored)`;
-/// `positions_tried` counts every candidate the scalar search would have
-/// scanned, so the two paths report identical `tried` numbers.
+/// order, then up to two refinement sweeps) on the sweep engine. Returns
+/// `(pads, positions_tried, positions_scored)`; `positions_tried` counts
+/// every candidate the exhaustive scan would have scored, so the two paths
+/// report identical `tried` numbers.
 pub(crate) fn grouppad_search(
     skel: &ProgramSkeleton,
     cache: CacheConfig,
@@ -511,28 +459,54 @@ mod tests {
     }
 
     #[test]
-    fn engine_prunes_most_candidates() {
+    fn sweep_scores_few_segment_starts() {
         let p = figure2_example(450);
         let skel = ProgramSkeleton::new(&p);
         let cache = CacheConfig::direct_mapped(16 * 1024, 32);
-        take_stats();
         let (_, tried, scored) = grouppad_search(&skel, cache, 32, vec![0; 3]);
         assert!(scored < tried / 2, "scored {scored} of {tried} candidates");
-        let st = take_stats();
-        assert_eq!(st.candidates_scored, scored);
-        assert_eq!(st.candidates_pruned, tried - scored);
+    }
+
+    /// The events a set of windows leaves, as `(at, delta)` sorted.
+    fn events(q: u64, add: impl FnOnce(&mut Windows)) -> Vec<(u64, i32)> {
+        let mut w = Windows {
+            s: 1024,
+            q,
+            candidates: 1024 / q,
+            events: Vec::new(),
+        };
+        add(&mut w);
+        let mut ev: Vec<_> = w.events.iter().map(|e| (e.at, e.delta)).collect();
+        ev.sort_unstable();
+        ev
     }
 
     #[test]
-    fn stats_are_taken_and_reset() {
-        take_stats();
-        let p = figure2_example(60);
-        let skel = ProgramSkeleton::new(&p);
-        let cache = CacheConfig::direct_mapped(1024, 32);
-        grouppad_search(&skel, cache, 32, vec![0; 3]);
-        let st = take_stats();
-        assert!(st.candidates_scored > 0);
-        assert_eq!(take_stats(), SearchStats::default());
+    fn windows_map_exactly_onto_candidates() {
+        // Deltas 32..=95 on a 32-byte quantum: candidates 1 and 2, ending
+        // before candidate 3; both ends are candidates themselves.
+        assert_eq!(events(32, |w| w.linear(32, 95, 1, 0)), [(1, 1), (3, -1)]);
+        assert_eq!(events(32, |w| w.linear(32, 96, 1, 0)), [(1, 1), (4, -1)]);
+        // A low end past a candidate rounds up, a high end rounds down.
+        assert_eq!(events(32, |w| w.linear(33, 127, 1, 0)), [(2, 1), (4, -1)]);
+        // A window between two candidates holds none of them.
+        assert_eq!(events(256, |w| w.linear(300, 500, 1, 0)), []);
+        // A window reaching the last candidate has no closing endpoint.
+        assert_eq!(events(256, |w| w.linear(700, 1023, -1, 0)), [(3, -1)]);
+    }
+
+    #[test]
+    fn circular_windows_split_where_they_wrap() {
+        // 64 deltas from 992 on: 992..=1023 and 0..=31.
+        assert_eq!(
+            events(32, |w| w.circular(992, 64, 1, 0)),
+            [(0, 1), (1, -1), (31, 1)]
+        );
+        // A window of the whole cache or more covers every candidate.
+        assert_eq!(events(32, |w| w.circular(500, 1024, 1, 0)), [(0, 1)]);
+        assert_eq!(events(32, |w| w.circular(500, 5000, 1, 0)), [(0, 1)]);
+        // Ending exactly at s does not wrap.
+        assert_eq!(events(32, |w| w.circular(960, 64, 1, 0)), [(30, 1)]);
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //!
 //! There is no engine flag. Every simulation engine (scalar replay,
 //! run-length replay, the analytic closed form) and both padding-search
-//! engines (pruned, exhaustive) give bitwise-identical results, so which
+//! engines (interval sweep, exhaustive) give bitwise-identical results, so which
 //! one runs is not a property of any output. The binaries always run the
 //! fastest; the parity suites call the reference engines by name. The
 //! removed `--no-fast-path`, `--no-analytic` and `--no-fast-search` flags

@@ -10,7 +10,7 @@
 //!   `GROUPPAD + L2MAXPAD`.
 
 use mlc_cache_sim::HierarchyConfig;
-use mlc_core::pipeline::{optimize, OptimizeOptions, OptimizeTarget, Optimized};
+use mlc_core::pipeline::{optimize_both_targets, OptimizeOptions, OptimizeTarget, Optimized};
 use mlc_core::MissCosts;
 use mlc_model::{DataLayout, Program};
 
@@ -37,19 +37,23 @@ pub struct Versions {
     pub l1l2: Optimized,
 }
 
-/// Build all three versions of a program for a hierarchy.
-pub fn build_versions(program: &Program, hierarchy: &HierarchyConfig, level: OptLevel) -> Versions {
-    let costs = MissCosts::from_hierarchy(hierarchy);
-    let base = |target| OptimizeOptions {
-        target,
+/// The "L1 Opt" pipeline options of one version family.
+fn version_options(hierarchy: &HierarchyConfig, level: OptLevel) -> OptimizeOptions {
+    OptimizeOptions {
+        target: OptimizeTarget::L1Only,
         preserve_group_reuse: level == OptLevel::GroupReuse,
         enable_fusion: false,
         enable_intra_pad: true,
         enable_permutation: false,
-        costs: costs.clone(),
-    };
-    let l1 = optimize(program, hierarchy, &base(OptimizeTarget::L1Only));
-    let l1l2 = optimize(program, hierarchy, &base(OptimizeTarget::MultiLevel));
+        costs: MissCosts::from_hierarchy(hierarchy),
+    }
+}
+
+/// Build all three versions of a program for a hierarchy. The two optimized
+/// versions share intra-variable padding and, in the group family,
+/// GROUPPAD ([`optimize_both_targets`]).
+pub fn build_versions(program: &Program, hierarchy: &HierarchyConfig, level: OptLevel) -> Versions {
+    let (l1, l1l2) = optimize_both_targets(program, hierarchy, &version_options(hierarchy, level));
     // Orig shares the intra-padded program (the pre-pass applies everywhere)
     // but keeps the contiguous inter-variable layout.
     let orig_program = l1.program.clone();
@@ -78,6 +82,43 @@ mod tests {
         assert!(severe_conflicts(&v.l1.program, &v.l1.layout, h.l1()).is_empty());
         for &c in &h.levels {
             assert!(severe_conflicts(&v.l1l2.program, &v.l1l2.layout, c).is_empty());
+        }
+    }
+
+    #[test]
+    fn versions_equal_two_separate_optimize_runs() {
+        // Sharing intra-padding and GROUPPAD between the two optimized
+        // versions must not change either of them: same programs, layouts
+        // and reports (positions tried and scored included) as one
+        // `optimize` call per target.
+        use mlc_core::pipeline::optimize;
+        let mut programs = vec![figure2_example(450)];
+        for name in ["expl512", "shal512", "jacobi512", "tomcatv", "dot512"] {
+            programs.push(mlc_kernels::kernel_by_name(name).unwrap().model());
+        }
+        for h in [
+            HierarchyConfig::ultrasparc_i(),
+            HierarchyConfig::alpha_21164_like(),
+        ] {
+            for p in &programs {
+                for level in [OptLevel::Conflict, OptLevel::GroupReuse] {
+                    let v = build_versions(p, &h, level);
+                    for (target, got) in [
+                        (OptimizeTarget::L1Only, &v.l1),
+                        (OptimizeTarget::MultiLevel, &v.l1l2),
+                    ] {
+                        let options = OptimizeOptions {
+                            target,
+                            ..version_options(&h, level)
+                        };
+                        let want = optimize(p, &h, &options);
+                        let what = format!("{} {level:?} {target:?}", p.name);
+                        assert_eq!(got.program, want.program, "{what}");
+                        assert_eq!(got.layout, want.layout, "{what}");
+                        assert_eq!(got.report, want.report, "{what}");
+                    }
+                }
+            }
         }
     }
 

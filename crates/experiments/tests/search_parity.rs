@@ -1,29 +1,35 @@
-//! Differential parity: the pruned incremental padding-search engine must
-//! produce *bitwise-identical* layouts to the exhaustive scalar scan —
-//! same pads, same base addresses, same `positions_tried` — for every
-//! registered kernel, every padding algorithm built on the GROUPPAD
-//! search, and every hierarchy geometry the experiments use. The
-//! exhaustive side runs through the explicitly named `*_exhaustive`
-//! entry points.
+//! Differential parity: GROUPPAD's interval-sweep search must produce
+//! *bitwise-identical* layouts to the exhaustive scalar scan — same pads,
+//! same base addresses, same `positions_tried` — for every registered
+//! kernel, the Figure 11 and 12 size-sweep programs, every padding
+//! algorithm built on the GROUPPAD search, and every hierarchy geometry the
+//! experiments use. The exhaustive side runs through the explicitly named
+//! `*_exhaustive` entry points.
 //!
-//! Debug builds run every kernel on the paper's UltraSparc I config and a
-//! reduced kernel set on the wider geometry matrix (the fast engine
-//! additionally cross-checks every placement against the exhaustive scan
-//! in debug, so these runs are doubly covered but slow); `--release` (the
-//! CI search-parity job) runs every kernel everywhere.
+//! Debug builds run every kernel on the paper's UltraSparc I config, a
+//! reduced kernel set on the wider geometry matrix and one size of each
+//! size-sweep program (the sweep additionally cross-checks every placement
+//! against the exhaustive scan in debug, so these runs are doubly covered
+//! but slow); `--release` (the CI search-parity job) runs every kernel
+//! everywhere and every 20th (Figure 11) or 30th (Figure 12) size.
 
 use mlc_cache_sim::HierarchyConfig;
 use mlc_core::group_pad::{
     group_pad_multi, group_pad_multi_exhaustive, group_pad_quantized,
     group_pad_quantized_exhaustive,
 };
+use mlc_core::intra_pad::intra_pad;
 use mlc_core::maxpad::l2_max_pad;
 use mlc_core::pad::PadResult;
 use mlc_core::PadError;
+use mlc_kernels::expl::Expl;
 use mlc_kernels::registry::all_kernels;
+use mlc_kernels::shal::Shallow;
 use mlc_kernels::Kernel;
+use mlc_model::transform::fuse_unchecked_in_program;
+use mlc_model::Program;
 
-/// Demand identical results from the pruned (`fast`) and exhaustive
+/// Demand identical results from the sweep (`fast`) and exhaustive
 /// (`scalar`) runs of one algorithm.
 fn assert_search_parity(
     name: &str,
@@ -62,12 +68,16 @@ fn assert_search_parity(
     }
 }
 
-/// The three GROUPPAD-based algorithms against one hierarchy. Returns the
-/// pruned multi-level search's `(positions_tried, positions_scored)`.
-fn assert_kernel_parity(kernel: &dyn Kernel, cfg: &HierarchyConfig, hname: &str) -> (u64, u64) {
-    let p = &kernel.model();
+/// The three GROUPPAD-based algorithms on program `p` (named `kname`)
+/// against one hierarchy. Returns the sweep's multi-level
+/// `(positions_tried, positions_scored)`.
+fn assert_program_parity(
+    p: &Program,
+    kname: &str,
+    cfg: &HierarchyConfig,
+    hname: &str,
+) -> (u64, u64) {
     let l1 = cfg.l1();
-    let kname = kernel.name();
     let fast = group_pad_quantized(p, l1, l1.line as u64, &[]);
     let scalar = group_pad_quantized_exhaustive(p, l1, l1.line as u64, &[]);
     let maxpad = |g: &Result<PadResult, PadError>| match g {
@@ -108,11 +118,15 @@ fn matrix_kernels() -> Vec<Box<dyn Kernel>> {
     }
 }
 
-/// Every kernel matches on the paper's hierarchy, and the pruning pays:
-/// over the 24 multi-level searches the pruned engine scores at most a
-/// tenth of the positions it tries (the exhaustive scan scores all of
-/// them). Routing the default entry points to the exhaustive scan passes
-/// every parity check but fails this floor.
+fn assert_kernel_parity(kernel: &dyn Kernel, cfg: &HierarchyConfig, hname: &str) -> (u64, u64) {
+    assert_program_parity(&kernel.model(), &kernel.name(), cfg, hname)
+}
+
+/// Every kernel matches on the paper's hierarchy, and the sweep pays: over
+/// the 24 multi-level searches it scores at most a tenth of the positions
+/// it tries (5,399 of 137,600 segment starts; the exhaustive scan scores
+/// all of them). Routing the default entry points to the exhaustive scan
+/// passes every parity check but fails this floor.
 #[test]
 fn every_kernel_matches_on_ultrasparc_i() {
     let cfg = HierarchyConfig::ultrasparc_i();
@@ -124,7 +138,7 @@ fn every_kernel_matches_on_ultrasparc_i() {
     }
     assert!(
         scored * 10 <= tried,
-        "pruned GROUPPAD scored {scored} of {tried} positions, more than 10%"
+        "GROUPPAD's sweep scored {scored} of {tried} positions, more than 10%"
     );
 }
 
@@ -139,6 +153,42 @@ fn kernels_match_on_ablation_hierarchies() {
     ] {
         for kernel in matrix_kernels() {
             assert_kernel_parity(kernel.as_ref(), &cfg, hname);
+        }
+    }
+}
+
+/// Sizes of a sweep from `lo` to `hi` every `step`: in debug only the first,
+/// since every placement there also runs the exhaustive scan.
+fn sweep_sizes(lo: usize, hi: usize, step: usize) -> Vec<usize> {
+    let sizes: Vec<usize> = (lo..=hi).step_by(step).collect();
+    if cfg!(debug_assertions) {
+        sizes[..1].to_vec()
+    } else {
+        sizes
+    }
+}
+
+/// The programs the Figure 11 and 12 claims rest on, at their sweep sizes
+/// on the paper's hierarchy: EXPL and SHAL after intra-variable padding
+/// (`build_versions`' input to GROUPPAD, N = 250..=520), and EXPL unfused
+/// and with nests 0/1 or 1/2 fused (`reuse_layout`'s input, N = 250..=700).
+#[test]
+fn size_sweep_programs_match_on_ultrasparc_i() {
+    let cfg = HierarchyConfig::ultrasparc_i();
+    let l1 = cfg.l1();
+    for n in sweep_sizes(250, 520, 20) {
+        for p in [Expl::new(n).model(), Shallow::shal(n).model()] {
+            let p = intra_pad(&p, l1).program;
+            assert_program_parity(&p, &format!("fig11 {} N={n}", p.name), &cfg, "ultrasparc_i");
+        }
+    }
+    for n in sweep_sizes(250, 700, 30) {
+        let p = Expl::new(n).model();
+        assert_program_parity(&p, &format!("fig12 N={n}"), &cfg, "ultrasparc_i");
+        for at in [0, 1] {
+            let fused = fuse_unchecked_in_program(&p, at).expect("EXPL nests fuse");
+            let name = format!("fig12 N={n} fused at {at}");
+            assert_program_parity(&fused, &name, &cfg, "ultrasparc_i");
         }
     }
 }

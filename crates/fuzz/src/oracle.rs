@@ -759,8 +759,9 @@ fn check_tlb_run_parity(case: &Case, layout: &DataLayout, r: &mut Report) {
     r.checked.push(oracle);
 }
 
-/// Pruned incremental search vs exhaustive scalar scan: bitwise-identical
-/// pads, bases and positions-tried, on GROUPPAD and its multi-level form.
+/// GROUPPAD's interval sweep vs the exhaustive scalar scan:
+/// bitwise-identical pads, bases and positions-tried, on GROUPPAD and its
+/// multi-level form.
 fn check_search_parity(case: &Case, r: &mut Report) {
     let oracle = "search-parity";
     let (p, h) = (&case.program, &case.hierarchy);
@@ -786,7 +787,7 @@ fn check_search_parity(case: &Case, r: &mut Report) {
                     r.fail(
                         oracle,
                         format!(
-                            "{label}: pruned pads {:?} vs exhaustive pads {:?}",
+                            "{label}: sweep pads {:?} vs exhaustive pads {:?}",
                             f.pads, s.pads
                         ),
                     );
@@ -796,7 +797,7 @@ fn check_search_parity(case: &Case, r: &mut Report) {
                     r.fail(
                         oracle,
                         format!(
-                            "{label}: positions_tried {} (pruned) vs {} (exhaustive)",
+                            "{label}: positions_tried {} (sweep) vs {} (exhaustive)",
                             f.positions_tried, s.positions_tried
                         ),
                     );
@@ -816,7 +817,7 @@ fn check_search_parity(case: &Case, r: &mut Report) {
                     r.fail(
                         oracle,
                         format!(
-                            "{label}: pruned search scored {} > tried {}",
+                            "{label}: sweep scored {} > tried {}",
                             f.positions_scored, f.positions_tried
                         ),
                     );
@@ -831,9 +832,7 @@ fn check_search_parity(case: &Case, r: &mut Report) {
                     diverged = true;
                     r.fail(
                         oracle,
-                        format!(
-                            "group_pad_multi outcome differs: pruned {f:?} vs exhaustive {s:?}"
-                        ),
+                        format!("group_pad_multi outcome differs: sweep {f:?} vs exhaustive {s:?}"),
                     );
                 }
             }

@@ -35,6 +35,7 @@ use crate::case::Case;
 use crate::expr::AffineExpr;
 use crate::layout::LayoutFamily;
 use crate::nest::{Loop, LoopNest};
+use crate::trace_gen::{CompiledNest, TraceError};
 use crate::{ArrayDecl, ArrayRef, DataLayout, Program};
 use mlc_cache_sim::{CacheConfig, HierarchyConfig, ReplacementPolicy};
 use std::path::Path;
@@ -222,7 +223,7 @@ pub fn parse_case(text: &str) -> Result<(Case, Option<String>), String> {
                 nest = Some((name.to_string(), Vec::new(), Vec::new()));
             }
             "loop" => {
-                let (_, loops, _) = nest
+                let (name, loops, _) = nest
                     .as_mut()
                     .ok_or_else(|| err("loop outside a nest".into()))?;
                 let var = *rest.first().ok_or_else(|| err("loop needs a var".into()))?;
@@ -232,13 +233,19 @@ pub fn parse_case(text: &str) -> Result<(Case, Option<String>), String> {
                 let mut l = Loop::counted(var, lo, hi);
                 l.step = step;
                 loops.push(l);
+                check_overflow(&program, &pads, &families, name, loops, None).map_err(&err)?;
             }
             "ref" => {
-                let (_, _, body) = nest
+                let (name, loops, body) = nest
                     .as_mut()
                     .ok_or_else(|| err("ref outside a nest".into()))?;
                 let kind = *rest.first().ok_or_else(|| err("ref needs r|w".into()))?;
                 let array: usize = field(&rest, 1, "array index").map_err(&err)?;
+                if array >= program.arrays.len() {
+                    return Err(err(format!(
+                        "ref names array {array} before its declaration"
+                    )));
+                }
                 let subs_txt = rest
                     .get(2)
                     .ok_or_else(|| err("ref needs subscripts".into()))?;
@@ -247,11 +254,20 @@ pub fn parse_case(text: &str) -> Result<(Case, Option<String>), String> {
                     .map(parse_expr)
                     .collect::<Result<_, _>>()
                     .map_err(&err)?;
-                body.push(match kind {
+                let rank = program.arrays[array].rank();
+                if subs.len() != rank {
+                    return Err(err(format!(
+                        "ref to array {array} has {} subscripts for rank {rank}",
+                        subs.len()
+                    )));
+                }
+                let r = match kind {
                     "w" => ArrayRef::write(array, subs),
                     "r" => ArrayRef::read(array, subs),
                     other => return Err(err(format!("unknown access kind {other}"))),
-                });
+                };
+                check_overflow(&program, &pads, &families, name, loops, Some(&r)).map_err(&err)?;
+                body.push(r);
             }
             "end" => {
                 let (name, loops, body) = nest
@@ -295,6 +311,41 @@ fn check_layout_end(
             i64::MAX
         )),
     }
+}
+
+/// An error when the nest parsed so far — its loops, and `r` if given —
+/// would overflow the trace generator's `i64` arithmetic
+/// ([`TraceError::Overflow`]): a loop whose values leave the `i64` range,
+/// or a reference whose byte addresses (or Morton indices) over them do
+/// under the layout of the arrays declared so far. The layout is checked
+/// as declared and with every array linear, as the padding searches
+/// address it.
+fn check_overflow(
+    program: &Program,
+    pads: &[u64],
+    families: &[LayoutFamily],
+    name: &str,
+    loops: &[Loop],
+    r: Option<&ArrayRef>,
+) -> Result<(), String> {
+    let mut layouts = vec![DataLayout::with_pads(&program.arrays, pads)];
+    if !families.is_empty() {
+        let mut families = families.to_vec();
+        families.resize(program.arrays.len(), LayoutFamily::Linear);
+        layouts.push(DataLayout::with_pads_and_families(
+            &program.arrays,
+            pads,
+            &families,
+        )?);
+    }
+    let nest = LoopNest::new(name, loops.to_vec(), r.into_iter().cloned().collect());
+    for layout in &layouts {
+        if let Err(e @ TraceError::Overflow { .. }) = CompiledNest::try_new(program, &nest, layout)
+        {
+            return Err(e.to_string());
+        }
+    }
+    Ok(())
 }
 
 /// Read and parse one corpus file.
@@ -347,7 +398,9 @@ fn parse_expr(text: &str) -> Result<AffineExpr, String> {
         let coeff: i64 = pair[1]
             .parse()
             .map_err(|_| format!("bad coefficient {}", pair[1]))?;
-        e = e.add(&AffineExpr::scaled(pair[0], coeff));
+        e = e
+            .checked_add(&AffineExpr::scaled(pair[0], coeff))
+            .ok_or_else(|| format!("subscript {text} overflows i64"))?;
     }
     Ok(e)
 }
@@ -449,6 +502,69 @@ mod tests {
                 format!("{level}array a 8 8 0 {}\n", 1u64 << 63),
                 "line 2: array a: the layout would end past",
             ),
+            // Subscript constants, coefficients and loop bounds near the
+            // i64 limits: the byte address, or the loop counter one step
+            // past either end, overflows.
+            (
+                format!("{level}array a 8 8 0 0\nnest n\nloop i 0 3 1\nref r 0 9223372036854775807,i,1\n"),
+                "line 5: nest n: reference to array a leaves the i64 range",
+            ),
+            (
+                format!("{level}array a 8 8 0 0\nnest n\nloop i 0 3 1\nref r 0 0,i,9223372036854775807\n"),
+                "line 5: nest n: reference to array a leaves the i64 range",
+            ),
+            (
+                format!("{level}array a 8 8 0 0\nnest n\nloop i 9223372036854775800 9223372036854775807 1\n"),
+                "line 4: nest n: loop i leaves the i64 range",
+            ),
+            (
+                format!("{level}array a 8 8 0 0\nnest n\nloop i -9223372036854775808 9223372036854775807 1\n"),
+                "line 4: nest n: loop i leaves the i64 range",
+            ),
+            (
+                format!("{level}array a 8 8 0 0\nnest n\nloop i 0 3 -9223372036854775808\n"),
+                "line 4: nest n: loop i leaves the i64 range",
+            ),
+            // Bounds that fit, but whose byte addresses do not.
+            (
+                format!("{level}array a 8 8 0 0\nnest n\nloop i 0 4611686018427387904 1\nref r 0 0,i,1\n"),
+                "line 5: nest n: reference to array a leaves the i64 range",
+            ),
+            (
+                format!("{level}array a 8 8 0 0\nnest n\nloop i 0 3 1\nref r 1 0,i,1\n"),
+                "line 5: ref names array 1 before its declaration",
+            ),
+            // More or fewer subscripts than the array's rank, on a linear
+            // and on a Morton array.
+            (
+                format!("{level}array a 8 8 0 0\nnest n\nloop i 0 3 1\nref r 0 0;0\n"),
+                "line 5: ref to array 0 has 2 subscripts for rank 1",
+            ),
+            (
+                format!("{level}array a 8 8,8 0,0 0\nlayout 0 morton 0,1,0,1,0,1\nnest n\nloop i 0 3 1\nref r 0 0,i,1;0;0\n"),
+                "line 6: ref to array 0 has 3 subscripts for rank 2",
+            ),
+            (
+                format!("{level}array a 8 8,8 0,0 0\nnest n\nloop i 0 3 1\nref r 0 0,i,1\n"),
+                "line 5: ref to array 0 has 1 subscripts for rank 2",
+            ),
+            // Terms that fit summed in loop order (j, then i) but not in
+            // the order the layout analyses add them (by variable name).
+            (
+                format!("{level}array a 1 64 0 0\nnest n\nloop j 1 1 1\nloop i 1 1 -1\nref r 0 9223372036854775797,i,20,j,-20\n"),
+                "line 6: nest n: reference to array a leaves the i64 range",
+            ),
+            // A Morton array whose indices fit, but whose linear byte
+            // addresses (the padding searches' view) do not.
+            (
+                format!("{level}array a 8 8,8 0,0 0\nlayout 0 morton 0,1,0,1,0,1\nnest n\nloop i -3 3 2\nref r 0 0,i,576460752303423488;0\n"),
+                "line 6: nest n: reference to array a leaves the i64 range",
+            ),
+            // A repeated variable whose coefficients sum past i64::MAX.
+            (
+                format!("{level}array a 8 8 0 0\nnest n\nloop i 0 3 1\nref r 0 0,i,9223372036854775807,i,1\n"),
+                "line 5: subscript 0,i,9223372036854775807,i,1 overflows i64",
+            ),
             // A Morton envelope whose byte size overflows.
             (
                 format!(
@@ -462,6 +578,25 @@ mod tests {
             let err = parse_case(&text).unwrap_err();
             assert!(err.contains(needle), "{text:?}: {err}");
         }
+    }
+
+    #[test]
+    fn parse_accepts_nests_whose_walk_fits_in_i64() {
+        // The walk's counter passes only the end it moves toward, so a
+        // loop may start at i64::MIN (positive step) or i64::MAX (negative).
+        let head = "level 1024 32 1 6\narray a 8 8 0 0\nnest n\n";
+        for lp in [
+            "loop i -9223372036854775808 -9223372036854775800 1",
+            "loop i 9223372036854775800 9223372036854775807 -1",
+        ] {
+            let text = format!("{head}{lp}\nref r 0 0\nend\n");
+            parse_case(&text).unwrap_or_else(|e| panic!("{lp}: {e}"));
+        }
+        // Inside an empty loop only the first value of `i` is formed, so
+        // addresses that would overflow at i = 1..=4 do not count.
+        let text =
+            format!("{head}loop j 1 0 1\nloop i 0 3 1\nref r 0 0,i,1152921504606846975\nend\n");
+        parse_case(&text).unwrap_or_else(|e| panic!("empty nest: {e}"));
     }
 
     #[test]

@@ -63,19 +63,31 @@ impl AffineExpr {
     }
 
     /// Sum of two affine expressions.
+    ///
+    /// # Panics
+    /// Panics when a coefficient or the constant overflows `i64`; see
+    /// [`AffineExpr::checked_add`].
     pub fn add(&self, other: &Self) -> Self {
+        self.checked_add(other)
+            .expect("affine expression overflows i64")
+    }
+
+    /// [`AffineExpr::add`], or `None` when a coefficient or the constant
+    /// overflows `i64`.
+    pub fn checked_add(&self, other: &Self) -> Option<Self> {
         let mut map: BTreeMap<&str, i64> = BTreeMap::new();
         for (v, c) in self.terms.iter().chain(&other.terms) {
-            *map.entry(v.as_str()).or_insert(0) += c;
+            let sum = map.entry(v.as_str()).or_insert(0);
+            *sum = sum.checked_add(*c)?;
         }
-        Self {
+        Some(Self {
             terms: map
                 .into_iter()
                 .filter(|&(_, c)| c != 0)
                 .map(|(v, c)| (v.to_string(), c))
                 .collect(),
-            constant: self.constant + other.constant,
-        }
+            constant: self.constant.checked_add(other.constant)?,
+        })
     }
 
     /// Difference of two affine expressions.
@@ -84,14 +96,29 @@ impl AffineExpr {
     }
 
     /// This expression times an integer.
+    ///
+    /// # Panics
+    /// Panics when a coefficient or the constant overflows `i64`; see
+    /// [`AffineExpr::checked_scale`].
     pub fn scale(&self, k: i64) -> Self {
+        self.checked_scale(k)
+            .expect("affine expression overflows i64")
+    }
+
+    /// [`AffineExpr::scale`], or `None` when a coefficient or the constant
+    /// overflows `i64`.
+    pub fn checked_scale(&self, k: i64) -> Option<Self> {
         if k == 0 {
-            return Self::constant(0);
+            return Some(Self::constant(0));
         }
-        Self {
-            terms: self.terms.iter().map(|(v, c)| (v.clone(), c * k)).collect(),
-            constant: self.constant * k,
-        }
+        Some(Self {
+            terms: self
+                .terms
+                .iter()
+                .map(|(v, c)| Some((v.clone(), c.checked_mul(k)?)))
+                .collect::<Option<_>>()?,
+            constant: self.constant.checked_mul(k)?,
+        })
     }
 
     /// The constant term.

@@ -324,7 +324,24 @@ impl DataLayout {
     /// Panics if the referenced array uses a non-affine family (gate on
     /// [`DataLayout::fully_affine`], or let `trace_gen` compile the
     /// reference — it handles Morton refs natively).
+    ///
+    /// Also panics if the address arithmetic overflows `i64`
+    /// ([`DataLayout::try_address_expr`] returns `None` instead).
     pub fn address_expr(&self, arrays: &[ArrayDecl], r: &ArrayRef) -> AffineExpr {
+        self.try_address_expr(arrays, r).unwrap_or_else(|| {
+            panic!(
+                "address of a reference to array {} overflows i64",
+                arrays[r.array].name
+            )
+        })
+    }
+
+    /// [`DataLayout::address_expr`], or `None` when scaling a subscript to
+    /// bytes or summing the terms overflows `i64`.
+    ///
+    /// # Panics
+    /// Panics on a non-affine family, like [`DataLayout::address_expr`].
+    pub fn try_address_expr(&self, arrays: &[ArrayDecl], r: &ArrayRef) -> Option<AffineExpr> {
         assert!(
             self.family(r.array).is_linear(),
             "address_expr on non-affine layout family for array {}",
@@ -335,9 +352,9 @@ impl DataLayout {
         let elem = a.elem_size as i64;
         let mut e = AffineExpr::constant(self.bases[r.array] as i64);
         for (d, s) in r.subscripts.iter().enumerate() {
-            e = e.add(&s.scale(strides[d] * elem));
+            e = e.checked_add(&s.checked_scale(strides[d].checked_mul(elem)?)?)?;
         }
-        e
+        Some(e)
     }
 }
 

@@ -62,6 +62,17 @@ pub enum TraceError {
         /// The provable minimum address (negative).
         min: i64,
     },
+    /// A loop's values, or a reference's byte addresses over them, leave
+    /// the `i64` range: the walk's arithmetic would overflow. Loop values
+    /// count one step past either end, where the walk's counter stops.
+    /// Detected statically for constant-bound nests.
+    Overflow {
+        /// Nest name.
+        nest: String,
+        /// The offending loop (`loop i`) or reference (`reference to
+        /// array A`).
+        what: String,
+    },
     /// A subscript of a Morton-layout reference leaves the interleave
     /// word's per-dimension bit envelope `[0, 2^bits)` — bit interleaving
     /// has no meaning outside it. Detected statically for constant-bound
@@ -95,6 +106,11 @@ impl std::fmt::Display for TraceError {
                 "nest {nest}: reference to array {array} generates a negative \
                  byte address (minimum {min}); check the data layout's base \
                  offsets and subscript bounds"
+            ),
+            TraceError::Overflow { nest, what } => write!(
+                f,
+                "nest {nest}: {what} leaves the i64 range; check loop bounds, \
+                 subscript constants and coefficients"
             ),
             TraceError::MortonOutOfRange {
                 nest,
@@ -301,7 +317,12 @@ impl CompiledNest {
                 });
                 continue;
             }
-            let addr = layout.address_expr(&program.arrays, r);
+            let addr = layout.try_address_expr(&program.arrays, r).ok_or_else(|| {
+                TraceError::Overflow {
+                    nest: nest.name.clone(),
+                    what: format!("reference to array {}", decl.name),
+                }
+            })?;
             let mut strides = Vec::with_capacity(nest.loops.len());
             for l in &nest.loops {
                 strides.push(addr.coeff(&l.var));
@@ -322,22 +343,42 @@ impl CompiledNest {
             loops,
             refs,
         };
-        compiled.validate_min_addresses()?;
+        compiled.validate_address_ranges(nest)?;
         Ok(compiled)
     }
 
-    /// Static negative-address check: when every loop bound is a constant
-    /// (the rectangular nests all experiments use), the minimum byte address
-    /// each reference can generate is computable exactly from bounds ×
-    /// strides, so a layout that would emit a negative address is rejected
-    /// here — at compile time, in release builds too — instead of silently
-    /// wrapping to a huge `u64` and corrupting miss counts. Nests with
-    /// outer-variable-dependent bounds (triangular, strip-mined) are skipped
-    /// here because interval reasoning over-approximates them; they are
-    /// still covered exactly by the endpoint check in the innermost walk.
-    fn validate_min_addresses(&self) -> Result<(), TraceError> {
+    /// Static address-range checks, in release builds too, when every loop
+    /// bound is a constant (the rectangular nests all experiments use):
+    ///
+    /// * **Overflow.** Every trip count and loop value the walk forms (its
+    ///   counter stops one step past the last value visited; an empty loop
+    ///   and the loops inside it count at their first value only), every
+    ///   partial sum over these values of a byte address or Morton
+    ///   dimension index (base + Σ stride × value, in any order), and the
+    ///   magnitude of each innermost stride × step must fit in `i64`;
+    ///   otherwise the nest is rejected with [`TraceError::Overflow`]
+    ///   instead of wrapping.
+    /// * **Negative addresses.** The minimum byte address each reference
+    ///   can generate is computable exactly from bounds × strides, so a
+    ///   layout that would emit a negative address is rejected here instead
+    ///   of silently wrapping to a huge `u64` and corrupting miss counts.
+    ///
+    /// Nests with outer-variable-dependent bounds (triangular, strip-mined)
+    /// are skipped here because interval reasoning over-approximates them;
+    /// their negative addresses are still caught exactly by the endpoint
+    /// check in the innermost walk.
+    fn validate_address_ranges(&self, nest: &LoopNest) -> Result<(), TraceError> {
+        let overflow = |what: String| TraceError::Overflow {
+            nest: self.name.clone(),
+            what,
+        };
+        // Per loop: the values visited, and the values the walk's counter
+        // forms. The walk stops at an empty loop; from there on the layout
+        // analyses evaluate each loop at its first value only.
         let mut ranges: Vec<(i64, i64)> = Vec::with_capacity(self.loops.len());
-        for lp in &self.loops {
+        let mut counters: Vec<(i64, i64)> = Vec::with_capacity(self.loops.len());
+        let mut empty = false;
+        for (lp, l) in self.loops.iter().zip(&nest.loops) {
             let constant_only = lp
                 .lowers
                 .iter()
@@ -348,13 +389,70 @@ impl CompiledNest {
             }
             let lo = lp.lowers.iter().map(|e| e.constant).max().unwrap();
             let hi = lp.uppers.iter().map(|e| e.constant).min().unwrap();
+            let bad_loop = || overflow(format!("loop {}", l.var));
+            let step = lp.step.checked_abs().ok_or_else(bad_loop)?;
+            let first = if lp.step > 0 { lo } else { hi };
+            let mut formed = (first, first);
             if hi < lo {
-                return Ok(()); // provably empty loop: the nest emits nothing
+                empty = true;
+            } else {
+                // The walk starts at `lo` for a positive step and at `hi`
+                // for a negative one, makes `span / step + 1` trips, and its
+                // counter stops one step past the last value visited.
+                let span = hi.checked_sub(lo).ok_or_else(bad_loop)? / step * step;
+                (span / step).checked_add(1).ok_or_else(bad_loop)?;
+                let (a, b, past) = if lp.step > 0 {
+                    (lo, lo + span, (lo + span).checked_add(step))
+                } else {
+                    (hi - span, hi, (hi - span).checked_sub(step))
+                };
+                let past = past.ok_or_else(bad_loop)?;
+                ranges.push((a, b));
+                if !empty {
+                    formed = (a.min(past), b.max(past));
+                }
             }
-            // The values actually visited are lo, lo+|step|, ..;
-            // the extreme reachable values are exact for constant bounds.
-            let last = lo + (hi - lo) / lp.step.abs() * lp.step.abs();
-            ranges.push((lo, last));
+            counters.push(formed);
+        }
+        let innermost_step = self.loops.last().filter(|_| !empty).map(|l| l.step);
+        for r in &self.refs {
+            let bad_ref = || overflow(format!("reference to array {}", r.label));
+            // The affine byte address, or each Morton dimension index: a
+            // constant plus one stride per loop. `min` and `max` bound every
+            // partial sum of the terms, in whatever order they are added.
+            let parts: Vec<(i64, &[i64])> = match &r.morton {
+                Some(m) => m
+                    .dim_base
+                    .iter()
+                    .zip(&m.dim_strides)
+                    .map(|(&b, s)| (b, s.as_slice()))
+                    .collect(),
+                None => vec![(r.base, r.strides.as_slice())],
+            };
+            for (base, strides) in parts {
+                let (mut min, mut max) = (base as i128, base as i128);
+                for (&s, &(lo, hi)) in strides.iter().zip(&counters) {
+                    let (a, b) = (s as i128 * lo as i128, s as i128 * hi as i128);
+                    min += a.min(b).min(0);
+                    max += a.max(b).max(0);
+                    if [a, b, min, max]
+                        .into_iter()
+                        .any(|x| i64::try_from(x).is_err())
+                    {
+                        return Err(bad_ref());
+                    }
+                }
+                // The innermost walk advances by stride × step, a run
+                // stride whose magnitude the sinks take.
+                if let (Some(&s), Some(step)) = (strides.last(), innermost_step) {
+                    s.checked_mul(step)
+                        .and_then(i64::checked_abs)
+                        .ok_or_else(bad_ref)?;
+                }
+            }
+        }
+        if empty {
+            return Ok(()); // provably empty loop: the nest emits nothing
         }
         for r in &self.refs {
             if let Some(m) = &r.morton {
@@ -1223,6 +1321,106 @@ mod tests {
             generate_with(&p, &l, &mut h, fast);
             assert_eq!(h.stats()[0].accesses(), 0);
         }
+    }
+
+    #[test]
+    fn try_new_reports_overflow_as_value() {
+        // A loop whose counter would step past i64::MAX, and a reference
+        // whose byte addresses over an in-range loop leave the i64 range:
+        // typed errors, not overflow panics or wrapped addresses.
+        let mut p = Program::new("t");
+        let a = p.add_array(ArrayDecl::f64("A", vec![8]));
+        let l = DataLayout::contiguous(&p.arrays);
+        let stepped = |lo, hi, step| {
+            let mut lp = Loop::counted("i", lo, hi);
+            lp.step = step;
+            lp
+        };
+        for (lp, sub, what) in [
+            (
+                Loop::counted("i", i64::MAX - 7, i64::MAX),
+                E::constant(0),
+                "loop i",
+            ),
+            (
+                stepped(i64::MIN, i64::MIN + 7, -1),
+                E::constant(0),
+                "loop i",
+            ),
+            // 2^63 trips: the trip count itself overflows.
+            (
+                Loop::counted("i", -1, i64::MAX - 1),
+                E::constant(0),
+                "loop i",
+            ),
+            (
+                Loop::counted("i", 0, 1 << 61),
+                E::var("i"),
+                "reference to array A",
+            ),
+            // One trip whose addresses, one step on included, fit, but
+            // whose stride × step (8 × -(2^61 - 1)) does not, and one whose
+            // stride × step is i64::MIN, which has no magnitude in i64.
+            (
+                stepped((1 << 60) - 1, (1 << 60) - 1, -((1 << 61) - 1)),
+                E::var("i"),
+                "reference to array A",
+            ),
+            (
+                stepped((1 << 60) - 1, (1 << 60) - 1, -(1 << 60)),
+                E::var("i"),
+                "reference to array A",
+            ),
+        ] {
+            let nest = LoopNest::new("big", vec![lp], vec![ArrayRef::read(a, vec![sub])]);
+            match CompiledNest::try_new(&p, &nest, &l) {
+                Err(TraceError::Overflow { nest, what: w }) => {
+                    assert_eq!((nest.as_str(), w.as_str()), ("big", what));
+                }
+                other => panic!("expected Overflow of {what}, got {other:?}"),
+            }
+        }
+        // The counter stops one step past the end the walk moves toward,
+        // so loops that end at the other i64 limit compile and run.
+        for lp in [
+            Loop::counted("i", i64::MIN, i64::MIN + 7),
+            stepped(i64::MAX - 7, i64::MAX, -1),
+            stepped(5, i64::MAX - 3, 10),
+        ] {
+            let nest = LoopNest::new(
+                "edge",
+                vec![lp],
+                vec![ArrayRef::read(a, vec![E::constant(0)])],
+            );
+            let c = CompiledNest::try_new(&p, &nest, &l).unwrap();
+            if nest.loops[0].step.abs() == 1 {
+                assert_eq!(
+                    c.try_run_with(&mut CountingSink::default(), false).unwrap(),
+                    8
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn negative_step_checks_the_values_the_walk_visits() {
+        // i = 4, 1 (not 0, 3): A(i - 1) stays at or above byte 0.
+        let mut p = Program::new("t");
+        let a = p.add_array(ArrayDecl::f64("A", vec![8]));
+        let mut lp = Loop::counted("i", 0, 4);
+        lp.step = -3;
+        let nest = LoopNest::new(
+            "down",
+            vec![lp],
+            vec![ArrayRef::read(a, vec![E::var_plus("i", -1)])],
+        );
+        let l = DataLayout::contiguous(&p.arrays);
+        let mut rec = RecordingSink::default();
+        CompiledNest::try_new(&p, &nest, &l)
+            .unwrap()
+            .run_with(&mut rec, false);
+        let addrs: Vec<u64> = rec.accesses.iter().map(|a| a.addr).collect();
+        assert_eq!(addrs, [24, 0]);
     }
 
     fn negative_base_program() -> (Program, DataLayout) {
