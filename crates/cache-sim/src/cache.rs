@@ -481,6 +481,58 @@ impl Cache {
         }
     }
 
+    /// Append one set's ways, most recent first, to `lines` (line numbers,
+    /// `u64::MAX` for an empty way) and `dirty`: the form the translated
+    /// route of `Hierarchy::run_group` records a reference in.
+    pub(crate) fn push_ways(&self, set: usize, lines: &mut Vec<u64>, dirty: &mut Vec<bool>) {
+        let base = set * self.assoc;
+        for w in base..base + self.assoc {
+            let t = self.tags[w];
+            lines.push(if t == INVALID {
+                INVALID
+            } else {
+                (t << self.set_shift) | set as u64
+            });
+            dirty.push(self.dirty[w]);
+        }
+    }
+
+    /// Whether one set's ways equal `lines` and `dirty`, recorded by
+    /// [`Cache::push_ways`] from the set `shift` lines back, with every
+    /// valid line moved `shift` lines (wrapping: a descending move).
+    /// Compares every way: tags in recency order, dirty bits and empty ways.
+    pub(crate) fn ways_match(&self, set: usize, lines: &[u64], dirty: &[bool], shift: u64) -> bool {
+        let base = set * self.assoc;
+        self.dirty[base..base + self.assoc] == *dirty
+            && lines
+                .iter()
+                .zip(&self.tags[base..base + self.assoc])
+                .all(|(&l, &t)| {
+                    if l == INVALID {
+                        t == INVALID
+                    } else {
+                        t != INVALID && t == l.wrapping_add(shift) >> self.set_shift
+                    }
+                })
+    }
+
+    /// Overwrite one set's ways with `lines` and `dirty`, recorded by
+    /// [`Cache::push_ways`] from the set `shift` lines back, every valid
+    /// line moved `shift` lines. No counters move.
+    pub(crate) fn put_ways(&mut self, set: usize, lines: &[u64], dirty: &[bool], shift: u64) {
+        let base = set * self.assoc;
+        for (w, (&l, &d)) in lines.iter().zip(dirty).enumerate() {
+            self.tags[base + w] = if l == INVALID {
+                INVALID
+            } else {
+                let line = l.wrapping_add(shift);
+                debug_assert_eq!(line & self.set_mask, set as u64, "line moved off its set");
+                line >> self.set_shift
+            };
+            self.dirty[base + w] = d;
+        }
+    }
+
     /// Invalidate every line (cold cache) without touching counters.
     /// Dirty contents are discarded, not written back.
     pub fn flush(&mut self) {

@@ -8,6 +8,7 @@
 
 use crate::cache::{trips_on_line, Cache, Probe};
 use crate::config::HierarchyConfig;
+use crate::replacement::ReplacementPolicy;
 use crate::stats::{LevelStats, MissRateReport};
 use crate::trace::{Access, AccessSink, Run};
 
@@ -20,6 +21,8 @@ enum GroupPath {
     Periodic,
     /// Per-window collision checks, with scalar replay or bail-out.
     Windowed,
+    /// Colliding lockstep group: super-periods replayed by translation.
+    Translated,
 }
 
 /// A stack of cache levels driven as one unit.
@@ -32,6 +35,9 @@ pub struct Hierarchy {
     /// simplest form of the hardware prefetching Section 2.2 alludes to).
     next_line_prefetch: bool,
     prefetch_fills: u64,
+    /// Per-level buffers of [`Hierarchy::run_group_translated`], kept so
+    /// that consecutive groups reuse them. No state crosses groups.
+    footprints: Vec<Footprint>,
 }
 
 impl Hierarchy {
@@ -43,6 +49,7 @@ impl Hierarchy {
             levels,
             next_line_prefetch: false,
             prefetch_fills: 0,
+            footprints: Vec::new(),
         }
     }
 
@@ -285,9 +292,11 @@ impl Hierarchy {
     /// ([`Hierarchy::run_group_periodic`]); everything else goes through the
     /// windowed path ([`Hierarchy::run_group_windowed`]), which checks
     /// collisions at line-crossing granularity and replays conflicting
-    /// windows scalar. Groups that add loop-invariant references to one
-    /// common stride are decided the same way by
-    /// [`Hierarchy::run_group_pinned`].
+    /// windows scalar. Colliding groups whose stride divides the largest
+    /// line and that last two super-periods take the translated route
+    /// ([`Hierarchy::run_group_translated`]) instead. Groups that add
+    /// loop-invariant references to one common stride are decided the same
+    /// way by [`Hierarchy::run_group_pinned`].
     ///
     /// Returns [`GroupPath::Declined`] when the group cannot take the fast
     /// path at all: prefetching enabled, mismatched trip counts, or some
@@ -319,6 +328,9 @@ impl Hierarchy {
         if never_conflict && stride != 0 && line.is_multiple_of(stride.unsigned_abs()) {
             self.run_group_periodic(runs, runs, count, line_shift);
             GroupPath::Periodic
+        } else if !never_conflict && self.translates(stride, count) {
+            self.run_group_translated(runs, count, line_shift, num_sets - 1);
+            GroupPath::Translated
         } else {
             self.run_group_windowed(runs, count, line_shift, num_sets - 1, never_conflict);
             GroupPath::Windowed
@@ -535,11 +547,7 @@ impl Hierarchy {
                 conflict_streak += 1;
                 if conflict_streak >= CONFLICT_BAIL {
                     self.levels[0].add_hit_accesses(hits);
-                    for trip in t..count {
-                        for r in runs {
-                            self.access_addr_kind(r.addr(trip), r.is_write());
-                        }
-                    }
+                    self.run_trips_scalar(runs, t, count - t);
                     return conflicts;
                 }
                 for trip in 0..w {
@@ -572,6 +580,144 @@ impl Hierarchy {
         }
         self.levels[0].add_hit_accesses(hits);
         conflicts
+    }
+
+    /// Whether a colliding lockstep group of this `stride` and `count` can
+    /// take [`Hierarchy::run_group_translated`]: the stride divides `Lmax`,
+    /// the run lasts at least two super-periods of `Lmax/|stride|` trips,
+    /// and no level is an associative Random cache, whose victim depends on
+    /// a generator state that translation does not carry.
+    fn translates(&self, stride: i64, count: u64) -> bool {
+        let lmax = self.config.max_line() as u64;
+        stride != 0
+            && lmax.is_multiple_of(stride.unsigned_abs())
+            && count / (lmax / stride.unsigned_abs()) >= 2
+            && self.levels.iter().all(|c| {
+                let cfg = c.config();
+                cfg.replacement != ReplacementPolicy::Random || cfg.associativity == 1
+            })
+    }
+
+    /// Severe-conflict route for a lockstep group with a nonzero stride `s`
+    /// that divides the largest line `Lmax`. Every `P = Lmax/|s|` trips
+    /// (one super-period) each reference moves exactly `Lmax` bytes, so
+    /// super-period `k` accesses super-period `r`'s addresses moved
+    /// `(k − r)·Lmax` bytes. That move is a multiple of every level's line
+    /// size: it keeps two addresses on one line exactly when they were,
+    /// moves each line a fixed number of lines and so each set a fixed
+    /// number of sets, and keeps recency order. So when, at every level,
+    /// each set super-period `k`'s lines map to holds the reference's entry
+    /// contents of the corresponding set, moved the same way (tags in
+    /// recency order, dirty bits and empty ways, compared in full), the
+    /// direct-mapped, LRU and FIFO transition functions take super-period
+    /// `k` through the reference's hits, misses, evictions and write-backs
+    /// moved by the same amount. Replay then writes the reference's exit
+    /// contents, moved, and credits its per-level counts; no set outside
+    /// those footprints is touched by either.
+    ///
+    /// Any super-period that fails the comparison runs through the scalar
+    /// probes and becomes the new reference, unless it is the last one,
+    /// which nothing could replay; the ragged tail runs scalar too. The
+    /// first super-period enters with whatever ran before the group: when
+    /// its footprint overlaps the second's at some level, the second enters
+    /// with contents the first just wrote, so the first is no reference and
+    /// runs scalar unrecorded. The footprint shape is computed once per
+    /// group, and a group whose replays keep failing sends its remaining
+    /// trips down the windowed path in one go, so a layout whose state
+    /// never repeats costs little more than its scalar probes. Returns how
+    /// many super-periods were replayed and how many were recorded as
+    /// references.
+    fn run_group_translated(
+        &mut self,
+        runs: &[Run],
+        count: u64,
+        line_shift: u32,
+        set_mask: u64,
+    ) -> (u64, u64) {
+        /// Consecutive failed replays before the rest goes windowed.
+        const REPLAY_BAIL: u32 = 3;
+        let lmax = self.config.max_line() as u64;
+        let stride = runs[0].stride;
+        let period = lmax / stride.unsigned_abs();
+        let supers = count / period;
+        let moved = if stride > 0 {
+            lmax
+        } else {
+            lmax.wrapping_neg()
+        };
+        let mut fps = std::mem::take(&mut self.footprints);
+        fps.resize_with(self.levels.len(), Footprint::default);
+        for (fp, c) in fps.iter_mut().zip(&self.levels) {
+            fp.shape(c, runs, period, moved);
+        }
+        let mut k = 0;
+        if fps.iter().any(Footprint::overlaps_next) {
+            self.run_trips_scalar(runs, 0, period);
+            k = 1;
+        }
+        let (mut replayed, mut referenced) = (0, 0);
+        let mut reference = None;
+        let mut failed = 0;
+        while k < supers {
+            if let Some(r) = reference {
+                if fps
+                    .iter()
+                    .zip(&self.levels)
+                    .all(|(fp, c)| fp.matches(c, r, k))
+                {
+                    for (fp, c) in fps.iter().zip(&mut self.levels) {
+                        fp.replay(c, r, k);
+                    }
+                    replayed += 1;
+                    failed = 0;
+                    k += 1;
+                    continue;
+                }
+                failed += 1;
+                if failed == REPLAY_BAIL || k + 2 >= supers {
+                    break;
+                }
+            }
+            if k + 1 == supers {
+                break;
+            }
+            for (fp, c) in fps.iter_mut().zip(&self.levels) {
+                fp.record_entry(c, k);
+            }
+            self.run_trips_scalar(runs, k * period, period);
+            for (fp, c) in fps.iter_mut().zip(&self.levels) {
+                fp.record_exit(c, k);
+            }
+            reference = Some(k);
+            referenced += 1;
+            k += 1;
+        }
+        self.footprints = fps;
+        let (from, rest) = (k * period, count - k * period);
+        if failed == REPLAY_BAIL {
+            let slice: Vec<Run> = runs
+                .iter()
+                .map(|r| Run {
+                    start: r.addr(from),
+                    count: rest,
+                    ..*r
+                })
+                .collect();
+            self.run_group_windowed(&slice, rest, line_shift, set_mask, false);
+        } else {
+            self.run_trips_scalar(runs, from, rest);
+        }
+        (replayed, referenced)
+    }
+
+    /// Trips `from..from + trips` of a group through the exact scalar
+    /// interleave.
+    fn run_trips_scalar(&mut self, runs: &[Run], from: u64, trips: u64) {
+        for t in from..from + trips {
+            for r in runs {
+                self.access_addr_kind(r.addr(t), r.is_write());
+            }
+        }
     }
 
     /// View this hierarchy as an [`AccessSink`] that reports every access
@@ -667,6 +813,120 @@ fn pinned_set_disjoint(
     true
 }
 
+/// One level's part of [`Hierarchy::run_group_translated`]: the sets one
+/// super-period's lines map to, and a reference super-period's contents of
+/// them at entry and exit, with its counts at this level.
+#[derive(Debug, Clone, Default)]
+struct Footprint {
+    /// Sets super-period 0's lines map to, ascending and distinct. Those of
+    /// super-period `k` are these moved `k·step`, masked.
+    sets: Vec<u64>,
+    /// Lines the group moves per super-period (wrapping when descending).
+    step: u64,
+    set_mask: u64,
+    assoc: usize,
+    /// The reference's entry and exit contents, `associativity` ways per
+    /// set of `sets`, in [`Cache::push_ways`] form.
+    entry: (Vec<u64>, Vec<bool>),
+    exit: (Vec<u64>, Vec<bool>),
+    /// The reference's access, miss and write-back counts: before it ran,
+    /// then (after it ran) its deltas.
+    counts: [u64; 3],
+}
+
+impl Footprint {
+    /// The footprint shape of a group whose super-period is `period` trips
+    /// and moves it `moved` bytes.
+    fn shape(&mut self, c: &Cache, runs: &[Run], period: u64, moved: u64) {
+        let cfg = c.config();
+        let shift = cfg.line.trailing_zeros();
+        self.set_mask = cfg.num_sets() as u64 - 1;
+        self.assoc = cfg.associativity;
+        self.step = ((moved as i64) >> shift) as u64;
+        self.sets.clear();
+        for r in runs {
+            let (a, b) = (r.start, r.addr(period - 1));
+            for line in (a.min(b) >> shift)..=(a.max(b) >> shift) {
+                self.sets.push(line & self.set_mask);
+            }
+        }
+        self.sets.sort_unstable();
+        self.sets.dedup();
+    }
+
+    /// Whether super-period 1's sets meet super-period 0's.
+    fn overlaps_next(&self) -> bool {
+        self.sets.iter().any(|&s| {
+            let next = s.wrapping_add(self.step) & self.set_mask;
+            self.sets.binary_search(&next).is_ok()
+        })
+    }
+
+    /// The set of super-period `k` that corresponds to `sets[i]`.
+    #[inline]
+    fn set(&self, i: usize, k: u64) -> usize {
+        (self.sets[i].wrapping_add(k.wrapping_mul(self.step)) & self.set_mask) as usize
+    }
+
+    /// Super-period `k`'s contents, in [`Cache::push_ways`] form.
+    fn read(&self, c: &Cache, k: u64, (lines, dirty): &mut (Vec<u64>, Vec<bool>)) {
+        lines.clear();
+        dirty.clear();
+        for i in 0..self.sets.len() {
+            c.push_ways(self.set(i, k), lines, dirty);
+        }
+    }
+
+    fn record_entry(&mut self, c: &Cache, k: u64) {
+        let mut entry = std::mem::take(&mut self.entry);
+        self.read(c, k, &mut entry);
+        self.entry = entry;
+        self.counts = [c.accesses(), c.misses(), c.writebacks()];
+    }
+
+    fn record_exit(&mut self, c: &Cache, k: u64) {
+        let mut exit = std::mem::take(&mut self.exit);
+        self.read(c, k, &mut exit);
+        self.exit = exit;
+        let [a, m, w] = self.counts;
+        self.counts = [c.accesses() - a, c.misses() - m, c.writebacks() - w];
+    }
+
+    /// Whether super-period `k` enters with reference `r`'s entry contents
+    /// moved `k − r` super-periods.
+    fn matches(&self, c: &Cache, r: u64, k: u64) -> bool {
+        let n = self.assoc;
+        let shift = (k - r).wrapping_mul(self.step);
+        (0..self.sets.len()).all(|i| {
+            let ways = i * n..(i + 1) * n;
+            c.ways_match(
+                self.set(i, k),
+                &self.entry.0[ways.clone()],
+                &self.entry.1[ways],
+                shift,
+            )
+        })
+    }
+
+    /// Leave super-period `k`'s sets as reference `r` left its own, moved
+    /// `k − r` super-periods, and credit its counts.
+    fn replay(&self, c: &mut Cache, r: u64, k: u64) {
+        let n = self.assoc;
+        let shift = (k - r).wrapping_mul(self.step);
+        for i in 0..self.sets.len() {
+            let ways = i * n..(i + 1) * n;
+            c.put_ways(
+                self.set(i, k),
+                &self.exit.0[ways.clone()],
+                &self.exit.1[ways],
+                shift,
+            );
+        }
+        let [a, m, w] = self.counts;
+        c.account_analytic(a, m, w);
+    }
+}
+
 /// An [`AccessSink`] wrapper pairing a [`Hierarchy`] with a
 /// [`mlc_telemetry::CacheProbe`]; see [`Hierarchy::probed`].
 pub struct ProbedHierarchy<'a> {
@@ -715,11 +975,7 @@ impl AccessSink for Hierarchy {
                 if self.try_run_group_fast(runs) == GroupPath::Declined {
                     // Exact interleaved scalar fallback, mirroring the
                     // trait's default implementation.
-                    for t in 0..runs[0].count {
-                        for r in runs {
-                            self.access_addr_kind(r.addr(t), r.is_write());
-                        }
-                    }
+                    self.run_trips_scalar(runs, 0, runs[0].count);
                 }
             }
         }
@@ -1172,7 +1428,7 @@ mod tests {
             let mut h = Hierarchy::new(cfg.clone());
             let set_mask = l1.num_sets() as u64 - 1;
             assert!(h.run_group_windowed(&runs, 300, 5, set_mask, false) > 0);
-            assert_eq!(group_state_parity(&cfg, &[], &runs), GroupPath::Windowed);
+            assert_eq!(group_state_parity(&cfg, &[], &runs), GroupPath::Translated);
         }
     }
 
@@ -1320,6 +1576,280 @@ mod tests {
         }
         // Both verdicts, for lockstep and pinned groups alike.
         assert!(seen.iter().flatten().all(|&k| k > 100), "{seen:?}");
+    }
+
+    /// [`group_state_parity`] for a group that must take the translated
+    /// route, then the route itself on an identically primed hierarchy:
+    /// returns that hierarchy and its (replayed, referenced) super-period
+    /// counts.
+    fn translated(cfg: &HierarchyConfig, prime: &[u64], runs: &[Run]) -> (Hierarchy, u64, u64) {
+        assert_eq!(
+            group_state_parity(cfg, prime, runs),
+            GroupPath::Translated,
+            "{runs:?}"
+        );
+        let mut h = Hierarchy::new(cfg.clone());
+        for &a in prime {
+            h.access_addr_kind(a, a & 8 != 0);
+        }
+        let l1 = cfg.levels[0];
+        let (shift, mask) = (l1.line.trailing_zeros(), l1.num_sets() as u64 - 1);
+        let (replayed, referenced) = h.run_group_translated(runs, runs[0].count, shift, mask);
+        (h, replayed, referenced)
+    }
+
+    /// L1 1 KiB / 32 B and L2 8 KiB / 64 B, both direct-mapped.
+    fn dm_1k_8k() -> HierarchyConfig {
+        HierarchyConfig::new(
+            vec![
+                CacheConfig::direct_mapped(1024, 32),
+                CacheConfig::direct_mapped(8192, 64),
+            ],
+            vec![1.0, 10.0],
+        )
+    }
+
+    #[test]
+    fn direct_mapped_ping_pong_pair_replays_by_translation() {
+        // Two f64 streams one L1 size apart evict each other at every
+        // access. Lmax = 64 B, so a super-period is 8 trips.
+        let base = 1u64 << 16;
+        for cfg in [tiny_cfg(), dm_1k_8k(), HierarchyConfig::ultrasparc_i()] {
+            let l1 = cfg.levels[0].size as u64;
+            let runs = [
+                run(base, 8, 80, AccessKind::Read),
+                run(base + l1, 8, 80, AccessKind::Read),
+            ];
+            let (h, replayed, referenced) = translated(&cfg, &[], &runs);
+            // The tiny L1's 4 sets wrap every two super-periods, so the
+            // third and fourth enter with lines the first two left.
+            let want = if l1 == 128 { (7, 3) } else { (9, 1) };
+            assert_eq!((replayed, referenced), want, "{cfg:?}");
+            if l1 > 128 {
+                assert_eq!(h.stats()[0].misses(), 160, "every access misses L1");
+            }
+        }
+    }
+
+    #[test]
+    fn mixed_reads_and_writes_replay_their_write_backs() {
+        // a(i) = a(i) + b(i) with b one L1 size past a: the written line
+        // of a is evicted dirty by b at every trip. 100 trips are 12 super-
+        // periods and a 4-trip tail.
+        let cfg = dm_1k_8k();
+        let runs = [
+            run(1 << 16, 8, 100, AccessKind::Read),
+            run((1 << 16) + 1024, 8, 100, AccessKind::Read),
+            run(1 << 16, 8, 100, AccessKind::Write),
+        ];
+        let (h, replayed, referenced) = translated(&cfg, &[], &runs);
+        assert_eq!((replayed, referenced), (11, 1));
+        assert_eq!(
+            h.writebacks()[0],
+            75,
+            "one per trip off the first of a line"
+        );
+    }
+
+    #[test]
+    fn descending_pair_replays_by_translation() {
+        let cfg = dm_1k_8k();
+        let top = (1u64 << 16) + 8 * 95;
+        let runs = [
+            run(top, -8, 96, AccessKind::Write),
+            run(top + 1024, -8, 96, AccessKind::Read),
+        ];
+        let (h, replayed, _) = translated(&cfg, &[], &runs);
+        assert!(replayed >= 10, "{replayed}");
+        assert!(h.writebacks()[0] > 0);
+    }
+
+    #[test]
+    fn three_streams_cycle_through_a_two_way_fifo_set() {
+        // A 256 B 2-way FIFO L1 has 128 B ways: three streams 128 B apart
+        // take turns evicting each other from one set.
+        let fifo = |size, line| CacheConfig::new(size, line, 2, ReplacementPolicy::Fifo);
+        let cfg = HierarchyConfig::new(vec![fifo(256, 32), fifo(2048, 64)], vec![1.0, 10.0]);
+        let base = 1u64 << 16;
+        let runs = [
+            run(base, 8, 96, AccessKind::Read),
+            run(base + 128, 8, 96, AccessKind::Write),
+            run(base + 256, 8, 96, AccessKind::Read),
+        ];
+        let (h, replayed, _) = translated(&cfg, &[], &runs);
+        assert!(replayed >= 8, "{replayed}");
+        assert!(h.writebacks()[0] > 0);
+    }
+
+    #[test]
+    fn three_level_hierarchy_with_a_two_way_lru_middle_replays() {
+        // Three streams 256 B apart: one L1 set, one set of the 2-way LRU
+        // L2 (256 B ways), three sets of the direct-mapped L3.
+        let cfg = HierarchyConfig::new(
+            vec![
+                CacheConfig::direct_mapped(128, 32),
+                CacheConfig::new(512, 64, 2, ReplacementPolicy::Lru),
+                CacheConfig::direct_mapped(4096, 64),
+            ],
+            vec![1.0, 10.0, 50.0],
+        );
+        let base = 1u64 << 16;
+        let runs = [
+            run(base, 8, 88, AccessKind::Write),
+            run(base + 256, 8, 88, AccessKind::Read),
+            run(base + 512, 8, 88, AccessKind::Read),
+        ];
+        let (h, replayed, _) = translated(&cfg, &[0, 64, 4104, 8192], &runs);
+        assert!(replayed >= 5, "{replayed}");
+        assert!(h.stats()[1].misses() > 0 && h.writebacks()[1] > 0);
+    }
+
+    #[test]
+    fn pair_colliding_at_the_next_line_only_replays() {
+        // The pair of `pair_whose_next_line_collides_stays_windowed`: D is
+        // clean, D+1 collides on every fourth trip.
+        for cfg in [dm_1k_8k(), HierarchyConfig::ultrasparc_i()] {
+            let l1 = cfg.levels[0];
+            let d = (l1.size - l1.line + 8) as u64;
+            let runs = [
+                run(1 << 16, 8, 160, AccessKind::Write),
+                run((1 << 16) + d, 8, 160, AccessKind::Read),
+            ];
+            let (_, replayed, _) = translated(&cfg, &[], &runs);
+            assert!(replayed >= 15, "{replayed} of 20 super-periods replayed");
+        }
+    }
+
+    #[test]
+    fn count_off_the_super_period_runs_its_tail_scalar() {
+        let cfg = dm_1k_8k();
+        for count in [16, 17, 53, 87] {
+            let runs = [
+                run(1 << 16, 8, count, AccessKind::Read),
+                run((1 << 16) + 1024, 8, count, AccessKind::Write),
+            ];
+            let (_, replayed, referenced) = translated(&cfg, &[], &runs);
+            assert_eq!((replayed, referenced), (count / 8 - 1, 1));
+        }
+    }
+
+    #[test]
+    fn entry_state_that_breaks_translation_re_references() {
+        // A ping-pong pair over ten super-periods; super-period k touches
+        // L1 sets 2k and 2k+1 and L2 sets k and 16+k. Each prime breaks
+        // the translation at super-period 4 at one level or in one bit,
+        // and the route must notice, re-reference and stay exact.
+        let cfg = dm_1k_8k();
+        let base = 1u64 << 16;
+        let runs = [
+            run(base, 8, 80, AccessKind::Read),
+            run(base + 1024, 8, 80, AccessKind::Read),
+        ];
+        // A warm L1 that translation carries: one line of a 1 KiB region
+        // in every set, in L2 sets 64..80, away from the group's.
+        let warm: Vec<u64> = (0..32).map(|i| base + 4096 + 32 * i).collect();
+        let stranger = vec![base + 3072 + 4 * 64];
+        let dirty: Vec<u64> = warm
+            .iter()
+            .map(|&a| if a == base + 4096 + 8 * 32 { a + 8 } else { a })
+            .collect();
+        let l2_only: Vec<u64> = std::iter::once(base + 4 * 64).chain(warm.clone()).collect();
+        let (_, replayed, referenced) = translated(&cfg, &warm, &runs);
+        assert_eq!((replayed, referenced), (9, 1), "warm state translates");
+        for (what, prime) in [
+            ("an L1 line", &stranger),
+            ("a dirty bit", &dirty),
+            ("an L2 line", &l2_only),
+        ] {
+            let (_, replayed, referenced) = translated(&cfg, prime, &runs);
+            assert!(
+                referenced >= 2 && replayed >= 6,
+                "{what}: {replayed} replayed, {referenced} referenced"
+            );
+        }
+    }
+
+    #[test]
+    fn associative_random_levels_stay_windowed() {
+        // A Random victim depends on the generator state, which translation
+        // does not carry; a direct-mapped Random level has no choice.
+        let runs = [
+            run(1 << 16, 8, 80, AccessKind::Read),
+            run((1 << 16) + 512, 8, 80, AccessKind::Read),
+            run((1 << 16) + 1024, 8, 80, AccessKind::Write),
+        ];
+        for (assoc, path) in [(2, GroupPath::Windowed), (1, GroupPath::Translated)] {
+            let cfg = HierarchyConfig::new(
+                vec![
+                    CacheConfig::new(1024, 32, assoc, ReplacementPolicy::Random),
+                    CacheConfig::direct_mapped(8192, 64),
+                ],
+                vec![1.0, 10.0],
+            );
+            assert_eq!(group_state_parity(&cfg, &[], &runs), path);
+        }
+    }
+
+    /// The translated route against the scalar interleave on seeded
+    /// colliding groups: direct-mapped, LRU and FIFO levels one to three
+    /// deep, both stride signs, runs of two to about ten super-periods,
+    /// entry state primed around the group with reads and writes.
+    #[test]
+    fn translated_route_matches_scalar_on_seeded_groups() {
+        let mut rng = crate::rng::DetRng::new(24);
+        let policies = [ReplacementPolicy::Lru, ReplacementPolicy::Fifo];
+        let (mut routed, mut replaying) = (0, 0);
+        for case in 0..1500 {
+            let mut line = 1usize << rng.range_usize(4, 7);
+            let mut size = 0;
+            let mut levels = Vec::new();
+            for _ in 0..rng.range_usize(1, 4) {
+                let assoc = *rng.pick(&[1usize, 1, 2, 4]);
+                size = ((line * assoc) << rng.range_usize(0, 5)).max(size);
+                levels.push(CacheConfig::new(size, line, assoc, *rng.pick(&policies)));
+                line <<= rng.range_usize(0, 2);
+                size *= 1 << rng.range_usize(0, 3);
+            }
+            let costs = vec![1.0; levels.len()];
+            let cfg = HierarchyConfig::new(levels, costs);
+            let l1 = cfg.levels[0];
+            let lmax = cfg.max_line() as u64;
+            let mut s = *rng.pick(&[1i64, 2, 4, 8]);
+            s = s.min(l1.line as i64 / 2);
+            if rng.bool() {
+                s = -s;
+            }
+            let period = lmax / s.unsigned_abs();
+            let count = rng.range_u64(2 * period, 10 * period + period);
+            let span = (l1.size / l1.associativity) as i64;
+            let base = 1i64 << 20;
+            let runs: Vec<Run> = (0..rng.range_usize(2, 5))
+                .map(|_| {
+                    let near = rng.range_i64(-3, 4) * span + rng.range_i64(-4, 5) * s.abs();
+                    let kind = if rng.bool() {
+                        AccessKind::Write
+                    } else {
+                        AccessKind::Read
+                    };
+                    run((base + near) as u64, s, count, kind)
+                })
+                .collect();
+            let reach = 4 * cfg.levels.last().unwrap().size as i64;
+            let prime: Vec<u64> = (0..rng.range_usize(0, 40))
+                .map(|_| (base + rng.range_i64(-reach, reach)) as u64 & !3)
+                .collect();
+            let path = group_state_parity(&cfg, &prime, &runs);
+            if path == GroupPath::Translated {
+                routed += 1;
+                let (_, replayed, _) = translated(&cfg, &prime, &runs);
+                replaying += (replayed > 0) as u32;
+            }
+            assert_ne!(path, GroupPath::Declined, "case {case}");
+        }
+        assert!(
+            replaying >= 200,
+            "{replaying} of {routed} routed groups replayed"
+        );
     }
 
     #[test]

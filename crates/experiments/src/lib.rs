@@ -31,8 +31,8 @@
 //! `--threads N`. The `sweep` binary runs the whole experiment grid cell
 //! by cell through that store, so a rerun over the same cache directory
 //! finishes an interrupted sweep. `diagrams`, `fusion_example` and
-//! `validate_estimator` take no flags. An argument a binary does not read
-//! exits 2 naming it ([`reject_unknown_args`]).
+//! `validate_estimator` take no flags. An argument a binary does not read,
+//! or an option given twice, exits 2 naming it ([`reject_unknown_args`]).
 //!
 //! The [`layout_sweep`] grid races data layouts instead of paddings —
 //! linear vs best-pad vs searched Morton words vs cache-oblivious tiling

@@ -50,8 +50,9 @@
 //! [`flag_value`] applies the rule to any option a binary reads in its own
 //! argument loop (`serve`, `serve_load`). Likewise
 //! [`reject_unknown_args`] exits 2 naming the first argument a binary does
-//! not read, so a mistyped or unsupported option is never silently
-//! dropped.
+//! not read or the first option given twice, and so does the extractor for
+//! a repeated flag of its own, so a mistyped, unsupported or repeated
+//! option is never silently dropped.
 //!
 //! [`default_threads`]: mlc_core::par::default_threads
 
@@ -90,8 +91,9 @@ impl TelemetryCli {
     /// `--metrics-out`, `--cache-dir`, `--threads`) given no value, an
     /// empty one, or another flag where its value belongs
     /// (`--trace-out --metrics-out m.json`), a thread count that is not a
-    /// positive integer, or a removed engine flag (`--no-fast-path`,
-    /// `--no-analytic`, `--no-fast-search`).
+    /// positive integer, one of these flags (or `--no-cache`) given twice,
+    /// or a removed engine flag (`--no-fast-path`, `--no-analytic`,
+    /// `--no-fast-search`).
     pub fn extract(argv: Vec<String>) -> (Self, Vec<String>) {
         Self::try_extract(argv).unwrap_or_else(|e| {
             eprintln!("{e}");
@@ -107,13 +109,21 @@ impl TelemetryCli {
         let mut trace_out: Option<PathBuf> = None;
         let mut metrics_out: Option<PathBuf> = None;
         let mut cache_dir: Option<PathBuf> = None;
+        let mut threads: Option<String> = None;
         let mut no_cache = false;
+        let mut seen: Vec<String> = Vec::new();
         let mut it = argv.into_iter();
         while let Some(arg) = it.next() {
             let (flag, inline) = match arg.split_once('=') {
                 Some((f, v)) if VALUE_FLAGS.contains(&f) => (f, Some(v.to_string())),
                 _ => (arg.as_str(), None),
             };
+            if VALUE_FLAGS.contains(&flag) || flag == "--no-cache" {
+                if seen.iter().any(|f| f == flag) {
+                    return Err(format!("{flag} given twice"));
+                }
+                seen.push(flag.to_string());
+            }
             if VALUE_FLAGS.contains(&flag) {
                 // `--flag=VALUE` takes VALUE verbatim; that spelling is how
                 // a value starting with `--` gets through.
@@ -133,7 +143,7 @@ impl TelemetryCli {
                     "--trace-out" => trace_out = Some(value.into()),
                     "--metrics-out" => metrics_out = Some(value.into()),
                     "--cache-dir" => cache_dir = Some(value.into()),
-                    _ => apply_threads(&value)?,
+                    _ => threads = Some(value),
                 }
             } else if arg == "--no-cache" {
                 no_cache = true;
@@ -144,6 +154,9 @@ impl TelemetryCli {
             } else {
                 rest.push(arg);
             }
+        }
+        if let Some(value) = threads {
+            apply_threads(&value)?;
         }
         let telemetry = if trace_out.is_some() || metrics_out.is_some() {
             Telemetry::enabled()
@@ -308,35 +321,37 @@ pub fn flag_value<T: std::str::FromStr>(
 }
 
 /// Exit with status 2, naming the first argument after `argv[0]` that the
-/// binary does not read: neither one of its `switches` nor one of its
-/// `value_flags`, each of which takes the next argument as its value (read
-/// with [`int_flag`]). Call it before any work, so a mistyped or unsupported
+/// binary does not read, or the first option given twice. The binary reads
+/// its `switches` and its `value_flags`, each of which takes the next
+/// argument as its value (read with [`int_flag`], which sees only the
+/// first). Call it before any work, so a mistyped, unsupported or repeated
 /// option stops the run instead of being dropped.
 pub fn reject_unknown_args(args: &[String], switches: &[&str], value_flags: &[&str]) {
-    if let Some(arg) = first_unknown_arg(args, switches, value_flags) {
+    if let Some(err) = arg_error(args, switches, value_flags) {
         let bin = args
             .first()
             .and_then(|a| Path::new(a).file_name())
             .map(|n| n.to_string_lossy().into_owned())
             .unwrap_or_default();
-        eprintln!("{bin}: unknown argument {arg}");
+        eprintln!("{bin}: {err}");
         std::process::exit(2);
     }
 }
 
-/// The argument [`reject_unknown_args`] rejects, if any.
-fn first_unknown_arg<'a>(
-    args: &'a [String],
-    switches: &[&str],
-    value_flags: &[&str],
-) -> Option<&'a str> {
+/// The usage error [`reject_unknown_args`] reports, if any.
+fn arg_error(args: &[String], switches: &[&str], value_flags: &[&str]) -> Option<String> {
+    let mut seen: Vec<&str> = Vec::new();
     let mut rest = args.iter().skip(1).map(String::as_str);
     while let Some(arg) = rest.next() {
         if value_flags.contains(&arg) {
             rest.next();
         } else if !switches.contains(&arg) {
-            return Some(arg);
+            return Some(format!("unknown argument {arg}"));
         }
+        if seen.contains(&arg) {
+            return Some(format!("{arg} given twice"));
+        }
+        seen.push(arg);
     }
     None
 }
@@ -460,20 +475,52 @@ mod tests {
     }
 
     #[test]
-    fn first_unknown_arg_skips_argv0_and_flag_values() {
-        let unknown =
-            |a: &[&str]| first_unknown_arg(&sv(a), &["--csv"], &["--step"]).map(str::to_string);
-        assert_eq!(unknown(&["fig11"]), None);
-        assert_eq!(unknown(&["fig11", "--step", "3", "--csv"]), None);
+    fn arg_error_skips_argv0_and_flag_values() {
+        let err = |a: &[&str]| arg_error(&sv(a), &["--csv"], &["--step"]);
+        assert_eq!(err(&["fig11"]), None);
+        assert_eq!(err(&["fig11", "--step", "3", "--csv"]), None);
         // A value flag's value is never judged on its own, even when it
         // looks like a flag: `int_flag` rejects it with its own message.
-        assert_eq!(unknown(&["fig11", "--step", "--bogus"]), None);
-        assert_eq!(unknown(&["fig11", "--csv", "--step"]), None);
+        assert_eq!(err(&["fig11", "--step", "--bogus"]), None);
+        assert_eq!(err(&["fig11", "--csv", "--step"]), None);
         assert_eq!(
-            unknown(&["fig11", "--csv", "--bogus", "run"]).as_deref(),
-            Some("--bogus")
+            err(&["fig11", "--csv", "--bogus", "run"]).as_deref(),
+            Some("unknown argument --bogus")
         );
-        assert_eq!(unknown(&["fig11", "run"]).as_deref(), Some("run"));
+        assert_eq!(
+            err(&["fig11", "run"]).as_deref(),
+            Some("unknown argument run")
+        );
+    }
+
+    #[test]
+    fn repeated_options_are_errors_naming_them() {
+        // `int_flag` reads only the first `--step`, so a second one would
+        // be dropped without a word; a valueless repeat counts too.
+        let err = |a: &[&str]| arg_error(&sv(a), &["--csv"], &["--step"]);
+        for argv in [
+            &["fig11", "--step", "2", "--step", "3"][..],
+            &["fig11", "--step", "2", "--csv", "--step"][..],
+        ] {
+            assert_eq!(err(argv).as_deref(), Some("--step given twice"));
+        }
+        assert_eq!(
+            err(&["fig11", "--csv", "--csv"]).as_deref(),
+            Some("--csv given twice")
+        );
+        // The telemetry flags, in either spelling; `--no-cache` pairs with
+        // `--cache-dir` but not with itself.
+        for argv in [
+            sv(&["mlc", "--threads", "2", "fig11", "--threads=4"]),
+            sv(&["mlc", "--cache-dir=a", "--cache-dir", "b"]),
+            sv(&["mlc", "--trace-out", "t.jsonl", "--trace-out", "u.jsonl"]),
+            sv(&["mlc", "--metrics-out=m.json", "--metrics-out=n.json"]),
+            sv(&["mlc", "--no-cache", "--cache-dir", "c", "--no-cache"]),
+        ] {
+            let flag = argv[1].split('=').next().unwrap().to_string();
+            let err = TelemetryCli::try_extract(argv).unwrap_err();
+            assert_eq!(err, format!("{flag} given twice"));
+        }
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Differential parity: the run-length fast path must be *bitwise identical*
-//! to the per-access scalar path — same per-level accesses, misses, and
-//! write-backs — for every registered kernel, across hierarchy geometries
-//! and replacement policies.
+//! to the per-access scalar path — same per-level accesses, misses and
+//! write-backs, and the same final contents (tags, dirty bits and recency
+//! order of every set) — for every registered kernel, across hierarchy
+//! geometries and replacement policies.
 //!
 //! Debug builds run every kernel on the paper's UltraSparc I config and a
 //! reduced kernel set on the wider geometry × policy matrix to keep test
@@ -16,7 +17,7 @@ use mlc_model::trace_gen::{generate_with, simulate_steady_with};
 use mlc_model::DataLayout;
 
 /// Simulate `kernel` through both paths on `cfg` and demand identical
-/// per-level accesses, misses, and write-backs.
+/// per-level accesses, misses, write-backs and final set contents.
 fn assert_kernel_parity(kernel: &dyn Kernel, cfg: &HierarchyConfig, prefetch: bool) {
     let program = kernel.model();
     let layout = DataLayout::contiguous(&program.arrays);
@@ -45,6 +46,16 @@ fn assert_kernel_parity(kernel: &dyn Kernel, cfg: &HierarchyConfig, prefetch: bo
         kernel.name()
     );
     assert_eq!(fast.prefetch_fills(), scalar.prefetch_fills());
+    for (level, (f, c)) in fast.caches().iter().zip(scalar.caches()).enumerate() {
+        for set in 0..f.config().num_sets() {
+            assert!(
+                f.set_contents(set).eq(c.set_contents(set)),
+                "{}: L{} set {set} contents diverge on {cfg:?}",
+                kernel.name(),
+                level + 1
+            );
+        }
+    }
 }
 
 /// Kernels for the wide matrix: all of them in release; in debug, only those

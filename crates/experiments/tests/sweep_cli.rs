@@ -94,3 +94,22 @@ fn rerun_over_a_partial_cache_recomputes_only_the_missing_cells() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn repeated_grid_option_exits_2_naming_it() {
+    // `--grid` is read by position, so a second one used to be dropped
+    // and the first grid ran.
+    for args in [
+        &["--grid", "smoke", "--grid", "conflict"][..],
+        &["--grid", "smoke", "--grid"][..],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_sweep"))
+            .args(args)
+            .output()
+            .expect("spawn sweep");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "sweep {args:?}: {stderr}");
+        assert!(stderr.contains("--grid given twice"), "{stderr}");
+        assert!(out.stdout.is_empty(), "sweep {args:?} ran a grid");
+    }
+}

@@ -32,6 +32,7 @@ pub const ORACLES: &[&str] = &[
     "search-parity",
     "multilvlpad-clears-all-levels",
     "l2maxpad-preserves-l1",
+    "base-shift-invariance",
     "severe-count-differential",
     "fusion-model",
     "estimator-agreement",
@@ -137,6 +138,7 @@ pub fn check_case(case: &Case) -> Report {
     check_search_parity(case, &mut r);
     check_multilvlpad(case, &mut r);
     check_l2maxpad(case, &mut r);
+    check_base_shift(case, &mut r);
 
     // severe-count-differential: the skeleton's lockstep counter and the
     // reference implementation must agree exactly, at every level, on the
@@ -626,25 +628,45 @@ fn check_cache_parity(case: &Case, layout: &DataLayout, r: &mut Report) {
     r.checked.push(oracle);
 }
 
-/// Fast-path vs scalar simulation: identical miss reports, cold and steady.
+/// Fast-path vs scalar simulation: identical miss reports, cold and steady,
+/// and after the cold sweep identical write-backs and final contents (tags,
+/// dirty bits and recency order of every set at every level).
 fn check_fastpath_parity(case: &Case, layout: &DataLayout, r: &mut Report) {
     let oracle = "fastpath-parity";
     let (p, h) = (&case.program, &case.hierarchy);
-    let cold_fast = try_simulate_with(p, layout, h, true);
-    let cold_scalar = try_simulate_with(p, layout, h, false);
-    match (&cold_fast, &cold_scalar) {
-        (Ok(a), Ok(b)) if a == b => {}
-        (Ok(a), Ok(b)) => {
+    let cold = |fast| {
+        let mut hier = mlc_cache_sim::Hierarchy::new(h.clone());
+        try_generate_with(p, layout, &mut hier, fast).map(|_| hier)
+    };
+    match (cold(true), cold(false)) {
+        (Ok(a), Ok(b)) if a.report() != b.report() => {
             r.fail(
                 oracle,
-                format!("cold simulation diverges: fast {a:?} vs scalar {b:?}"),
+                format!(
+                    "cold simulation diverges: fast {:?} vs scalar {:?}",
+                    a.report(),
+                    b.report()
+                ),
             );
             return;
+        }
+        (Ok(a), Ok(b)) => {
+            if let Some(diff) = state_difference(&a, &b) {
+                r.fail(
+                    oracle,
+                    format!("after the cold sweep, fast vs scalar: {diff}"),
+                );
+                return;
+            }
         }
         (a, b) => {
             r.fail(
                 oracle,
-                format!("generated case does not simulate: fast {a:?}, scalar {b:?}"),
+                format!(
+                    "generated case does not simulate: fast {:?}, scalar {:?}",
+                    a.map(|h| h.report()),
+                    b.map(|h| h.report())
+                ),
             );
             return;
         }
@@ -659,6 +681,29 @@ fn check_fastpath_parity(case: &Case, layout: &DataLayout, r: &mut Report) {
         return;
     }
     r.checked.push(oracle);
+}
+
+/// The first difference between two hierarchies' write-back counts or
+/// final contents (tags, dirty bits and recency order of every set at every
+/// level), described with `a` first.
+fn state_difference(a: &mlc_cache_sim::Hierarchy, b: &mlc_cache_sim::Hierarchy) -> Option<String> {
+    if a.writebacks() != b.writebacks() {
+        return Some(format!(
+            "write-backs {:?} != {:?}",
+            a.writebacks(),
+            b.writebacks()
+        ));
+    }
+    for (level, (ca, cb)) in a.caches().iter().zip(b.caches()).enumerate() {
+        for set in 0..ca.config().num_sets() {
+            let x: Vec<_> = ca.set_contents(set).collect();
+            let y: Vec<_> = cb.set_contents(set).collect();
+            if x != y {
+                return Some(format!("L{} set {set}: contents {x:?} != {y:?}", level + 1));
+            }
+        }
+    }
+    None
 }
 
 /// The closed-form nest engine vs plain run-length replay: identical miss
@@ -708,21 +753,12 @@ fn check_analytic_parity(case: &Case, layout: &DataLayout, r: &mut Report) {
         r.skip(oracle, "case does not generate".to_string());
         return;
     }
-    for (level, (ca, cr)) in ha.caches().iter().zip(hr.caches()).enumerate() {
-        for set in 0..ca.config().num_sets() {
-            let a: Vec<_> = ca.set_contents(set).collect();
-            let b: Vec<_> = cr.set_contents(set).collect();
-            if a != b {
-                r.fail(
-                    oracle,
-                    format!(
-                        "L{} set {set}: analytic contents {a:?} != replay contents {b:?}",
-                        level + 1
-                    ),
-                );
-                return;
-            }
-        }
+    if let Some(diff) = state_difference(&ha, &hr) {
+        r.fail(
+            oracle,
+            format!("after materializing, analytic vs replay: {diff}"),
+        );
+        return;
     }
     r.checked.push(oracle);
 }
@@ -977,6 +1013,101 @@ fn check_l2maxpad(case: &Case, r: &mut Report) {
         return;
     }
     r.checked.push(oracle);
+}
+
+/// Shifting every array base by `k·Lmax` bytes, `Lmax` the largest line,
+/// moves every line a whole number of lines at every level, so the access
+/// stream of each set moves intact to another set and the cold caches are
+/// alike: every per-level access, miss and write-back count must stay the
+/// same, cold and steady (1 + 1), on the run-length engine and with the
+/// analytic engine in front. The translated route of `Hierarchy::run_group`
+/// rests on this symmetry. The shifts are `Lmax` and `3·Lmax`, a multiple
+/// of no cache size larger than `Lmax`, and the largest cache size, a
+/// multiple of every one.
+fn check_base_shift(case: &Case, r: &mut Report) {
+    let oracle = "base-shift-invariance";
+    let h = &case.hierarchy;
+    if case.pads.is_empty() {
+        r.skip(oracle, "program has no arrays".to_string());
+        return;
+    }
+    let lmax = h.max_line() as u64;
+    let smax = h.levels.iter().map(|l| l.size).max().unwrap_or(1) as u64;
+    let counts =
+        |case: &Case, analytic| caught(|| shift_protocol_counts(case, analytic)).and_then(|r| r);
+    for analytic in [false, true] {
+        let engine = if analytic { "analytic" } else { "run-length" };
+        let Ok(base) = counts(case, analytic) else {
+            r.skip(oracle, "case does not simulate".to_string());
+            return;
+        };
+        for shift in [lmax, 3 * lmax, smax] {
+            let mut moved = case.clone();
+            moved.pads[0] += shift;
+            if moved.validate().is_err() {
+                r.skip(
+                    oracle,
+                    format!("a {shift} B shift leaves the address range"),
+                );
+                return;
+            }
+            match counts(&moved, analytic) {
+                Ok(c) if c == base => {}
+                Ok(c) => {
+                    r.fail(
+                        oracle,
+                        format!(
+                            "{engine}: shifting every base by {shift} B (Lmax {lmax}) changes \
+                             the (accesses, misses, write-backs) per level, [cold, steady], \
+                             from {base:?} to {c:?}"
+                        ),
+                    );
+                    return;
+                }
+                Err(e) => {
+                    r.fail(
+                        oracle,
+                        format!("{engine}: the {shift} B shift does not simulate: {e}"),
+                    );
+                    return;
+                }
+            }
+        }
+    }
+    r.checked.push(oracle);
+}
+
+/// Per-level (accesses, misses, write-backs) of a cold sweep and of a
+/// steady sweep (one warm-up, counters reset, one timed), on the run-length
+/// engine or with the analytic engine in front.
+#[allow(clippy::type_complexity)]
+fn shift_protocol_counts(case: &Case, analytic: bool) -> Result<[Vec<(u64, u64, u64)>; 2], String> {
+    use mlc_core::analytic::AnalyticSink;
+    let (p, layout) = (&case.program, case.layout());
+    let run = |warmup: usize| -> Result<Vec<(u64, u64, u64)>, String> {
+        let mut hier = mlc_cache_sim::Hierarchy::new(case.hierarchy.clone());
+        let err = |e: mlc_model::trace_gen::TraceError| e.to_string();
+        if analytic {
+            let mut sink = AnalyticSink::new(&mut hier);
+            for _ in 0..warmup {
+                try_generate_with(p, &layout, &mut sink, true).map_err(err)?;
+            }
+            sink.reset_stats();
+            try_generate_with(p, &layout, &mut sink, true).map_err(err)?;
+        } else {
+            for _ in 0..warmup {
+                try_generate_with(p, &layout, &mut hier, true).map_err(err)?;
+            }
+            hier.reset_stats();
+            try_generate_with(p, &layout, &mut hier, true).map_err(err)?;
+        }
+        Ok(hier
+            .caches()
+            .iter()
+            .map(|c| (c.accesses(), c.misses(), c.writebacks()))
+            .collect())
+    };
+    Ok([run(0)?, run(1)?])
 }
 
 /// Compare the simulated L1 counters (cold, and steady after one warm-up
