@@ -14,24 +14,33 @@
 //! Candidates are statically pruned before any simulation: arrays no
 //! reference touches, ranks outside `1..=MAX_SEARCH_RANK`, and words whose
 //! power-of-two envelope would blow the allocation past
-//! `MAX_ENVELOPE_FACTOR`× the linear size are never scored. Scans large
-//! enough to matter fan out over the work-stealing executor in
-//! [`crate::exec`]. Scored/pruned counts are exported process-wide through
-//! [`stats`] as `layout.search_*` telemetry next to the `layout.*` trace
-//! counters from `mlc_model`.
+//! `MAX_ENVELOPE_FACTOR`× the linear size are never scored.
 //!
 //! Scoring simulates the steady-state protocol (warmup 1, timed 1) through
-//! the run-length fast path — the same referee every sweep grid uses — and
-//! weighs misses by the hierarchy's per-level penalties. Ties break toward
-//! the earlier candidate, and `Linear` is always candidate 0, so the search
-//! only ever returns a Morton word that strictly beats row-of-columns
-//! order.
+//! the run-length fast path — the same referee every sweep grid uses,
+//! whose walk steps each Morton offset in constant time per access — and
+//! weighs misses by the hierarchy's per-level penalties. Each distinct
+//! family vector is simulated once per search: a memo seeded with the
+//! all-linear baseline answers the vectors a refinement sweep offers
+//! again. Every batch of vectors still unscored fans out over the
+//! work-stealing executor in [`crate::exec`] whenever the thread budget is
+//! above 1. The winner is then judged by walking the candidates in their
+//! fixed order, so neither the memo nor the thread count changes a result:
+//! ties break toward the earlier candidate, and `Linear` is always
+//! candidate 0, so the search only ever returns a Morton word that strictly
+//! beats row-of-columns order.
+//!
+//! Per call, [`ArrayChoice`] counts the simulations each array's scans
+//! ran (memo hits excluded) and the words they pruned; [`stats`] exports
+//! the same counts process-wide as `layout.search_*` telemetry next to
+//! the `layout.*` trace counters from `mlc_model`.
 
 use mlc_cache_sim::stats::MissRateReport;
 use mlc_cache_sim::HierarchyConfig;
 use mlc_model::layout::{blocked_word, round_robin_word, LayoutFamily};
 use mlc_model::trace_gen::try_simulate_steady_with;
 use mlc_model::{ArrayDecl, DataLayout, Program};
+use std::collections::HashMap;
 
 /// Per-dimension bit-group sizes enumerated by [`morton_candidates`]. Group
 /// size 1 in every dimension is the round-robin word; a group as large as
@@ -48,15 +57,13 @@ pub const MAX_SEARCH_RANK: usize = 3;
 /// one array optimizes the wrong thing.
 pub const MAX_ENVELOPE_FACTOR: u64 = 4;
 
-/// Candidate scans at least this large fan out over the executor.
-const PAR_CANDIDATES: usize = 16;
-
 /// One array's searched outcome.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ArrayChoice {
     /// The winning family (`Linear` when no word beat it).
     pub family: LayoutFamily,
-    /// Candidate families scored by simulation for this array.
+    /// Candidate family vectors this array's scans simulated; vectors an
+    /// earlier scan of the same search had scored are not counted again.
     pub scored: u64,
     /// Candidate families statically pruned for this array.
     pub pruned: u64,
@@ -142,7 +149,7 @@ pub mod stats {
     /// Snapshot of the search counters.
     #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
     pub struct LayoutSearchStats {
-        /// Candidate words scored by simulation.
+        /// Candidate family vectors simulated (memo hits excluded).
         pub words_scored: u64,
         /// Candidate words statically pruned (envelope, rank, unused array).
         pub words_pruned: u64,
@@ -183,16 +190,15 @@ fn bump(counter: &std::sync::atomic::AtomicU64, by: u64) {
     counter.fetch_add(by, std::sync::atomic::Ordering::Relaxed);
 }
 
+/// A family vector's memory-stall cost and steady-state report, `None`
+/// when its layout does not simulate.
+type Score = Option<(f64, MissRateReport)>;
+
 /// Score one family vector: steady-state simulation, penalties-weighted.
 /// `None` when the candidate layout does not simulate (a candidate must
 /// never turn a simulable program unsimulable, but the search tolerates it
 /// by skipping the candidate rather than panicking mid-sweep).
-fn score(
-    p: &Program,
-    pads: &[u64],
-    fams: &[LayoutFamily],
-    h: &HierarchyConfig,
-) -> Option<(f64, MissRateReport)> {
+fn score(p: &Program, pads: &[u64], fams: &[LayoutFamily], h: &HierarchyConfig) -> Score {
     let layout = DataLayout::with_pads_and_families(&p.arrays, pads, fams).ok()?;
     let report = try_simulate_steady_with(p, &layout, h, 1, 1, true).ok()?;
     let cost = report.weighted_cost(&h.miss_penalty);
@@ -210,11 +216,28 @@ pub fn search_morton(
     pads: &[u64],
     h: &HierarchyConfig,
 ) -> Result<MortonSearchResult, String> {
+    search(program, pads, h, crate::par::default_threads())
+}
+
+/// [`search_morton`] with its candidate batches scored on `threads`
+/// workers.
+fn search(
+    program: &Program,
+    pads: &[u64],
+    h: &HierarchyConfig,
+    threads: usize,
+) -> Result<MortonSearchResult, String> {
     let n = program.arrays.len();
     let mut fams = vec![LayoutFamily::Linear; n];
     let (linear_cost, mut best_report) = score(program, pads, &fams, h)
         .ok_or_else(|| "all-linear baseline does not simulate".to_string())?;
     let mut best_cost = linear_cost;
+    // Every family vector scored so far. A refinement sweep re-offers the
+    // incumbent, and an array whose scan comes round again with no other
+    // array moved in between re-offers every vector of its last scan; such
+    // vectors are looked up here instead of simulated again.
+    let mut memo: HashMap<Vec<LayoutFamily>, Score> = HashMap::new();
+    memo.insert(fams.clone(), Some((linear_cost, best_report.clone())));
 
     let used: Vec<bool> = (0..n)
         .map(|a| {
@@ -233,12 +256,11 @@ pub fn search_morton(
         })
         .collect();
 
-    let threads = crate::par::default_threads();
-    let place = |k: usize,
-                 fams: &mut Vec<LayoutFamily>,
-                 choices: &mut Vec<ArrayChoice>,
-                 best_cost: &mut f64,
-                 best_report: &mut MissRateReport| {
+    let mut place = |k: usize,
+                     fams: &mut Vec<LayoutFamily>,
+                     choices: &mut Vec<ArrayChoice>,
+                     best_cost: &mut f64,
+                     best_report: &mut MissRateReport| {
         let decl = &program.arrays[k];
         let all = morton_candidates(decl);
         if !used[k] {
@@ -254,9 +276,6 @@ pub fn search_morton(
             .partition(|f| f.alloc_bytes(decl) <= linear_bytes * MAX_ENVELOPE_FACTOR);
         choices[k].pruned += pruned.len() as u64;
         bump(&stats::WORDS_PRUNED, pruned.len() as u64);
-        if cands.is_empty() {
-            return;
-        }
         let trial: Vec<Vec<LayoutFamily>> = cands
             .iter()
             .map(|f| {
@@ -265,20 +284,25 @@ pub fn search_morton(
                 v
             })
             .collect();
-        let scores: Vec<Option<(f64, MissRateReport)>> =
-            if trial.len() >= PAR_CANDIDATES && threads > 1 {
-                crate::exec::execute(trial, threads, |v| score(program, pads, v, h)).0
-            } else {
-                trial.iter().map(|v| score(program, pads, v, h)).collect()
-            };
-        choices[k].scored += cands.len() as u64;
-        bump(&stats::WORDS_SCORED, cands.len() as u64);
-        for (f, s) in cands.into_iter().zip(scores) {
-            if let Some((cost, report)) = s {
+        // Simulate only the vectors no earlier scan scored; the candidates
+        // differ in array `k`'s family, so the batch has no repeats.
+        let fresh: Vec<&Vec<LayoutFamily>> =
+            trial.iter().filter(|v| !memo.contains_key(*v)).collect();
+        let scores: Vec<Score> = if threads > 1 {
+            crate::exec::execute(fresh.clone(), threads, |v| score(program, pads, v, h)).0
+        } else {
+            fresh.iter().map(|v| score(program, pads, v, h)).collect()
+        };
+        choices[k].scored += fresh.len() as u64;
+        bump(&stats::WORDS_SCORED, fresh.len() as u64);
+        memo.extend(fresh.into_iter().cloned().zip(scores));
+        // Judge in candidate order, whichever scan scored each vector.
+        for (f, v) in cands.into_iter().zip(&trial) {
+            if let Some((cost, report)) = &memo[v] {
                 // Strict improvement: Linear (and earlier words) win ties.
-                if cost < *best_cost {
-                    *best_cost = cost;
-                    *best_report = report;
+                if *cost < *best_cost {
+                    *best_cost = *cost;
+                    *best_report = report.clone();
                     fams[k] = f.clone();
                     choices[k].family = f;
                 }
@@ -392,7 +416,6 @@ mod tests {
         // interleave word converts it to tile-local traffic.
         let p = transpose_program(64);
         let h = small_hierarchy();
-        stats::take_stats();
         let r = search_morton(&p, &[0, 0], &h).unwrap();
         assert!(
             r.any_morton(),
@@ -401,10 +424,67 @@ mod tests {
             r.linear_cost
         );
         assert!(r.cost < r.linear_cost);
-        let s = stats::take_stats();
-        assert!(s.words_scored > 0);
-        assert!(s.morton_wins >= 1);
-        assert_eq!(s.arrays_searched, 2);
+        // Per-call accounting: both arrays are searched, every word fits
+        // the envelope bound, and each array simulates 25 distinct vectors
+        // over its three scans.
+        let counts: Vec<(u64, u64)> = r.choices.iter().map(|c| (c.scored, c.pruned)).collect();
+        assert_eq!(counts, [(25, 0), (25, 0)]);
+        assert_eq!(
+            r.families,
+            [
+                LayoutFamily::Morton(vec![0, 1, 1, 1, 1, 1, 1, 0, 0, 0, 0, 0]),
+                LayoutFamily::Morton(vec![0, 0, 1, 1, 0, 0, 1, 1, 0, 0, 1, 1]),
+            ]
+        );
+        for (c, f) in r.choices.iter().zip(&r.families) {
+            assert_eq!(&c.family, f);
+        }
+    }
+
+    fn rowcol_program(n: usize) -> Program {
+        // C(i,j) = A(i,j) + B(j,i): a same-orientation pair and a
+        // transposed operand in one body.
+        let mut p = Program::new("rowcol");
+        let a = p.add_array(ArrayDecl::f64("A", vec![n, n]));
+        let b = p.add_array(ArrayDecl::f64("B", vec![n, n]));
+        let c = p.add_array(ArrayDecl::f64("C", vec![n, n]));
+        let nn = n as i64 - 1;
+        p.add_nest(LoopNest::new(
+            "rc",
+            vec![Loop::counted("i", 0, nn), Loop::counted("j", 0, nn)],
+            vec![
+                ArrayRef::read(a, vec![E::var("i"), E::var("j")]),
+                ArrayRef::read(b, vec![E::var("j"), E::var("i")]),
+                ArrayRef::write(c, vec![E::var("i"), E::var("j")]),
+            ],
+        ));
+        p
+    }
+
+    #[test]
+    fn thread_count_never_changes_the_result() {
+        // Candidate batches fan out whenever more than one thread is
+        // available; the winner is still judged in candidate order.
+        let h = small_hierarchy();
+        for (p, pads) in [
+            (transpose_program(32), vec![0, 0]),
+            (rowcol_program(24), vec![0, 0, 0]),
+        ] {
+            let one = search(&p, &pads, &h, 1).unwrap();
+            assert!(one.any_morton(), "{}: nothing to compare", p.name);
+            for threads in [2, 3] {
+                assert_eq!(search(&p, &pads, &h, threads).unwrap(), one, "{threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn each_family_vector_is_simulated_once() {
+        // transpose32 on the showcase hierarchy: A wins a word, B keeps
+        // Linear, and the one refinement sweep re-offers both arrays' first
+        // scans unchanged, so 26 of the 52 vectors offered are repeats.
+        let r = search(&transpose_program(32), &[0, 0], &small_hierarchy(), 1).unwrap();
+        assert_eq!(r.choices.iter().map(|c| c.scored).sum::<u64>(), 26);
     }
 
     #[test]

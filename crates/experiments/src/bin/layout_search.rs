@@ -8,8 +8,11 @@
 //! ```text
 //! layout_search [--grid smoke|full] [--csv]
 //! ```
+//!
+//! Any other argument, or an option given twice, exits 2 naming it.
 
 use mlc_experiments::layout_sweep::{render_layout_tables, run_layout_cells, LayoutGridKind};
+use mlc_experiments::reject_unknown_args;
 
 fn usage_error(msg: &str) -> ! {
     eprintln!("layout_search: {msg}");
@@ -17,19 +20,16 @@ fn usage_error(msg: &str) -> ! {
 }
 
 fn main() {
-    let mut grid = LayoutGridKind::Full;
-    let mut csv = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--grid" => {
-                let g = args.next().unwrap_or_default();
-                grid = LayoutGridKind::from_arg(&g)
-                    .unwrap_or_else(|| usage_error(&format!("--grid needs smoke|full, got {g:?}")));
-            }
-            "--csv" => csv = true,
-            other => usage_error(&format!("unknown flag {other}")),
+    let args: Vec<String> = std::env::args().collect();
+    reject_unknown_args(&args, &["--csv"], &["--grid"]);
+    let grid = match args.iter().position(|a| a == "--grid") {
+        None => LayoutGridKind::Full,
+        Some(i) => {
+            let g = args.get(i + 1).map_or("", String::as_str);
+            LayoutGridKind::from_arg(g)
+                .unwrap_or_else(|| usage_error(&format!("--grid needs smoke|full, got {g:?}")))
         }
-    }
+    };
+    let csv = args.iter().any(|a| a == "--csv");
     print!("{}", render_layout_tables(&run_layout_cells(grid), csv));
 }

@@ -17,9 +17,9 @@
 //! ```
 //!
 //! Exit status 2 means bad input, reported before any work: an unknown
-//! command, program, flag or `--opt`, a value that does not parse, or a
-//! cache geometry the simulator cannot build. 1 means a failed run
-//! (writing the telemetry outputs).
+//! command, program, flag or `--opt`, a flag given twice, a value that
+//! does not parse, or a cache geometry the simulator cannot build. 1 means
+//! a failed run (writing the telemetry outputs).
 //!
 //! Run via `cargo run --release -p mlc-experiments --bin mlc -- <args>`.
 
@@ -55,9 +55,14 @@ fn parse(argv: &[String]) -> Result<Args, String> {
         nest: 0,
         sweeps: 3,
     };
+    let mut seen: Vec<&str> = Vec::new();
     let mut i = 2;
     while i < argv.len() {
         let flag = argv[i].as_str();
+        if seen.contains(&flag) {
+            return Err(format!("{flag} given twice"));
+        }
+        seen.push(flag);
         let value = argv
             .get(i + 1)
             .cloned()

@@ -259,6 +259,25 @@ fn steady(p: &Program, layout: &DataLayout, h: &HierarchyConfig) -> MissRateRepo
         .unwrap_or_else(|e| panic!("layout grid cell failed to simulate: {e}"))
 }
 
+/// The Morton competitor's detail: each array's word (dimension ids, LSB
+/// first) or `linear`, declaration order.
+fn families_note(families: &[LayoutFamily]) -> String {
+    let words: Vec<String> = families
+        .iter()
+        .map(|f| match f {
+            LayoutFamily::Morton(w) => format!(
+                "[{}]",
+                w.iter()
+                    .map(|d| d.to_string())
+                    .collect::<Vec<_>>()
+                    .join(",")
+            ),
+            LayoutFamily::Linear => "linear".into(),
+        })
+        .collect();
+    words.join(" ")
+}
+
 /// Run one cell: simulate all four competitors.
 pub fn run_layout_cell(cell: &LayoutCell) -> LayoutCellResult {
     let program = layout_kernel_by_name(&cell.kernel)
@@ -291,25 +310,11 @@ pub fn run_layout_cell(cell: &LayoutCell) -> LayoutCellResult {
     // morton: the searched interleave words (zero pads).
     let searched = search_morton(&program, &zero_pads, &h)
         .unwrap_or_else(|e| panic!("morton search failed on {:?}: {e}", cell.kernel));
-    let words: Vec<String> = searched
-        .families
-        .iter()
-        .map(|f| match f {
-            LayoutFamily::Morton(w) => format!(
-                "[{}]",
-                w.iter()
-                    .map(|d| d.to_string())
-                    .collect::<Vec<_>>()
-                    .join(",")
-            ),
-            LayoutFamily::Linear => "linear".into(),
-        })
-        .collect();
     runs.push(CompetitorRun {
         competitor: Competitor::Morton,
         cost: searched.cost,
+        note: families_note(&searched.families),
         report: searched.report,
-        note: words.join(" "),
     });
 
     // cot: recursive tiling of every nest, leaf one L1 line of elements.
@@ -518,6 +523,36 @@ mod tests {
         let orig = r.run(Competitor::Orig);
         assert!(morton.cost < orig.cost);
         assert!(pad.cost <= orig.cost);
+    }
+
+    #[test]
+    fn search_picks_the_pinned_words_on_every_cell() {
+        // The golden tables pin each competitor's counts; this pins which
+        // words the Morton search picks, cell by cell in grid order.
+        let want = [
+            "[0,1,1,0,1,1,0,1,0,0] linear",
+            "[0,1,1,1,1,1,1,0,0,0,0,0] [0,0,1,1,0,0,1,1,0,0,1,1]",
+            "[0,1,1,1,1,0,1,1,0,0,0,0] linear [0,1,1,0,1,1,0,1,1,0,0,0]",
+            "[0,1,1,1,1,0,1,1,1,0,0,0,0,0] [0,1,1,1,1,1,1,1,0,0,0,0,0,0]",
+            "linear linear",
+            "[0,1,1,1,1,1,1,0,0,0,0,0] [0,0,1,1,1,1,0,0,1,1,0,0]",
+            "[0,1,1,1,1,0,1,1,0,0,0,0] [0,0,1,1,1,1,1,1,0,0,0,0] linear",
+            "[0,1,1,0,1,1,0,1,1,0,1,0,0,0] [0,1,1,1,1,1,1,1,0,0,0,0,0,0]",
+        ];
+        let cells = layout_grid_cells(LayoutGridKind::Full);
+        assert_eq!(cells.len(), want.len());
+        for (cell, want) in cells.iter().zip(want) {
+            let p = layout_kernel_by_name(&cell.kernel).unwrap();
+            let h = layout_hierarchy_by_name(&cell.hierarchy).unwrap();
+            let r = search_morton(&p, &vec![0; p.arrays.len()], &h).unwrap();
+            assert_eq!(
+                families_note(&r.families),
+                want,
+                "{}/{}",
+                cell.hierarchy,
+                cell.kernel
+            );
+        }
     }
 
     #[test]

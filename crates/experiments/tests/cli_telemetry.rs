@@ -143,6 +143,50 @@ fn assert_usage_error(bin: &str, args: &[&str], needle: &str) {
     assert!(out.stdout.is_empty(), "{bin} {args:?} ran anyway");
 }
 
+/// An option given twice is a usage error naming it, on the binaries that
+/// read their own arguments in a loop, not a silent "last value wins".
+#[test]
+fn repeated_option_exits_2_naming_it() {
+    let layout_search = env!("CARGO_BIN_EXE_layout_search");
+    let mlc = env!("CARGO_BIN_EXE_mlc");
+    for (bin, args, needle) in [
+        (
+            layout_search,
+            &["--grid", "full", "--grid", "smoke"][..],
+            "layout_search: --grid given twice",
+        ),
+        (
+            layout_search,
+            &["--csv", "--grid", "smoke", "--csv"][..],
+            "layout_search: --csv given twice",
+        ),
+        (
+            layout_search,
+            &["--bogus"][..],
+            "layout_search: unknown argument --bogus",
+        ),
+        (
+            layout_search,
+            &["--grid", "big"][..],
+            r#"layout_search: --grid needs smoke|full, got "big""#,
+        ),
+        (
+            mlc,
+            &["simulate", "dot512", "--sweeps", "2", "--sweeps", "1"][..],
+            "mlc: --sweeps given twice",
+        ),
+        (
+            mlc,
+            &[
+                "simulate", "dot512", "--opt", "pad", "--l1", "8192", "--opt", "none",
+            ][..],
+            "mlc: --opt given twice",
+        ),
+    ] {
+        assert_usage_error(bin, args, needle);
+    }
+}
+
 /// The removed engine flags fail loudly instead of being ignored.
 #[test]
 fn removed_engine_flag_exits_2_naming_it() {

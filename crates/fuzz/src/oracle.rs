@@ -186,39 +186,56 @@ pub fn check_case(case: &Case) -> Report {
 
 /// Generalized-layout parity: the case re-laid-out with Morton interleave
 /// words and the case re-scheduled by cache-oblivious recursive tiling must
-/// simulate identically through the run-length fast path, the per-access
-/// scalar replay, and the analytic steady-state engine (which certifiably
-/// declines non-affine nests and must then reproduce the replay bitwise).
-/// Variants are derived deterministically from the case itself so every
-/// generated case exercises the oracle.
+/// simulate identically through the run-length fast path (which steps
+/// Morton offsets), the per-access scalar replay (which interleaves every
+/// access's indices), and the analytic steady-state engine (which
+/// certifiably declines non-affine nests and must then reproduce the replay
+/// bitwise). Variants are derived deterministically from the case itself so
+/// every generated case exercises the oracle.
 fn check_layout_parity(case: &Case, r: &mut Report) {
+    use mlc_model::layout::{blocked_word, min_bits};
     use mlc_model::transform::cache_oblivious_unchecked;
-    use mlc_model::LayoutFamily;
+    use mlc_model::{ArrayDecl, LayoutFamily};
     let oracle = "layout-parity";
     let (p, h) = (&case.program, &case.hierarchy);
 
     let mut variants: Vec<(&str, mlc_model::Program, DataLayout)> = Vec::new();
 
-    // Morton variant: every eligible array switches to its round-robin
-    // interleave word; the rest stay linear.
-    let fams: Vec<LayoutFamily> = p
-        .arrays
-        .iter()
-        .map(|a| {
-            let f = LayoutFamily::morton_round_robin(a);
-            if f.validate(a).is_ok() {
-                f
-            } else {
-                LayoutFamily::Linear
-            }
-        })
-        .collect();
-    if fams.iter().any(|f| !f.is_linear()) {
-        match DataLayout::with_pads_and_families(&p.arrays, &case.pads, &fams) {
-            Ok(l) => variants.push(("morton", p.clone(), l)),
-            Err(e) => {
-                r.fail(oracle, format!("validated word rejected by layout: {e}"));
-                return;
+    // Morton variants: every eligible array switches to its round-robin
+    // interleave word, or to the blocked word with two bits of each
+    // dimension per round (the kind of word the layout search picks); the
+    // rest stay linear.
+    fn blocked(a: &ArrayDecl) -> LayoutFamily {
+        let bits: Vec<u32> = (0..a.rank()).map(|d| min_bits(a.alloc_dim(d))).collect();
+        LayoutFamily::Morton(blocked_word(&bits, &vec![2; bits.len()]))
+    }
+    let words = [
+        (
+            "morton",
+            LayoutFamily::morton_round_robin as fn(&ArrayDecl) -> LayoutFamily,
+        ),
+        ("morton-blocked", blocked),
+    ];
+    for (label, word) in words {
+        let fams: Vec<LayoutFamily> = p
+            .arrays
+            .iter()
+            .map(|a| {
+                let f = word(a);
+                if f.validate(a).is_ok() {
+                    f
+                } else {
+                    LayoutFamily::Linear
+                }
+            })
+            .collect();
+        if fams.iter().any(|f| !f.is_linear()) {
+            match DataLayout::with_pads_and_families(&p.arrays, &case.pads, &fams) {
+                Ok(l) => variants.push((label, p.clone(), l)),
+                Err(e) => {
+                    r.fail(oracle, format!("validated word rejected by layout: {e}"));
+                    return;
+                }
             }
         }
     }

@@ -11,6 +11,13 @@
 //! loop advances each reference by a constant stride. The figure-11 sweep
 //! pushes several billion accesses through this path, so it allocates
 //! nothing per iteration.
+//!
+//! A reference into a Morton-layout array is affine in each dimension, not
+//! in its address. The fast walk keeps each such offset dilated (every
+//! dimension's index spread over the bits the word gives it) and steps it
+//! in constant time per trip; the scalar walk re-interleaves every access
+//! with [`morton_index`], and the `layout-parity` fuzz oracle compares the
+//! two.
 
 use crate::layout::{morton_index, DataLayout, LayoutFamily};
 use crate::nest::LoopNest;
@@ -175,6 +182,10 @@ struct CompiledMorton {
     word: Vec<u8>,
     /// Per-dimension bit budget; indices must stay in `[0, 1 << bits[d])`.
     bits: Vec<u32>,
+    /// `masks[d]`: the offset bits the word gives dimension `d`, so the
+    /// interleaved offset is the OR over `d` of `idx[d]` scattered into
+    /// `masks[d]`.
+    masks: Vec<i64>,
     /// Constant part of each dimension's index function.
     dim_base: Vec<i64>,
     /// `dim_strides[d][l]`: dimension `d`'s index coefficient of loop `l`.
@@ -191,6 +202,129 @@ impl CompiledMorton {
     fn addr(&self, idx: &[i64]) -> i64 {
         self.base + morton_index(&self.word, idx) * self.elem
     }
+
+    /// Seed the steppers of one innermost invocation whose indices start
+    /// at `idx` and change by `dd` per trip: push one [`DimStep`] per
+    /// dimension the loop moves and return the offset bits of the
+    /// dimensions it holds still. `morton_index` runs once, here.
+    fn seed_steps(&self, idx: &[i64], dd: &[i64], steps: &mut Vec<DimStep>) -> i64 {
+        let mut fixed = morton_index(&self.word, idx);
+        for (&mask, &delta) in self.masks.iter().zip(dd) {
+            if delta != 0 && mask != 0 {
+                steps.push(DimStep {
+                    x: fixed & mask,
+                    mask,
+                    dhat: scatter(delta.unsigned_abs(), mask),
+                    forward: delta > 0,
+                });
+                fixed &= !mask;
+            }
+        }
+        fixed
+    }
+}
+
+/// `masks[d]`: the offset bits a Morton `word` gives dimension `d` of a
+/// rank-`rank` array.
+fn dim_masks(word: &[u8], rank: usize) -> Vec<i64> {
+    let mut masks = vec![0i64; rank];
+    for (p, &d) in word.iter().enumerate() {
+        if let Some(m) = masks.get_mut(d as usize) {
+            *m |= 1 << p;
+        }
+    }
+    masks
+}
+
+/// The current interleaved offset of a stepped Morton reference (`fixed`
+/// bits plus each moving dimension's), then every moving dimension one
+/// trip on.
+#[inline]
+fn stepped_offset(fixed: i64, steps: &mut [DimStep]) -> i64 {
+    #[cfg(test)]
+    tests::STEPPED.with(|n| n.set(n.get() + 1));
+    let mut off = fixed;
+    for s in steps {
+        off |= s.x;
+        s.advance();
+    }
+    off
+}
+
+/// Scatter the low bits of `v` into the set bits of `mask`, lowest first:
+/// the dilated form of an index whose dimension owns `mask`.
+fn scatter(mut v: u64, mask: i64) -> i64 {
+    let (mut out, mut m) = (0i64, mask);
+    while m != 0 && v != 0 {
+        if v & 1 == 1 {
+            out |= m & m.wrapping_neg();
+        }
+        v >>= 1;
+        m &= m - 1;
+    }
+    out
+}
+
+/// One Morton dimension that an innermost loop moves: its dilated index
+/// steps in constant time per trip by dilated-integer arithmetic instead
+/// of re-interleaving every bit of the offset.
+#[derive(Debug)]
+struct DimStep {
+    /// The dimension's current index, scattered into `mask`.
+    x: i64,
+    /// The offset bits the word gives the dimension.
+    mask: i64,
+    /// The index's per-trip change in magnitude, scattered into `mask`.
+    dhat: i64,
+    /// Whether the index grows each trip.
+    forward: bool,
+}
+
+impl DimStep {
+    /// Move the index one trip on. Forward, the gaps between `mask`'s bits
+    /// are filled with ones so that carries ripple across them; backward,
+    /// borrows ripple through the gaps' zeros. Indices stay in the bit
+    /// envelope on every trip the walk emits, so neither wraps there.
+    #[inline]
+    fn advance(&mut self) {
+        self.x = if self.forward {
+            ((self.x | !self.mask) + self.dhat) & self.mask
+        } else {
+            (self.x - self.dhat) & self.mask
+        };
+    }
+}
+
+/// One reference's state over an innermost invocation of a Morton-bearing
+/// nest.
+#[derive(Debug)]
+struct Cursor {
+    /// Affine references: the next byte address.
+    addr: i64,
+    /// Affine references: the byte delta per trip.
+    delta: i64,
+    /// Morton references: the offset bits of the dimensions the loop does
+    /// not move.
+    fixed: i64,
+    /// Morton references: their moving dimensions in [`MortonWalkState::steps`].
+    steps: std::ops::Range<usize>,
+    /// Morton references: their dimensions in [`MortonWalkState::idx`].
+    dims: std::ops::Range<usize>,
+}
+
+/// Per-invocation state of a Morton-bearing nest's innermost loop, kept
+/// across invocations so that the walk allocates nothing per invocation.
+#[derive(Debug, Default)]
+struct MortonWalkState {
+    /// One cursor per reference, body order.
+    cursors: Vec<Cursor>,
+    /// Every Morton reference's moving dimensions (fast walk only).
+    steps: Vec<DimStep>,
+    /// Every Morton reference's per-dimension index and its per-trip
+    /// change: the scalar walk interleaves them on every access, and the
+    /// fast walk checks its stepped offsets against them in debug builds.
+    idx: Vec<i64>,
+    dd: Vec<i64>,
 }
 
 #[derive(Debug, Clone, PartialEq)]
@@ -309,6 +443,7 @@ impl CompiledNest {
                     morton: Some(CompiledMorton {
                         word: word.clone(),
                         bits: fam.dim_bits(decl.rank()),
+                        masks: dim_masks(word, decl.rank()),
                         dim_base,
                         dim_strides,
                         base: layout.base(r.array) as i64,
@@ -641,7 +776,8 @@ impl CompiledNest {
             crate::layout::stats::MORTON_NESTS.fetch_add(1, Ordering::Relaxed);
             let mut vals = vec![0i64; self.loops.len()];
             let mut count = 0u64;
-            self.walk_morton(0, &mut vals, sink, fast, &mut count)?;
+            let mut state = MortonWalkState::default();
+            self.walk_morton(0, &mut vals, &mut state, sink, fast, &mut count)?;
             return Ok(count);
         }
         let depth = self.loops.len();
@@ -712,6 +848,7 @@ impl CompiledNest {
         &self,
         level: usize,
         vals: &mut [i64],
+        state: &mut MortonWalkState,
         sink: &mut impl AccessSink,
         fast: bool,
         count: &mut u64,
@@ -728,12 +865,19 @@ impl CompiledNest {
         };
         let trips = ((hi - lo) / step.abs() + 1) as u64;
         if level == self.loops.len() - 1 {
-            return self.emit_morton_innermost(vals, start, step, trips, sink, fast, count);
+            return self.emit_morton_innermost(
+                vals,
+                (start, step, trips),
+                state,
+                sink,
+                fast,
+                count,
+            );
         }
         let mut v = start;
         for _ in 0..trips {
             vals[level] = v;
-            self.walk_morton(level + 1, vals, sink, fast, count)?;
+            self.walk_morton(level + 1, vals, state, sink, fast, count)?;
             v += step;
         }
         Ok(())
@@ -741,21 +885,26 @@ impl CompiledNest {
 
     /// One innermost invocation of a Morton-bearing nest.
     ///
+    /// The fast walk steps each Morton reference's interleaved offset in
+    /// constant time per trip ([`DimStep`]); `morton_index` only seeds it.
+    /// The scalar walk interleaves every access's indices with
+    /// `morton_index`, the reference the `layout-parity` oracle compares
+    /// the fast walk against (debug builds also check every stepped offset
+    /// against it).
+    ///
     /// The run-length fast path holds in exactly one shape: a single
     /// (necessarily Morton) reference, whose address sequence is re-encoded
     /// greedily into maximal constant-stride [`Run`]s — batching stays
     /// correct *across* Morton tiles because runs break exactly where the
-    /// stride does. Any multi-reference body bails to per-access scalar
-    /// emission (`layout.morton_scalar_bails`): interleaving affine and
-    /// non-affine streams into `run_group`s would need equal-count
-    /// constant-stride runs that Morton addresses do not provide.
-    #[allow(clippy::too_many_arguments)]
+    /// stride does. Any multi-reference body bails to per-access emission
+    /// (`layout.morton_scalar_bails`): interleaving affine and non-affine
+    /// streams into `run_group`s would need equal-count constant-stride
+    /// runs that Morton addresses do not provide.
     fn emit_morton_innermost(
         &self,
         vals: &[i64],
-        start: i64,
-        step: i64,
-        trips: u64,
+        (start, step, trips): (i64, i64, u64),
+        state: &mut MortonWalkState,
         sink: &mut impl AccessSink,
         fast: bool,
         count: &mut u64,
@@ -766,18 +915,25 @@ impl CompiledNest {
         if nrefs == 0 {
             return Ok(());
         }
-        // Resolve each reference's per-invocation state: affine refs get
+        // Resolve each reference's per-invocation cursor: affine refs get
         // (address, byte delta); Morton refs get per-dimension (index,
-        // index delta), endpoint-checked against the bit envelope.
-        let mut aff: Vec<(i64, i64)> = Vec::with_capacity(nrefs);
-        let mut mort: Vec<(Vec<i64>, Vec<i64>)> = Vec::with_capacity(nrefs);
+        // index delta), endpoint-checked against the bit envelope, and on
+        // the fast walk a stepper per dimension the loop moves.
+        let MortonWalkState {
+            cursors,
+            steps,
+            idx,
+            dd,
+        } = state;
+        cursors.clear();
+        steps.clear();
+        idx.clear();
+        dd.clear();
         for r in &self.refs {
-            match &r.morton {
+            let cursor = match &r.morton {
                 Some(m) => {
-                    let rank = m.dim_base.len();
-                    let mut idx = Vec::with_capacity(rank);
-                    let mut dd = Vec::with_capacity(rank);
-                    for d in 0..rank {
+                    let dims = idx.len()..idx.len() + m.dim_base.len();
+                    for d in 0..m.dim_base.len() {
                         let s = &m.dim_strides[d];
                         let mut v0 = m.dim_base[d] + s[inner] * start;
                         for (l, &val) in vals[..inner].iter().enumerate() {
@@ -795,8 +951,19 @@ impl CompiledNest {
                         idx.push(v0);
                         dd.push(delta);
                     }
-                    aff.push((0, 0));
-                    mort.push((idx, dd));
+                    let first = steps.len();
+                    let fixed = if fast {
+                        m.seed_steps(&idx[dims.clone()], &dd[dims.clone()], steps)
+                    } else {
+                        0
+                    };
+                    Cursor {
+                        addr: 0,
+                        delta: 0,
+                        fixed,
+                        steps: first..steps.len(),
+                        dims,
+                    }
                 }
                 None => {
                     let mut cur = r.base + r.strides[inner] * start;
@@ -808,23 +975,48 @@ impl CompiledNest {
                     if cur.min(last) < 0 {
                         return Err(self.negative_addr(r, cur.min(last)));
                     }
-                    aff.push((cur, delta));
-                    mort.push((Vec::new(), Vec::new()));
+                    Cursor {
+                        addr: cur,
+                        delta,
+                        fixed: 0,
+                        steps: 0..0,
+                        dims: 0..0,
+                    }
                 }
-            }
+            };
+            cursors.push(cursor);
         }
+        // A Morton reference's next byte address, then one trip on.
+        let mut next_morton = |m: &CompiledMorton, c: &Cursor| {
+            let scalar = |idx: &mut [i64]| {
+                let a = m.addr(&idx[c.dims.clone()]);
+                for (v, d) in idx[c.dims.clone()].iter_mut().zip(&dd[c.dims.clone()]) {
+                    *v += d;
+                }
+                a
+            };
+            if !fast {
+                return scalar(idx);
+            }
+            let a = m.base + stepped_offset(c.fixed, &mut steps[c.steps.clone()]) * m.elem;
+            if cfg!(debug_assertions) {
+                assert_eq!(
+                    a,
+                    scalar(idx),
+                    "stepped Morton offset diverges from morton_index"
+                );
+            }
+            a
+        };
         if fast && nrefs == 1 {
             // Single Morton reference: greedy run re-encoding.
             let r = &self.refs[0];
             let m = r.morton.as_ref().expect("has_morton nest with one ref");
-            let (idx, dd) = &mut mort[0];
-            let mut prev = m.addr(idx);
+            let c = &cursors[0];
+            let mut prev = next_morton(m, c);
             let (mut run_start, mut stride, mut n) = (prev, 0i64, 1u64);
             for _ in 1..trips {
-                for (v, d) in idx.iter_mut().zip(dd.iter()) {
-                    *v += d;
-                }
-                let a = m.addr(idx);
+                let a = next_morton(m, c);
                 if n == 1 {
                     stride = a - prev;
                     n = 2;
@@ -856,19 +1048,12 @@ impl CompiledNest {
                 crate::layout::stats::MORTON_SCALAR_BAILS.fetch_add(1, Ordering::Relaxed);
             }
             for _ in 0..trips {
-                for (r, cr) in self.refs.iter().enumerate() {
+                for (cr, c) in self.refs.iter().zip(cursors.iter_mut()) {
                     let addr = match &cr.morton {
-                        Some(m) => {
-                            let (idx, dd) = &mut mort[r];
-                            let a = m.addr(idx);
-                            for (v, d) in idx.iter_mut().zip(dd.iter()) {
-                                *v += *d;
-                            }
-                            a
-                        }
+                        Some(m) => next_morton(m, c),
                         None => {
-                            let a = aff[r].0;
-                            aff[r].0 += aff[r].1;
+                            let a = c.addr;
+                            c.addr += c.delta;
                             a
                         }
                     };
@@ -1115,6 +1300,11 @@ mod tests {
     use crate::program::figure2_example;
     use crate::reference::ArrayRef;
     use mlc_cache_sim::trace::{CountingSink, RecordingSink};
+
+    thread_local! {
+        /// Offsets [`stepped_offset`] produced on this test's thread.
+        pub(super) static STEPPED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    }
 
     fn simple_program(n: usize) -> Program {
         let mut p = Program::new("t");
@@ -1604,6 +1794,185 @@ mod tests {
             assert_eq!(nf, (n * n * 2) as u64);
             assert_eq!(fast.accesses, slow.accesses, "n={n}");
         }
+    }
+
+    /// Every vector `v` with `0 <= v[d] < lim[d]`.
+    fn odometer(lim: &[i64]) -> Vec<Vec<i64>> {
+        let mut out = vec![Vec::new()];
+        for &l in lim {
+            out = out
+                .into_iter()
+                .flat_map(|v| {
+                    (0..l).map(move |x| {
+                        let mut w = v.clone();
+                        w.push(x);
+                        w
+                    })
+                })
+                .collect();
+        }
+        out
+    }
+
+    /// The words the Morton layout search offers an array whose dimensions
+    /// need `bits`: round-robin, then every blocked word with group sizes
+    /// 1, 2, 4 or 8 per dimension (`mlc_core`'s `morton_candidates`).
+    fn search_words(bits: &[u32]) -> Vec<Vec<u8>> {
+        let mut words = vec![crate::layout::round_robin_word(bits)];
+        for g in odometer(&vec![4; bits.len()]) {
+            let g: Vec<u32> = g.iter().map(|&i| 1 << i).collect();
+            let w = crate::layout::blocked_word(bits, &g);
+            if !words.contains(&w) {
+                words.push(w);
+            }
+        }
+        words
+    }
+
+    #[test]
+    fn stepped_morton_offsets_equal_morton_index() {
+        // Every searched word of rank-1 to rank-3 arrays with small
+        // extents, from every start index in the envelope, with every
+        // per-dimension delta in -3..=3 (several dimensions moving at once,
+        // up and down): each stepped offset equals `morton_index` for as
+        // long as the indices stay in the envelope.
+        let mut checked = 0u64;
+        for extents in [vec![7usize], vec![3, 6], vec![2, 3, 5]] {
+            let rank = extents.len();
+            let bits: Vec<u32> = extents
+                .iter()
+                .map(|&e| crate::layout::min_bits(e))
+                .collect();
+            let envelope: Vec<i64> = bits.iter().map(|&b| 1i64 << b).collect();
+            let inside = |idx: &[i64]| idx.iter().zip(&envelope).all(|(&v, &e)| 0 <= v && v < e);
+            for word in search_words(&bits) {
+                let m = CompiledMorton {
+                    masks: dim_masks(&word, rank),
+                    word: word.clone(),
+                    bits: bits.clone(),
+                    dim_base: Vec::new(),
+                    dim_strides: Vec::new(),
+                    base: 0,
+                    elem: 1,
+                };
+                for start in odometer(&envelope) {
+                    for dd in odometer(&vec![7; rank]) {
+                        let dd: Vec<i64> = dd.iter().map(|&d| d - 3).collect();
+                        let mut steps = Vec::new();
+                        let fixed = m.seed_steps(&start, &dd, &mut steps);
+                        let mut idx = start.clone();
+                        while inside(&idx) {
+                            assert_eq!(
+                                stepped_offset(fixed, &mut steps),
+                                morton_index(&word, &idx),
+                                "word {word:?} start {start:?} deltas {dd:?} at {idx:?}"
+                            );
+                            checked += 1;
+                            if dd.iter().all(|&d| d == 0) {
+                                break;
+                            }
+                            for (v, d) in idx.iter_mut().zip(&dd) {
+                                *v += d;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(checked > 100_000, "{checked}");
+    }
+
+    #[test]
+    fn fast_walk_steps_every_morton_access() {
+        // The fast walk computes every Morton address by stepping, in the
+        // per-access branch (Morton A beside linear B) and in the run
+        // re-encoding branch (A alone); the scalar walk never steps.
+        let (p, l) = morton_program(8);
+        let mut single = p.clone();
+        single.nests[0].body.truncate(1);
+        for (prog, morton_accesses) in [(&p, 64), (&single, 64)] {
+            for fast in [true, false] {
+                STEPPED.with(|n| n.set(0));
+                generate_with(prog, &l, &mut CountingSink::default(), fast);
+                let want = if fast { morton_accesses } else { 0 };
+                assert_eq!(STEPPED.with(|n| n.get()), want, "fast {fast}");
+            }
+        }
+    }
+
+    #[test]
+    fn morton_fast_walk_matches_scalar_in_both_loop_directions() {
+        // A(c0*i + k0, c1*i + k1, c2*i + k2) on a rank-3 array, for every
+        // searched word and every inner coefficient vector in -3..=3, with
+        // the inner loop stepping up and down by 1 and 2: alone (run
+        // re-encoding) and beside a linear B(i) (per-access emission), the
+        // fast walk emits the scalar walk's stream.
+        let extents = [4usize, 6, 5];
+        let bits: Vec<u32> = extents
+            .iter()
+            .map(|&e| crate::layout::min_bits(e))
+            .collect();
+        let mut compared = 0;
+        for word in search_words(&bits) {
+            for c in odometer(&[7, 7, 7]) {
+                let c: Vec<i64> = c.iter().map(|&x| x - 3).collect();
+                let Some(trips) = c
+                    .iter()
+                    .zip(&extents)
+                    .filter(|(&c, _)| c != 0)
+                    .map(|(&c, &e)| (e as i64 - 1) / c.abs() + 1)
+                    .min()
+                else {
+                    continue;
+                };
+                let subscripts: Vec<E> = c
+                    .iter()
+                    .zip(&extents)
+                    .map(|(&c, &e)| {
+                        let k = match c {
+                            0 => e as i64 / 2,
+                            c if c < 0 => -c * (trips - 1),
+                            _ => 0,
+                        };
+                        E::scaled("i", c).plus(k)
+                    })
+                    .collect();
+                for step in [1, -1, 2, -2] {
+                    for with_linear in [false, true] {
+                        let mut p = Program::new("dirs");
+                        let a = p.add_array(ArrayDecl::f64("A", extents.to_vec()));
+                        let b = p.add_array(ArrayDecl::f64("B", vec![8]));
+                        let mut body = vec![ArrayRef::read(a, subscripts.clone())];
+                        if with_linear {
+                            body.push(ArrayRef::write(b, vec![E::var("i")]));
+                        }
+                        let mut inner = Loop::counted("i", 0, trips - 1);
+                        inner.step = step;
+                        p.add_nest(LoopNest::new(
+                            "n",
+                            vec![Loop::counted("j", 0, 1), inner],
+                            body,
+                        ));
+                        let fams = vec![
+                            crate::layout::LayoutFamily::Morton(word.clone()),
+                            crate::layout::LayoutFamily::Linear,
+                        ];
+                        let l =
+                            DataLayout::with_pads_and_families(&p.arrays, &[0, 0], &fams).unwrap();
+                        let mut fast = RecordingSink::default();
+                        let mut slow = RecordingSink::default();
+                        let nf = generate_with(&p, &l, &mut fast, true);
+                        assert_eq!(nf, generate_with(&p, &l, &mut slow, false));
+                        assert_eq!(
+                            fast.accesses, slow.accesses,
+                            "word {word:?} coefficients {c:?} step {step}"
+                        );
+                        compared += 1;
+                    }
+                }
+            }
+        }
+        assert!(compared > 1000, "{compared}");
     }
 
     #[test]
