@@ -92,6 +92,14 @@ pub struct Cache {
     writebacks: u64,
 }
 
+/// One level's line state taken by [`Cache::snapshot`], for
+/// [`Cache::matches_snapshot`] and [`Cache::restore_snapshot`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CacheSnapshot {
+    tags: Vec<u64>,
+    dirty: Vec<bool>,
+}
+
 /// Result of probing a cache with an address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Probe {
@@ -417,12 +425,13 @@ impl Cache {
         }
     }
 
-    /// Bulk counter credit from a closed-form (analytic) accounting of an
-    /// access stream this level provably would have seen: `accesses` probes
-    /// of which `misses` missed, evicting `writebacks` dirty lines. Touches
-    /// no line state — callers that also change residency must follow up
-    /// with [`Cache::overwrite_set`] so counters and contents stay the
-    /// bitwise image of a replay.
+    /// Bulk counter credit for an access stream this level provably would
+    /// have seen: `accesses` probes of which `misses` missed, evicting
+    /// `writebacks` dirty lines. Touches no line state. The analytic
+    /// engine's memo and the translated route of `Hierarchy::run_group`
+    /// credit a recorded transition's deltas through here after restoring
+    /// its exit contents, so counters and contents stay the bitwise image
+    /// of a replay.
     pub fn account_analytic(&mut self, accesses: u64, misses: u64, writebacks: u64) {
         debug_assert!(misses <= accesses, "more misses than accesses");
         self.accesses += accesses;
@@ -430,19 +439,9 @@ impl Cache {
         self.writebacks += writebacks;
     }
 
-    /// Restore the access/miss/write-back counters to previously observed
-    /// values. The analytic engine uses this to cancel the double-count when
-    /// it materializes symbolic state by replaying journaled nests whose
-    /// counters were already credited via [`Cache::account_analytic`].
-    pub fn set_counters(&mut self, accesses: u64, misses: u64, writebacks: u64) {
-        self.accesses = accesses;
-        self.misses = misses;
-        self.writebacks = writebacks;
-    }
-
     /// Resident lines of one set in recency order (most recent first), as
-    /// `(line_byte_address, dirty)` pairs. The analytic engine uses this to
-    /// resolve a nest's entry state without replaying it.
+    /// `(line_byte_address, dirty)` pairs: the form the parity tests and
+    /// oracles compare final contents in.
     pub fn set_contents(&self, set: usize) -> impl Iterator<Item = (u64, bool)> + '_ {
         let base = set * self.assoc;
         self.tags[base..base + self.assoc]
@@ -452,33 +451,28 @@ impl Cache {
             .map(move |(&t, &d)| (self.line_addr_of(t, set), d))
     }
 
-    /// Replace one set's contents wholesale: `lines` are
-    /// `(line_byte_address, dirty)` pairs in recency order (most recent
-    /// first); remaining ways are invalidated. No counters move — the
-    /// analytic engine uses this to materialize the exact state a replayed
-    /// nest would have left, after crediting its counters via
-    /// [`Cache::account_analytic`].
+    /// A copy of every way's tag and dirty bit, in recency order, empty
+    /// ways included: the whole line state, no counters.
+    pub fn snapshot(&self) -> CacheSnapshot {
+        CacheSnapshot {
+            tags: self.tags.clone(),
+            dirty: self.dirty.clone(),
+        }
+    }
+
+    /// Whether the line state equals `snap` in full: every tag in recency
+    /// order, every dirty bit and every empty way.
+    pub fn matches_snapshot(&self, snap: &CacheSnapshot) -> bool {
+        self.tags == snap.tags && self.dirty == snap.dirty
+    }
+
+    /// Overwrite the line state with `snap`. No counters move.
     ///
     /// # Panics
-    /// Panics if more lines than ways are given, or an address does not map
-    /// to `set`.
-    pub fn overwrite_set(&mut self, set: usize, lines: &[(u64, bool)]) {
-        assert!(lines.len() <= self.assoc, "more lines than ways");
-        let base = set * self.assoc;
-        for (w, &(addr, dirty)) in lines.iter().enumerate() {
-            let line = addr >> self.line_shift;
-            assert_eq!(
-                (line & self.set_mask) as usize,
-                set,
-                "line address {addr:#x} does not map to set {set}"
-            );
-            self.tags[base + w] = line >> self.set_shift;
-            self.dirty[base + w] = dirty;
-        }
-        for w in lines.len()..self.assoc {
-            self.tags[base + w] = INVALID;
-            self.dirty[base + w] = false;
-        }
+    /// Panics if `snap` was taken from a cache of another geometry.
+    pub fn restore_snapshot(&mut self, snap: &CacheSnapshot) {
+        self.tags.copy_from_slice(&snap.tags);
+        self.dirty.copy_from_slice(&snap.dirty);
     }
 
     /// Append one set's ways, most recent first, to `lines` (line numbers,

@@ -148,10 +148,11 @@ impl Hierarchy {
     }
 
     /// The level caches, L1 first, mutably. This exists for the analytic
-    /// closed-form engine (`mlc_core::analytic`), which credits counters and
-    /// materializes state through [`Cache::account_analytic`] /
-    /// [`Cache::overwrite_set`]; ordinary drivers should stream accesses
-    /// instead.
+    /// engine's memo (`mlc_core::analytic`), which replays a recorded nest
+    /// by restoring each level's exit state
+    /// ([`Cache::restore_snapshot`]) and crediting its counts
+    /// ([`Cache::account_analytic`]); ordinary drivers should stream
+    /// accesses instead.
     pub fn caches_mut(&mut self) -> &mut [Cache] {
         &mut self.levels
     }
@@ -777,9 +778,8 @@ fn lockstep_set_disjoint(runs: &[Run], count: u64, line_shift: u32, num_sets: u6
 /// Each invariant reference sits on one line `P` for the whole run, while a
 /// moving reference sweeps the contiguous line interval `[lo, hi]` between
 /// its first and last address: they collide iff `[lo − P, hi − P]` holds a
-/// nonzero multiple of the set count — the interval test of the analytic
-/// engine's interleave certificate. Exact, since a stride of at most half a
-/// line visits every line of its interval.
+/// nonzero multiple of the set count. Exact, since a stride of at most half
+/// a line visits every line of its interval.
 fn pinned_set_disjoint(
     runs: &[Run],
     moving: &[Run],

@@ -87,10 +87,12 @@ impl Run {
 /// space, instead of the expanded access stream.
 ///
 /// The trace generator offers one of these to the sink *before* streaming a
-/// nest (see [`AccessSink::nest`]); a sink that can account for the entire
-/// nest analytically consumes it and the stream is never expanded. The
-/// descriptor is normalized to trip space: loop `l` runs `trips[l]` times
-/// and reference `r` starts at `refs[r].start` and advances by
+/// nest (see [`AccessSink::nest`]). A sink that accounts for the entire
+/// nest itself consumes it, and the generator skips the nest. The analytic
+/// engine's memo does so: it restores a recorded transition from an equal
+/// entry state, or replays the nest from this descriptor and records it.
+/// The descriptor is normalized to trip space: loop `l` runs `trips[l]`
+/// times and reference `r` starts at `refs[r].start` and advances by
 /// `refs[r].deltas[l]` bytes per trip of loop `l` (outermost first). The
 /// access order is the interleaved walk: for every outer trip vector, the
 /// innermost loop advances with the references interleaved in body order —
@@ -105,9 +107,8 @@ pub struct NestDescriptor {
     pub refs: Vec<RefDescriptor>,
     /// True when at least one reference's address function is *not* affine
     /// in the trip vector (e.g. a Morton-layout array), so `refs` does not
-    /// describe the stream. Closed-form sinks must decline such
-    /// descriptors — expanding `refs` would miscount — and let the caller
-    /// stream the nest itself.
+    /// describe the stream. Sinks must decline such descriptors — expanding
+    /// `refs` would miscount — and let the caller stream the nest itself.
     pub non_affine: bool,
 }
 
@@ -124,10 +125,13 @@ pub struct RefDescriptor {
 }
 
 impl NestDescriptor {
-    /// Total accesses the nest emits: Π trips × refs.
-    pub fn total_accesses(&self) -> u64 {
-        let trips: u64 = self.trips.iter().product();
-        trips * self.refs.len() as u64
+    /// Total accesses the nest emits, Π trips × refs, or `None` when that
+    /// count overflows `u64`.
+    pub fn total_accesses(&self) -> Option<u64> {
+        self.trips
+            .iter()
+            .try_fold(1u64, |a, &t| a.checked_mul(t))?
+            .checked_mul(self.refs.len() as u64)
     }
 }
 
@@ -136,16 +140,17 @@ pub trait AccessSink {
     /// Consume one access.
     fn access(&mut self, access: Access);
 
-    /// Offer a whole loop nest in closed form *instead of* its expanded
+    /// Offer a whole loop nest as a descriptor *instead of* its expanded
     /// stream. Returning `Some(n)` means the sink fully accounted for all
     /// `n` accesses (counters **and** any state the sink models must end up
     /// exactly as if the stream had been replayed); the caller then skips
     /// the nest entirely. Returning `None` (the default) declines, and the
     /// caller streams the nest through `access`/`run`/`run_group` as usual.
     ///
-    /// Only sinks with a closed-form backend override this — notably
-    /// [`mlc_core::analytic`]'s hierarchy wrapper. Overrides must be
-    /// observably identical to replay wherever they accept.
+    /// Only `mlc_core::analytic`'s hierarchy wrapper overrides this: it
+    /// serves a nest from its memo of recorded transitions, or replays and
+    /// records it. Overrides must be observably identical to replay
+    /// wherever they accept.
     fn nest(&mut self, _desc: &NestDescriptor) -> Option<u64> {
         None
     }

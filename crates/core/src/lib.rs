@@ -41,12 +41,11 @@
 //!   (items done, steals, busy/idle time) exported via `MetricsRegistry`.
 //! * [`par`] — the worker-thread count the executor's callers use:
 //!   `--threads`, then `MLC_THREADS`, then the machine (`default_threads`).
-//! * [`analytic`] — the closed-form nest engine: certified affine loop
-//!   nests collapse to one shadow-state probe per line-dwell (evictions
-//!   modeled exactly, steady sweeps memoized as state-transition
-//!   snapshots) instead of being replayed access by access, with lazy
-//!   materialization keeping the concrete cache state bitwise exact on
-//!   the analytic/replay boundary.
+//! * [`analytic`] — the analytic engine: a memo of whole affine loop
+//!   nests over the concrete `Hierarchy`. A nest entered in a recorded
+//!   cache state (compared in full: tags, dirty bits, empty ways) restores
+//!   the recorded exit state and credits the recorded counts; any other
+//!   nest replays over run-length traces and is recorded.
 //! * [`layout_search`] — searchable generalized Morton layouts: bounded
 //!   canonical interleave-word candidates per array, statically pruned,
 //!   scored by full-hierarchy simulation in a `GROUPPAD`-shaped greedy
@@ -81,7 +80,6 @@ pub mod tiling;
 pub use analytic::{
     install_metrics as install_analytic_metrics, take_stats as take_analytic_stats,
     try_simulate_analytic, try_simulate_steady_analytic, AnalyticSink, AnalyticStats,
-    FallbackReason,
 };
 pub use conflict::severe_conflicts;
 pub use cost::MissCosts;

@@ -47,9 +47,9 @@ pub const WARMUP: usize = 1;
 /// TIMED.
 pub const TIMED: usize = 1;
 
-/// Simulate under `protocol` on the analytic engine (closed-form nests,
-/// the rest replayed over run-length traces), memoized through `cache`
-/// when one is given.
+/// Simulate under `protocol` on the analytic engine (nests entered in a
+/// recorded cache state served from its memo, the rest replayed over
+/// run-length traces), memoized through `cache` when one is given.
 ///
 /// The engine is not part of the cache key: scalar replay, run-length
 /// replay and the analytic engine are differentially tested to be bitwise

@@ -19,7 +19,7 @@
 //! them, so binaries with early-return paths still produce their outputs.
 //!
 //! There is no engine flag. Every simulation engine (scalar replay,
-//! run-length replay, the analytic closed form) and both padding-search
+//! run-length replay, the analytic engine's nest memo) and both padding-search
 //! engines (interval sweep, exhaustive) give bitwise-identical results, so which
 //! one runs is not a property of any output. The binaries always run the
 //! fastest; the parity suites call the reference engines by name. The

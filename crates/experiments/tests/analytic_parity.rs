@@ -1,9 +1,8 @@
-//! Differential parity for the analytic closed-form nest engine: wherever
-//! it engages (and wherever it declines), the per-level accesses, misses,
-//! write-backs — and the final tag-array contents after materialization —
-//! must be *bitwise identical* to the run-length replay, for every
-//! registered kernel, across hierarchy geometries and replacement
-//! policies.
+//! Differential parity for the analytic engine's nest memo: wherever it
+//! serves a nest (and wherever it declines), the per-level accesses,
+//! misses, write-backs — and the final tag-array contents — must be
+//! *bitwise identical* to the run-length replay, for every registered
+//! kernel, across hierarchy geometries and replacement policies.
 //!
 //! Debug builds run every kernel on the paper's UltraSparc I config and a
 //! reduced kernel set on the wider geometry × policy matrix to keep test
@@ -41,7 +40,6 @@ fn assert_kernel_parity(kernel: &dyn Kernel, cfg: &HierarchyConfig, prefetch: bo
     {
         let mut sink = AnalyticSink::new(&mut analytic);
         try_generate_with(&program, &layout, &mut sink, true).unwrap();
-        sink.materialize_state();
     }
     let mut replay = build(cfg);
     try_generate_with(&program, &layout, &mut replay, true).unwrap();
@@ -129,8 +127,9 @@ fn kernels_match_under_all_replacement_policies() {
 
 #[test]
 fn kernels_match_with_next_line_prefetch() {
-    // Prefetching disables the analytic engine entirely; this pins down
-    // that the decline really happens and the wrapped replay stays exact.
+    // Prefetching makes the analytic engine decline every nest; this pins
+    // down that the decline really happens and the wrapped replay stays
+    // exact.
     let cfg = HierarchyConfig::ultrasparc_i();
     for kernel in matrix_kernels().into_iter().take(4) {
         assert_kernel_parity(kernel.as_ref(), &cfg, true);

@@ -723,61 +723,104 @@ fn state_difference(a: &mlc_cache_sim::Hierarchy, b: &mlc_cache_sim::Hierarchy) 
     None
 }
 
-/// The closed-form nest engine vs plain run-length replay: identical miss
-/// reports, cold and steady (including warmup = 0), and — after
-/// materialization — identical tag-array contents, dirty bits and recency
-/// order at every level. Both where the engine closes nests and where it
-/// declines, the results must be bitwise those of the replay.
+/// The analytic engine vs plain run-length replay: identical miss reports,
+/// write-backs, tag-array contents, dirty bits and recency order at every
+/// level, cold and steady (including warmup = 0). Generated nests are too
+/// small for the engine's memo, so it declines them; the
+/// [`repeated_nests`] variant of the case is large enough, and over two
+/// warm-up and two timed sweeps its later sweeps enter recorded states.
 fn check_analytic_parity(case: &Case, layout: &DataLayout, r: &mut Report) {
-    use mlc_core::analytic::AnalyticSink;
     let oracle = "analytic-parity";
     let (p, h) = (&case.program, &case.hierarchy);
-    for (label, warmup, timed) in [("cold", 0, 1), ("steady", 1, 1), ("warmup0-timed2", 0, 2)] {
-        let analytic = mlc_core::try_simulate_steady_analytic(p, layout, h, warmup, timed);
-        let replay = try_simulate_steady_with(p, layout, h, warmup, timed, true);
-        match (&analytic, &replay) {
-            (Ok(a), Ok(b)) if a == b => {}
-            (Ok(a), Ok(b)) => {
-                r.fail(
-                    oracle,
-                    format!("{label}: analytic {a:?} diverges from replay {b:?}"),
-                );
+    let repeated = repeated_nests(p, layout);
+    for (label, prog, warmup, timed) in [
+        ("cold", p, 0, 1),
+        ("steady", p, 1, 1),
+        ("warmup0-timed2", p, 0, 2),
+        ("repeated nests, 2 + 2 sweeps", &repeated, 2, 2),
+    ] {
+        let analytic = steady_sweeps(prog, layout, h, true, warmup, timed);
+        let replay = steady_sweeps(prog, layout, h, false, warmup, timed);
+        let diff = match (&analytic, &replay) {
+            (Ok((a, _)), Ok((b, _))) => (a.report() != b.report())
+                .then(|| format!("reports {:?} != {:?}", a.report(), b.report()))
+                .or_else(|| state_difference(a, b)),
+            (Err(ea), Err(eb)) if ea.to_string() == eb.to_string() => {
+                r.skip(oracle, "case does not generate".to_string());
                 return;
             }
-            (Err(ea), Err(eb)) if ea.to_string() == eb.to_string() => {}
-            (a, b) => {
-                r.fail(
-                    oracle,
-                    format!("{label}: outcomes differ: analytic {a:?}, replay {b:?}"),
-                );
-                return;
-            }
-        }
-    }
-    // Final-state parity: one sweep through each path, then compare every
-    // set's contents (tags, dirty bits, recency order) bitwise.
-    let mut ha = mlc_cache_sim::Hierarchy::new(h.clone());
-    {
-        let mut sink = AnalyticSink::new(&mut ha);
-        if try_generate_with(p, layout, &mut sink, true).is_err() {
-            r.skip(oracle, "case does not generate".to_string());
+            (a, b) => Some(format!(
+                "outcomes differ: analytic {:?}, replay {:?}",
+                a.as_ref().err(),
+                b.as_ref().err()
+            )),
+        };
+        if let Some(diff) = diff {
+            r.fail(oracle, format!("{label}: analytic vs replay: {diff}"));
             return;
         }
-        sink.materialize_state();
-    }
-    let mut hr = mlc_cache_sim::Hierarchy::new(h.clone());
-    if try_generate_with(p, layout, &mut hr, true).is_err() {
-        r.skip(oracle, "case does not generate".to_string());
-        return;
-    }
-    if let Some(diff) = state_difference(&ha, &hr) {
-        r.fail(
-            oracle,
-            format!("after materializing, analytic vs replay: {diff}"),
-        );
-        return;
     }
     r.checked.push(oracle);
+}
+
+/// `p` with an outermost repeat loop on every nest the analytic engine is
+/// offered, sized so the nest offers at least
+/// [`mlc_core::analytic::MIN_MEMO_ACCESSES`] accesses. No subscript uses
+/// the loop, so each nest streams its own accesses that many times over.
+/// Other nests stay as they are.
+fn repeated_nests(p: &Program, layout: &DataLayout) -> Program {
+    use mlc_core::analytic::MIN_MEMO_ACCESSES;
+    use mlc_model::trace_gen::CompiledNest;
+    let mut q = p.clone();
+    for nest in &mut q.nests {
+        let total = CompiledNest::try_new(p, nest, layout)
+            .ok()
+            .and_then(|c| c.descriptor())
+            .filter(|d| !d.non_affine)
+            .and_then(|d| d.total_accesses());
+        let Some(total) = total else { continue };
+        let mut var = "rep".to_string();
+        while nest.loops.iter().any(|l| l.var == var) {
+            var.push('_');
+        }
+        let trips = MIN_MEMO_ACCESSES.div_ceil(total);
+        nest.loops
+            .insert(0, mlc_model::Loop::counted(var, 0, trips as i64 - 1));
+    }
+    q
+}
+
+/// `warmup` sweeps of `p`, a counter reset and `timed` sweeps, with the
+/// analytic engine in front or on plain run-length replay: the hierarchy
+/// they leave and the memo hits the engine took.
+fn steady_sweeps(
+    p: &Program,
+    layout: &DataLayout,
+    h: &HierarchyConfig,
+    analytic: bool,
+    warmup: usize,
+    timed: usize,
+) -> Result<(mlc_cache_sim::Hierarchy, u64), mlc_model::trace_gen::TraceError> {
+    let mut hier = mlc_cache_sim::Hierarchy::new(h.clone());
+    let mut closed = 0;
+    if analytic {
+        let mut sink = mlc_core::analytic::AnalyticSink::new(&mut hier);
+        for sweep in 0..warmup + timed {
+            if sweep == warmup {
+                sink.reset_stats();
+            }
+            try_generate_with(p, layout, &mut sink, true)?;
+        }
+        closed = sink.nests_closed();
+    } else {
+        for sweep in 0..warmup + timed {
+            if sweep == warmup {
+                hier.reset_stats();
+            }
+            try_generate_with(p, layout, &mut hier, true)?;
+        }
+    }
+    Ok((hier, closed))
 }
 
 /// The generator's run-length emission vs scalar emission, observed by a
@@ -1099,25 +1142,10 @@ fn check_base_shift(case: &Case, r: &mut Report) {
 /// engine or with the analytic engine in front.
 #[allow(clippy::type_complexity)]
 fn shift_protocol_counts(case: &Case, analytic: bool) -> Result<[Vec<(u64, u64, u64)>; 2], String> {
-    use mlc_core::analytic::AnalyticSink;
-    let (p, layout) = (&case.program, case.layout());
+    let layout = case.layout();
     let run = |warmup: usize| -> Result<Vec<(u64, u64, u64)>, String> {
-        let mut hier = mlc_cache_sim::Hierarchy::new(case.hierarchy.clone());
-        let err = |e: mlc_model::trace_gen::TraceError| e.to_string();
-        if analytic {
-            let mut sink = AnalyticSink::new(&mut hier);
-            for _ in 0..warmup {
-                try_generate_with(p, &layout, &mut sink, true).map_err(err)?;
-            }
-            sink.reset_stats();
-            try_generate_with(p, &layout, &mut sink, true).map_err(err)?;
-        } else {
-            for _ in 0..warmup {
-                try_generate_with(p, &layout, &mut hier, true).map_err(err)?;
-            }
-            hier.reset_stats();
-            try_generate_with(p, &layout, &mut hier, true).map_err(err)?;
-        }
+        let (hier, _) = steady_sweeps(&case.program, &layout, &case.hierarchy, analytic, warmup, 1)
+            .map_err(|e| e.to_string())?;
         Ok(hier
             .caches()
             .iter()
@@ -1410,6 +1438,26 @@ mod tests {
         for name in ORACLES {
             assert!(seen.contains(name), "oracle {name} never ran in 40 cases");
         }
+    }
+
+    #[test]
+    fn repeated_nests_reach_the_memo() {
+        // Generated nests are too small for the analytic engine's memo, so
+        // on the cases themselves the analytic-parity oracle checks only
+        // declines. Their repeat variants must reach it: all 200 of seeds
+        // 0-199 take a memo hit, and the floor leaves room for a case whose
+        // every nest is unofferable (non-constant bounds, Morton families).
+        let cfg = CaseConfig::default();
+        let hits = (0..200)
+            .filter(|&seed| {
+                let case = Case::generate(seed, &cfg);
+                let layout = case.layout();
+                let q = repeated_nests(&case.program, &layout);
+                steady_sweeps(&q, &layout, &case.hierarchy, true, 2, 2)
+                    .is_ok_and(|(_, closed)| closed > 0)
+            })
+            .count();
+        assert!(hits >= 190, "{hits} of 200 repeat variants took a memo hit");
     }
 
     /// GROUPPAD and L2MAXPAD layouts of a generated case, when both

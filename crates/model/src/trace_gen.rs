@@ -683,7 +683,7 @@ impl CompiledNest {
             // The trip space is rectangular, but at least one reference's
             // address function is not affine in it, so no `RefDescriptor`
             // can describe the stream. Offer the marked descriptor anyway:
-            // closed-form sinks decline it (counting the decline), and
+            // the analytic engine declines it (counting the decline), and
             // streaming proceeds through the Morton-aware walk.
             return Some(NestDescriptor {
                 trips,
@@ -738,9 +738,9 @@ impl CompiledNest {
     /// invocation have already reached `sink` — callers treating the sink's
     /// state as meaningful must discard it.
     pub fn try_run_with(&self, sink: &mut impl AccessSink, fast: bool) -> Result<u64, TraceError> {
-        // Offer the whole nest in closed form first (fast path only: the
-        // scalar path keeps its strict per-access promise). Sinks without an
-        // analytic backend decline at zero cost.
+        // Offer the whole nest as a descriptor first (fast path only: the
+        // scalar path keeps its strict per-access promise). Sinks other than
+        // the analytic engine decline at zero cost.
         if fast {
             if let Some(desc) = self.descriptor() {
                 if let Some(n) = sink.nest(&desc) {

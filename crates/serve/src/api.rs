@@ -219,22 +219,12 @@ fn q_u64_list(req: &Request, key: &str, default: u64) -> Result<Vec<u64>, ApiErr
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Engine {
-    /// Analytic where certified, exact replay fallback otherwise; answers
-    /// may come from (and land in) the shared result cache.
-    Auto,
-    /// Strict closed-form: decline the request if any nest sweep lacks an
-    /// exactness certificate. Never touches the result cache.
-    Analytic,
-}
-
-fn q_engine(req: &Request) -> Result<Engine, ApiError> {
+/// Check the `engine` parameter: `auto`, the only engine, or absent.
+fn q_engine(req: &Request) -> Result<(), ApiError> {
     match req.query("engine") {
-        None | Some("auto") => Ok(Engine::Auto),
-        Some("analytic") => Ok(Engine::Analytic),
+        None | Some("auto") => Ok(()),
         Some(v) => Err(ApiError::bad_request(format!(
-            "engine={v:?}; expected auto or analytic"
+            "engine={v:?}; expected auto"
         ))),
     }
 }
@@ -365,79 +355,20 @@ fn cached_simulate(
 fn simulate(state: &ServeState, req: &Request) -> Result<Response, ApiError> {
     let case = parse_body(req)?;
     let protocol = q_protocol(req)?;
-    let engine = q_engine(req)?;
+    q_engine(req)?;
     let layout = case.layout();
     precheck_ir(&case.program, &layout)?;
     check_access_budget(&case.program, protocol_sweeps(protocol))?;
 
-    let mut fields: Vec<(&str, JsonValue)> = Vec::new();
-    match engine {
-        Engine::Auto => {
-            let (key, report) =
-                cached_simulate(state, &case.program, &layout, &case.hierarchy, protocol);
-            fields.push(("key", JsonValue::Str(key.to_hex())));
-            fields.push(("engine", JsonValue::Str("auto".into())));
-            fields.push(("protocol", protocol_json(protocol)));
-            fields.push(("pads", pads_json(&case.pads)));
-            fields.push(("report", report_to_json(&report)));
-        }
-        Engine::Analytic => {
-            let (report, closed, fallback) = strict_analytic(&case, &layout, protocol)?;
-            if fallback > 0 {
-                return Err(ApiError::certificate_declined(fallback, closed));
-            }
-            state.counters.computes.fetch_add(1, Ordering::Relaxed);
-            fields.push((
-                "key",
-                JsonValue::Str(
-                    CacheKey::derive(&case.program, &layout, &case.hierarchy, protocol).to_hex(),
-                ),
-            ));
-            fields.push(("engine", JsonValue::Str("analytic".into())));
-            fields.push(("protocol", protocol_json(protocol)));
-            fields.push(("nests_closed", JsonValue::from(closed)));
-            fields.push(("pads", pads_json(&case.pads)));
-            fields.push(("report", report_to_json(&report)));
-        }
-    }
-    Ok(Response::json(
-        200,
-        JsonValue::object(fields).to_string_compact(),
-    ))
-}
-
-/// Run the strict analytic engine, returning (report, closed, fallback)
-/// nest-sweep counts. The caller turns `fallback > 0` into a typed decline.
-fn strict_analytic(
-    case: &Case,
-    layout: &DataLayout,
-    protocol: SimProtocol,
-) -> Result<(mlc_cache_sim::MissRateReport, u64, u64), ApiError> {
-    use mlc_cache_sim::Hierarchy;
-    use mlc_core::AnalyticSink;
-    use mlc_model::trace_gen::try_generate_with;
-
-    let mut h = Hierarchy::new(case.hierarchy.clone());
-    let mut sink = AnalyticSink::new(&mut h);
-    let run = |sink: &mut AnalyticSink, n: u64| -> Result<(), ApiError> {
-        for _ in 0..n {
-            try_generate_with(&case.program, layout, sink, true)
-                .map_err(|e| ApiError::invalid_ir(e.to_string()))?;
-        }
-        Ok(())
-    };
-    match protocol {
-        SimProtocol::Cold => run(&mut sink, 1)?,
-        SimProtocol::Steady { warmup, timed } => {
-            run(&mut sink, warmup)?;
-            sink.reset_stats();
-            run(&mut sink, timed)?;
-        }
-    }
-    let closed = sink.nests_closed();
-    let fallback = sink.nests_fallback();
-    drop(sink);
-    Ok((h.report(), closed, fallback))
+    let (key, report) = cached_simulate(state, &case.program, &layout, &case.hierarchy, protocol);
+    let body = JsonValue::object(vec![
+        ("key", JsonValue::Str(key.to_hex())),
+        ("engine", JsonValue::Str("auto".into())),
+        ("protocol", protocol_json(protocol)),
+        ("pads", pads_json(&case.pads)),
+        ("report", report_to_json(&report)),
+    ]);
+    Ok(Response::json(200, body.to_string_compact()))
 }
 
 // ---------------------------------------------------------------------------
@@ -555,10 +486,7 @@ fn optimize(state: &ServeState, req: &Request) -> Result<Response, ApiError> {
 
 fn sweep(state: &ServeState, req: &Request) -> Result<Response, ApiError> {
     let case = parse_body(req)?;
-    let engine = q_engine(req)?;
-    if engine != Engine::Auto {
-        return Err(ApiError::bad_request("sweep supports engine=auto only"));
-    }
+    q_engine(req)?;
     let versions: Vec<&str> = match req.query("versions") {
         None => vec!["orig", "l1", "l1l2"],
         Some(v) => {

@@ -75,20 +75,6 @@ impl ApiError {
         Self::new(422, "invalid_ir", detail)
     }
 
-    /// 422 `certificate_declined`: `engine=analytic` was requested but the
-    /// closed-form engine declined exactness certificates for one or more
-    /// nests and would have to fall back to replay.
-    pub fn certificate_declined(fallback: u64, closed: u64) -> Self {
-        Self::new(
-            422,
-            "certificate_declined",
-            format!(
-                "analytic engine declined {fallback} nest sweep(s) ({closed} closed); \
-                 retry with engine=auto to allow exact replay fallback"
-            ),
-        )
-    }
-
     /// 422 `search_exhausted`: the padding search ran out of candidates.
     pub fn search_exhausted(detail: impl Into<String>) -> Self {
         Self::new(422, "search_exhausted", detail)

@@ -11,7 +11,7 @@
 //! exactly).
 //!
 //! * `POST /simulate` — miss-rate report for the case as given
-//!   (`protocol=cold|steady`, `warmup=`, `timed=`, `engine=auto|analytic`).
+//!   (`protocol=cold|steady`, `warmup=`, `timed=`, `engine=auto`).
 //! * `POST /optimize` — run the padding pipeline (`target=l1|multi`),
 //!   answer with the pad vector, layout bases, and before/after reports.
 //! * `POST /sweep` — version × protocol grid (`versions=orig,l1,l1l2`,

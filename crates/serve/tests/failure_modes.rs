@@ -64,10 +64,9 @@ end
 }
 
 #[test]
-fn analytic_engine_declines_uncertifiable_nest() {
-    // 140000 outer columns exceed the analytic engine's per-nest column
-    // budget (2^17), so strict engine=analytic must decline rather than
-    // silently replay.
+fn many_column_nest_is_served_on_the_auto_engine() {
+    // A nest of 140000 two-trip columns: the engine replays it through
+    // run-length and records it, and the answer is an exact 200.
     let case = "\
 seed 0
 program decline
@@ -80,12 +79,7 @@ ref r 0 0,j,1;0,i,1
 end
 ";
     let server = start(1, 8);
-    let resp = post(&server, "/simulate?engine=analytic", case);
-    assert_eq!(resp.status, 422, "body: {}", resp.body);
-    assert_eq!(error_code(&resp), "certificate_declined");
-
-    // The same case through engine=auto succeeds via exact replay.
-    let resp = post(&server, "/simulate", case);
+    let resp = post(&server, "/simulate?engine=auto", case);
     assert_eq!(resp.status, 200, "body: {}", resp.body);
     shutdown(server);
 }
@@ -123,6 +117,7 @@ fn bad_query_parameters_are_bad_request() {
         "/simulate?protocol=lukewarm",
         "/simulate?warmup=many",
         "/simulate?engine=quantum",
+        "/simulate?engine=analytic",
         "/optimize?target=l3",
         "/sweep?versions=orig,l9",
     ] {
