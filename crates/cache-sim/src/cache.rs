@@ -7,7 +7,6 @@
 
 use crate::config::CacheConfig;
 use crate::replacement::ReplacementPolicy;
-use crate::trace::Run;
 
 /// Number of consecutive run trips (including the one at `addr`) that stay
 /// on the `1 << line_shift`-byte line containing `addr`. `u64::MAX` for a
@@ -306,53 +305,6 @@ impl Cache {
     #[inline]
     pub(crate) fn add_hit_accesses(&mut self, n: u64) {
         self.accesses += n;
-    }
-
-    /// Count `n` same-kind guaranteed hits on the line at `addr`: the full
-    /// [`Cache::note_hits`] (with its residency assert) in debug builds, a
-    /// bare counter bump in release. Valid only when the line was entered by
-    /// an access of the same `write` kind, so the dirty bit is already
-    /// correct.
-    #[inline]
-    fn note_run_hits(&mut self, addr: u64, n: u64, write: bool) {
-        if cfg!(debug_assertions) {
-            self.note_hits(addr, n, write);
-        } else {
-            self.add_hit_accesses(n);
-        }
-    }
-
-    /// Consume a [`Run`] natively: one real [`Cache::access_kind`] per line
-    /// boundary, with the in-between accesses batched through
-    /// [`Cache::note_hits`]. Bitwise-identical counters and state to the
-    /// per-access loop: after the first access of a line segment the line is
-    /// resident, and with no intervening accesses every remaining trip on
-    /// that line is a guaranteed hit. Returns the number of misses.
-    ///
-    /// Falls back to the plain loop when `|stride| * 2 > line` (too few
-    /// accesses per line for batching to pay).
-    pub fn run(&mut self, run: Run) -> u64 {
-        let misses_before = self.misses;
-        let write = run.is_write();
-        let line = 1u64 << self.line_shift;
-        if run.stride.unsigned_abs() * 2 > line {
-            let mut addr = run.start;
-            for _ in 0..run.count {
-                self.access_kind(addr, write);
-                addr = addr.wrapping_add(run.stride as u64);
-            }
-            return self.misses - misses_before;
-        }
-        let mut addr = run.start;
-        let mut left = run.count;
-        while left > 0 {
-            let k = trips_on_line(addr, run.stride, self.line_shift).min(left);
-            self.access_kind(addr, write);
-            self.note_run_hits(addr, k - 1, write);
-            addr = addr.wrapping_add((run.stride as u64).wrapping_mul(k));
-            left -= k;
-        }
-        self.misses - misses_before
     }
 
     /// Quietly install the line containing `addr` (hardware prefetch): no
@@ -750,61 +702,6 @@ mod tests {
         c.note_hits(16, 1, true); // write hit dirties the line
         c.access_kind(1024, false); // evict it
         assert_eq!(c.writebacks(), 1);
-    }
-
-    fn run_parity(config: CacheConfig, run: Run) {
-        let mut fast = Cache::new(config);
-        fast.run(run);
-        let mut slow = Cache::new(config);
-        let mut addr = run.start;
-        for _ in 0..run.count {
-            slow.access_kind(addr, run.kind == crate::trace::AccessKind::Write);
-            addr = addr.wrapping_add(run.stride as u64);
-        }
-        assert_eq!(fast.accesses(), slow.accesses(), "accesses {run:?}");
-        assert_eq!(fast.misses(), slow.misses(), "misses {run:?}");
-        assert_eq!(fast.writebacks(), slow.writebacks(), "writebacks {run:?}");
-        assert_eq!(fast.tags, slow.tags, "tag state {run:?}");
-        assert_eq!(fast.dirty, slow.dirty, "dirty state {run:?}");
-    }
-
-    #[test]
-    fn run_matches_scalar_loop_across_geometries() {
-        use crate::trace::AccessKind;
-        let configs = [
-            CacheConfig::direct_mapped(1024, 32),
-            CacheConfig::new(1024, 32, 2, ReplacementPolicy::Lru),
-            CacheConfig::new(1024, 32, 4, ReplacementPolicy::Fifo),
-            CacheConfig::new(1024, 32, 4, ReplacementPolicy::Random),
-        ];
-        for config in configs {
-            for stride in [0i64, 1, 4, 8, 16, 24, 32, 40, -8] {
-                for kind in [AccessKind::Read, AccessKind::Write] {
-                    let start = if stride < 0 { 8192 } else { 4 };
-                    run_parity(
-                        config,
-                        Run {
-                            start,
-                            stride,
-                            count: 1000,
-                            kind,
-                        },
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn run_returns_miss_count() {
-        let mut c = dm(16 * 1024, 32);
-        let misses = c.run(Run {
-            start: 0,
-            stride: 8,
-            count: 1024,
-            kind: crate::trace::AccessKind::Read,
-        });
-        assert_eq!(misses, 1024 / 4); // one miss per 32-byte line
     }
 
     #[test]

@@ -25,8 +25,6 @@
 //! * [`trace`] — the [`AccessSink`](trace::AccessSink) abstraction that the
 //!   program model (`mlc-model`) drives with exact address traces, plus
 //!   counting/recording/tee sinks for tests and experiments.
-//! * [`tlb`] — a small TLB model used by the ablation experiments (related
-//!   work in the paper, Mitchell et al., considers TLBs as another "level").
 //!
 //! ## Example
 //!
@@ -55,7 +53,6 @@ pub mod replacement;
 pub mod rng;
 pub mod stable_hash;
 pub mod stats;
-pub mod tlb;
 pub mod trace;
 
 pub use cache::Cache;

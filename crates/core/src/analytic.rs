@@ -188,6 +188,11 @@ impl<'h> AnalyticSink<'h> {
         }
     }
 
+    /// The wrapped hierarchy, as the nests so far have left it.
+    pub fn hierarchy(&self) -> &Hierarchy {
+        self.h
+    }
+
     /// Nests this sink served from its memo.
     pub fn nests_closed(&self) -> u64 {
         self.closed

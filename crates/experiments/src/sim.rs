@@ -194,8 +194,8 @@ mod tests {
     #[test]
     fn analytic_engine_matches_scalar_replay() {
         // Both protocols against the reference engine, the per-access
-        // scalar walk (the full kernel matrix lives in fastpath_parity and
-        // analytic_parity).
+        // scalar walk (the full kernel matrix lives in the engine_parity
+        // suite).
         let h = HierarchyConfig::ultrasparc_i();
         let p = figure2_example(96);
         let l = mlc_model::DataLayout::contiguous(&p.arrays);

@@ -1,73 +1,49 @@
-//! Differential parity for the analytic engine's nest memo: wherever it
-//! serves a nest (and wherever it declines), the per-level accesses,
-//! misses, write-backs — and the final tag-array contents — must be
-//! *bitwise identical* to the run-length replay, for every registered
-//! kernel, across hierarchy geometries and replacement policies.
+//! Engine parity on the registered kernels: run-length replay and the
+//! analytic engine's nest memo must be *bitwise identical* to per-access
+//! scalar replay — the same per-level accesses, misses and write-backs and
+//! the same prefetch fills after every sweep, and the same contents (tags,
+//! dirty bits and recency order of every set) after the first and the last
+//! sweep — for every registered kernel, across hierarchy geometries,
+//! replacement policies and next-line prefetch. Every check is one call of
+//! [`engine_parity`], the comparator the fuzzer's `engine-parity` oracle
+//! runs on generated cases.
 //!
 //! Debug builds run every kernel on the paper's UltraSparc I config and a
 //! reduced kernel set on the wider geometry × policy matrix to keep test
-//! time sane; `--release` (the CI analytic-parity job) runs every kernel
+//! time sane; `--release` (the CI engine-parity job) runs every kernel
 //! everywhere.
 
 use mlc_cache_sim::config::CacheConfig;
 use mlc_cache_sim::replacement::ReplacementPolicy;
 use mlc_cache_sim::{Hierarchy, HierarchyConfig};
 use mlc_core::analytic::AnalyticSink;
-use mlc_core::{try_simulate_analytic, try_simulate_steady_analytic};
+use mlc_core::try_simulate_steady_analytic;
 use mlc_experiments::versions::{build_versions, OptLevel};
+use mlc_fuzz::oracle::engine_parity;
 use mlc_kernels::expl::Expl;
 use mlc_kernels::jacobi::Jacobi;
 use mlc_kernels::registry::all_kernels;
 use mlc_kernels::shal::Shallow;
 use mlc_kernels::Kernel;
-use mlc_model::trace_gen::{simulate_steady_with, simulate_with, try_generate_with};
+use mlc_model::trace_gen::{simulate_steady_with, try_generate_with};
 use mlc_model::{DataLayout, Program};
 
-/// Simulate `kernel` with the analytic engine in front and with plain
-/// replay, and demand identical counters *and* identical final cache
-/// contents (tags, dirty bits, recency order).
-fn assert_kernel_parity(kernel: &dyn Kernel, cfg: &HierarchyConfig, prefetch: bool) {
+/// Run `sweeps` sweeps of `kernel`'s contiguous layout through every engine
+/// on `cfg`, with or without next-line prefetch, and demand they agree.
+fn assert_kernel_parity(kernel: &dyn Kernel, cfg: &HierarchyConfig, prefetch: bool, sweeps: usize) {
     let program = kernel.model();
     let layout = DataLayout::contiguous(&program.arrays);
-    let build = |cfg: &HierarchyConfig| {
+    let build = || {
         if prefetch {
             Hierarchy::with_next_line_prefetch(cfg.clone())
         } else {
             Hierarchy::new(cfg.clone())
         }
     };
-    let mut analytic = build(cfg);
-    {
-        let mut sink = AnalyticSink::new(&mut analytic);
-        try_generate_with(&program, &layout, &mut sink, true).unwrap();
-    }
-    let mut replay = build(cfg);
-    try_generate_with(&program, &layout, &mut replay, true).unwrap();
-    assert_eq!(
-        analytic.stats(),
-        replay.stats(),
-        "{}: per-level accesses/misses diverge on {cfg:?}",
-        kernel.name()
-    );
-    assert_eq!(
-        analytic.writebacks(),
-        replay.writebacks(),
-        "{}: write-backs diverge on {cfg:?}",
-        kernel.name()
-    );
-    assert_eq!(analytic.prefetch_fills(), replay.prefetch_fills());
-    for (level, (ca, cr)) in analytic.caches().iter().zip(replay.caches()).enumerate() {
-        for set in 0..ca.config().num_sets() {
-            let a: Vec<_> = ca.set_contents(set).collect();
-            let r: Vec<_> = cr.set_contents(set).collect();
-            assert_eq!(
-                a,
-                r,
-                "{}: L{} set {set} contents diverge on {cfg:?}",
-                kernel.name(),
-                level + 1
-            );
-        }
+    match engine_parity(&program, &layout, build, sweeps) {
+        Ok(Ok(_)) => {}
+        Ok(Err(e)) => panic!("{}: does not simulate: {e}", kernel.name()),
+        Err(diff) => panic!("{} on {cfg:?}: {diff}", kernel.name()),
     }
 }
 
@@ -89,7 +65,7 @@ fn matrix_kernels() -> Vec<Box<dyn Kernel>> {
 fn every_kernel_matches_on_ultrasparc_i() {
     let cfg = HierarchyConfig::ultrasparc_i();
     for kernel in all_kernels() {
-        assert_kernel_parity(kernel.as_ref(), &cfg, false);
+        assert_kernel_parity(kernel.as_ref(), &cfg, false, 1);
     }
 }
 
@@ -100,7 +76,7 @@ fn kernels_match_on_ablation_hierarchies() {
         HierarchyConfig::ultrasparc_like_assoc(2),
     ] {
         for kernel in matrix_kernels() {
-            assert_kernel_parity(kernel.as_ref(), &cfg, false);
+            assert_kernel_parity(kernel.as_ref(), &cfg, false, 1);
         }
     }
 }
@@ -120,57 +96,36 @@ fn kernels_match_under_all_replacement_policies() {
             vec![6.0, 50.0],
         );
         for kernel in matrix_kernels() {
-            assert_kernel_parity(kernel.as_ref(), &cfg, false);
+            assert_kernel_parity(kernel.as_ref(), &cfg, false, 1);
         }
     }
 }
 
 #[test]
 fn kernels_match_with_next_line_prefetch() {
-    // Prefetching makes the analytic engine decline every nest; this pins
-    // down that the decline really happens and the wrapped replay stays
-    // exact.
+    // Prefetching disables the run-length batching and makes the memo
+    // decline every nest; this pins down that both fall back to exact
+    // per-access replay.
     let cfg = HierarchyConfig::ultrasparc_i();
     for kernel in matrix_kernels().into_iter().take(4) {
-        assert_kernel_parity(kernel.as_ref(), &cfg, true);
-    }
-}
-
-#[test]
-fn cold_reports_match_on_every_kernel() {
-    let cfg = HierarchyConfig::ultrasparc_i();
-    for kernel in matrix_kernels() {
-        let program = kernel.model();
-        let layout = DataLayout::contiguous(&program.arrays);
-        let analytic = try_simulate_analytic(&program, &layout, &cfg).unwrap();
-        let replay = simulate_with(&program, &layout, &cfg, true);
-        assert_eq!(analytic, replay, "{}: cold reports diverge", kernel.name());
+        assert_kernel_parity(kernel.as_ref(), &cfg, true, 1);
     }
 }
 
 #[test]
 fn steady_state_protocol_matches() {
+    // Counts are compared after every sweep, so five sweeps cover the
+    // steady protocols (0, 1), (1, 1) and (2, 3) of (warm-up, timed)
+    // sweeps, and the later sweeps enter the states the memo recorded.
     let cfg = HierarchyConfig::ultrasparc_i();
     for kernel in matrix_kernels().into_iter().take(6) {
-        let program = kernel.model();
-        let layout = DataLayout::contiguous(&program.arrays);
-        for (warmup, timed) in [(0, 1), (1, 1), (2, 3)] {
-            let analytic =
-                try_simulate_steady_analytic(&program, &layout, &cfg, warmup, timed).unwrap();
-            let replay = simulate_steady_with(&program, &layout, &cfg, warmup, timed, true);
-            assert_eq!(
-                analytic,
-                replay,
-                "{}: steady reports diverge at warmup={warmup} timed={timed}",
-                kernel.name()
-            );
-        }
+        assert_kernel_parity(kernel.as_ref(), &cfg, false, 5);
     }
 }
 
 /// Three of the paper's padded versions and one contiguous layout under a
-/// long steady protocol (2 warm-up sweeps, then T timed ones). Nests the
-/// closed form rejects replay only until their entry state repeats, after
+/// long steady protocol (2 warm-up sweeps, then T timed ones). A nest the
+/// memo has not served replays only until its entry state repeats, after
 /// which every sweep is a memo hit: the sink's own fallback count after
 /// 2 + 8 sweeps equals the count after 2 + 64. And the analytic report
 /// equals plain replay's. The replay side of 2 + 64 sweeps is too slow for

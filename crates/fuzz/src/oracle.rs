@@ -8,8 +8,9 @@
 //! outcome rather than a bug.
 
 use crate::case::Case;
-use mlc_cache_sim::tlb::Tlb;
-use mlc_cache_sim::HierarchyConfig;
+use mlc_cache_sim::trace::RecordingSink;
+use mlc_cache_sim::{Hierarchy, HierarchyConfig, LevelStats};
+use mlc_core::analytic::AnalyticSink;
 use mlc_core::conflict::severe_conflicts;
 use mlc_core::fusion::{accounting_cost, fusion_profit, reuse_layout};
 use mlc_core::group::{exploited_count, ProgramSkeleton};
@@ -19,16 +20,16 @@ use mlc_core::group_pad::{
 use mlc_core::maxpad::l2_max_pad;
 use mlc_core::pad::{multilvl_pad, pad_all_levels, PadResult};
 use mlc_core::{estimate_misses, MissCosts};
-use mlc_model::trace_gen::{try_generate_with, try_simulate_steady_with, try_simulate_with};
+use mlc_model::trace_gen::{
+    try_generate_with, try_simulate_steady_with, try_simulate_with, TraceError,
+};
 use mlc_model::{DataLayout, Program};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Names of every oracle, in the order they run. Telemetry counters and the
 /// corpus format refer to oracles by these names.
 pub const ORACLES: &[&str] = &[
-    "fastpath-parity",
-    "analytic-parity",
-    "tlb-run-parity",
+    "engine-parity",
     "search-parity",
     "multilvlpad-clears-all-levels",
     "l2maxpad-preserves-l1",
@@ -38,7 +39,6 @@ pub const ORACLES: &[&str] = &[
     "estimator-agreement",
     "cache-parity",
     "serve-parity",
-    "layout-parity",
 ];
 
 /// Simulator-vs-estimator ranking indifference band (miss-rate units). The
@@ -132,9 +132,7 @@ pub fn check_case(case: &Case) -> Report {
     let h = &case.hierarchy;
     let p = &case.program;
 
-    check_fastpath_parity(case, &layout, &mut r);
-    check_analytic_parity(case, &layout, &mut r);
-    check_tlb_run_parity(case, &layout, &mut r);
+    check_engine_parity(case, &layout, &mut r);
     check_search_parity(case, &mut r);
     check_multilvlpad(case, &mut r);
     check_l2maxpad(case, &mut r);
@@ -180,31 +178,84 @@ pub fn check_case(case: &Case) -> Report {
     check_estimator_agreement(case, &layout, &mut r);
     check_cache_parity(case, &layout, &mut r);
     check_serve_parity(case, &layout, &mut r);
-    check_layout_parity(case, &mut r);
     r
 }
 
-/// Generalized-layout parity: the case re-laid-out with Morton interleave
-/// words and the case re-scheduled by cache-oblivious recursive tiling must
-/// simulate identically through the run-length fast path (which steps
-/// Morton offsets), the per-access scalar replay (which interleaves every
-/// access's indices), and the analytic steady-state engine (which
-/// certifiably declines non-affine nests and must then reproduce the replay
-/// bitwise). Variants are derived deterministically from the case itself so
-/// every generated case exercises the oracle.
-fn check_layout_parity(case: &Case, r: &mut Report) {
+/// Sweeps the `engine-parity` oracle runs on a case and on each variant.
+/// Counts are compared after every sweep, so four cover the cold protocol
+/// and the (warm-up + timed) protocols 1 + 1, 0 + 2 and 2 + 2; the repeat
+/// variant's later sweeps enter states the memo recorded in earlier ones.
+const PARITY_SWEEPS: usize = 4;
+
+/// Engine parity: scalar replay, run-length replay and the analytic
+/// engine's memo agree through [`engine_parity`] over [`PARITY_SWEEPS`]
+/// sweeps of the case and of every variant [`engine_variants`] derives
+/// from it; and, on the case and its layout variants, the fast generator's
+/// stream, expanded access by access, equals the scalar walk's (the repeat
+/// variant streams the case's nests again through the same walk). The case
+/// itself must simulate; on a variant, the same trace error from every
+/// engine is agreement.
+fn check_engine_parity(case: &Case, layout: &DataLayout, r: &mut Report) {
+    let oracle = "engine-parity";
+    let variants = match engine_variants(case, layout) {
+        Ok(v) => v,
+        Err(e) => {
+            r.fail(oracle, e);
+            return;
+        }
+    };
+    let build = || Hierarchy::new(case.hierarchy.clone());
+    let programs = std::iter::once(("case", &case.program, layout))
+        .chain(variants.iter().map(|(label, p, l)| (*label, p, l)));
+    for (label, p, l) in programs {
+        let stream = if label == "repeat" {
+            None
+        } else {
+            stream_difference(p, l)
+        };
+        let diff = stream.or_else(|| match engine_parity(p, l, build, PARITY_SWEEPS) {
+            Ok(Ok(_)) => None,
+            Ok(Err(_)) if label != "case" => None,
+            Ok(Err(e)) => Some(format!("does not simulate: {e}")),
+            Err(diff) => Some(diff),
+        });
+        if let Some(diff) = diff {
+            r.fail(oracle, format!("{label}: {diff}"));
+            return;
+        }
+    }
+    r.checked.push(oracle);
+}
+
+/// The variants `engine-parity` derives from a case, each with its layout:
+/// - `repeat`: an outermost repeat loop on every nest the memo is offered
+///   ([`repeated_nests`]), so that the memo takes hits;
+/// - `morton`: every eligible array on its round-robin Morton word;
+/// - `morton-blocked`: every eligible array on its blocked word with two
+///   bits of each dimension per round, the kind of word the layout search
+///   picks;
+/// - `cot`: every constant-bound unit-step nest cache-obliviously tiled
+///   (leaf 4); nests the recursion cannot express are kept as they are.
+///
+/// A variant is left out when its derivation changes nothing: no nest is
+/// offered to the memo, no array takes a Morton word, or no nest splits.
+/// `Err` names a word that validated against its array but that the
+/// layout rejects.
+fn engine_variants(
+    case: &Case,
+    layout: &DataLayout,
+) -> Result<Vec<(&'static str, Program, DataLayout)>, String> {
     use mlc_model::layout::{blocked_word, min_bits};
     use mlc_model::transform::cache_oblivious_unchecked;
     use mlc_model::{ArrayDecl, LayoutFamily};
-    let oracle = "layout-parity";
-    let (p, h) = (&case.program, &case.hierarchy);
+    let p = &case.program;
+    let mut variants = Vec::new();
 
-    let mut variants: Vec<(&str, mlc_model::Program, DataLayout)> = Vec::new();
+    let repeated = repeated_nests(p, layout);
+    if repeated != *p {
+        variants.push(("repeat", repeated, layout.clone()));
+    }
 
-    // Morton variants: every eligible array switches to its round-robin
-    // interleave word, or to the blocked word with two bits of each
-    // dimension per round (the kind of word the layout search picks); the
-    // rest stay linear.
     fn blocked(a: &ArrayDecl) -> LayoutFamily {
         let bits: Vec<u32> = (0..a.rank()).map(|d| min_bits(a.alloc_dim(d))).collect();
         LayoutFamily::Morton(blocked_word(&bits, &vec![2; bits.len()]))
@@ -230,86 +281,195 @@ fn check_layout_parity(case: &Case, r: &mut Report) {
             })
             .collect();
         if fams.iter().any(|f| !f.is_linear()) {
-            match DataLayout::with_pads_and_families(&p.arrays, &case.pads, &fams) {
-                Ok(l) => variants.push((label, p.clone(), l)),
-                Err(e) => {
-                    r.fail(oracle, format!("validated word rejected by layout: {e}"));
-                    return;
-                }
-            }
+            let l = DataLayout::with_pads_and_families(&p.arrays, &case.pads, &fams)
+                .map_err(|e| format!("{label}: validated word rejected by layout: {e}"))?;
+            variants.push((label, p.clone(), l));
         }
     }
 
-    // Cache-oblivious variant: bisect every constant-bound unit-step nest;
-    // nests the recursion cannot express are kept as-is.
-    {
-        let mut q = p.clone();
-        q.nests.clear();
-        let mut transformed = false;
-        for nest in &p.nests {
-            match cache_oblivious_unchecked(nest, 4) {
-                Ok(leaves) => {
-                    transformed = transformed || leaves.len() > 1;
-                    q.nests.extend(leaves);
-                }
-                Err(_) => q.nests.push(nest.clone()),
+    let mut tiled = p.clone();
+    tiled.nests.clear();
+    let mut transformed = false;
+    for nest in &p.nests {
+        match cache_oblivious_unchecked(nest, 4) {
+            Ok(leaves) => {
+                transformed = transformed || leaves.len() > 1;
+                tiled.nests.extend(leaves);
             }
-        }
-        if transformed {
-            variants.push(("cot", q, case.layout()));
+            Err(_) => tiled.nests.push(nest.clone()),
         }
     }
+    if transformed {
+        variants.push(("cot", tiled, layout.clone()));
+    }
+    Ok(variants)
+}
 
-    if variants.is_empty() {
-        r.skip(oracle, "no derivable layout variant".to_string());
-        return;
+/// `p` with an outermost repeat loop on every nest the analytic engine is
+/// offered, sized so the nest offers at least
+/// [`mlc_core::analytic::MIN_MEMO_ACCESSES`] accesses. No subscript uses
+/// the loop, so each nest streams its own accesses that many times over.
+/// Other nests stay as they are.
+fn repeated_nests(p: &Program, layout: &DataLayout) -> Program {
+    use mlc_core::analytic::MIN_MEMO_ACCESSES;
+    use mlc_model::trace_gen::CompiledNest;
+    let mut q = p.clone();
+    for nest in &mut q.nests {
+        let total = CompiledNest::try_new(p, nest, layout)
+            .ok()
+            .and_then(|c| c.descriptor())
+            .filter(|d| !d.non_affine)
+            .and_then(|d| d.total_accesses());
+        let Some(total) = total else { continue };
+        let mut var = "rep".to_string();
+        while nest.loops.iter().any(|l| l.var == var) {
+            var.push('_');
+        }
+        let trips = MIN_MEMO_ACCESSES.div_ceil(total);
+        nest.loops
+            .insert(0, mlc_model::Loop::counted(var, 0, trips as i64 - 1));
     }
+    q
+}
 
-    for (label, prog, layout) in &variants {
-        for (proto, fast, scalar) in [
-            (
-                "cold",
-                try_simulate_with(prog, layout, h, true),
-                try_simulate_with(prog, layout, h, false),
-            ),
-            (
-                "steady",
-                try_simulate_steady_with(prog, layout, h, 1, 1, true),
-                try_simulate_steady_with(prog, layout, h, 1, 1, false),
-            ),
-        ] {
-            match (&fast, &scalar) {
-                (Ok(a), Ok(b)) if a == b => {}
-                (Err(ea), Err(eb)) if ea.to_string() == eb.to_string() => {}
-                (a, b) => {
-                    r.fail(
-                        oracle,
-                        format!("{label}/{proto}: fast {a:?} diverges from scalar {b:?}"),
-                    );
-                    return;
+/// Where the fast generator's stream, expanded access by access, first
+/// differs from the scalar walk's stream, if it does. A [`RecordingSink`]
+/// batches nothing: runs and run groups reach it through the per-access
+/// defaults of [`AccessSink`](mlc_cache_sim::trace::AccessSink).
+fn stream_difference(p: &Program, layout: &DataLayout) -> Option<String> {
+    let (mut fast, mut scalar) = (RecordingSink::default(), RecordingSink::default());
+    let nf = try_generate_with(p, layout, &mut fast, true);
+    let ns = try_generate_with(p, layout, &mut scalar, false);
+    if nf != ns {
+        return Some(format!(
+            "streams: the fast walk counts {nf:?}, scalar {ns:?}"
+        ));
+    }
+    let (f, s) = (&fast.accesses, &scalar.accesses);
+    let at = (0..f.len().max(s.len())).find(|&i| f.get(i) != s.get(i))?;
+    Some(format!(
+        "streams: access {at} is {:?} on the fast walk, {:?} on the scalar walk",
+        f.get(at),
+        s.get(at)
+    ))
+}
+
+/// The engine-parity comparator. Scalar replay, run-length replay and the
+/// analytic engine's memo ([`AnalyticSink`]) each simulate `sweeps` sweeps
+/// of `p` under `layout` on their own hierarchy from `build`, advanced
+/// together one sweep at a time. Scalar replay is the reference:
+/// - after every sweep, each other engine's reference count, per-level
+///   accesses, misses and write-backs, and prefetch fills must equal it;
+/// - after the first sweep and after the last, so must the contents of
+///   every set at every level: tags, dirty bits and recency order.
+///
+/// Returns `Ok(Ok(hits))`, the memo's hit count, when the engines agree;
+/// `Ok(Err(e))` when all three stop with the same trace error `e` in the
+/// same sweep; and `Err` describing the first difference, naming the
+/// engine and the sweep (counted from 1), and the level and set where it
+/// has them.
+pub fn engine_parity(
+    p: &Program,
+    layout: &DataLayout,
+    build: impl Fn() -> Hierarchy,
+    sweeps: usize,
+) -> Result<Result<u64, TraceError>, String> {
+    let outcome = lockstep(
+        p,
+        layout,
+        build,
+        sweeps,
+        |sweep, [(_, counted, scalar), rest @ ..]| {
+            let n = sweep + 1;
+            for (engine, other, _) in &rest {
+                if *other != counted {
+                    return Err(Err(format!(
+                        "{engine}, sweep {n}: counted {other:?}, scalar {counted:?}"
+                    )));
                 }
             }
-        }
-        for (warmup, timed) in [(0usize, 1usize), (1, 1)] {
-            let analytic = mlc_core::try_simulate_steady_analytic(prog, layout, h, warmup, timed);
-            let replay = try_simulate_steady_with(prog, layout, h, warmup, timed, true);
-            match (&analytic, &replay) {
-                (Ok(a), Ok(b)) if a == b => {}
-                (Err(ea), Err(eb)) if ea.to_string() == eb.to_string() => {}
-                (a, b) => {
-                    r.fail(
-                        oracle,
-                        format!(
-                            "{label}/analytic w={warmup} t={timed}: analytic {a:?} \
-                             diverges from replay {b:?}"
-                        ),
-                    );
-                    return;
+            counted.map_err(Ok)?;
+            for (engine, _, h) in rest {
+                if let Some(diff) = hierarchy_difference(h, scalar, n == 1 || n == sweeps) {
+                    return Err(Err(format!("{engine}, sweep {n}: {diff}")));
                 }
+            }
+            Ok(())
+        },
+    );
+    match outcome {
+        Ok(hits) => Ok(Ok(hits)),
+        Err(Ok(e)) => Ok(Err(e)),
+        Err(Err(diff)) => Err(diff),
+    }
+}
+
+/// One engine's outcome of one sweep: its name, the references the sweep
+/// counted (or the trace error that stopped it), and the hierarchy it left.
+type EngineSweep<'a> = (&'static str, Result<u64, TraceError>, &'a Hierarchy);
+
+/// Scalar replay, run-length replay and the analytic engine's memo
+/// ([`AnalyticSink`]), each on its own hierarchy from `build`, advanced
+/// together over `sweeps` sweeps of `p`. After each sweep, `after` sees the
+/// sweep's index and every engine's outcome, scalar first; its first `Err`
+/// ends the run and is returned. Otherwise the memo's hit count is.
+fn lockstep<B>(
+    p: &Program,
+    layout: &DataLayout,
+    build: impl Fn() -> Hierarchy,
+    sweeps: usize,
+    mut after: impl FnMut(usize, [EngineSweep<'_>; 3]) -> Result<(), B>,
+) -> Result<u64, B> {
+    let (mut scalar, mut run_length, mut memo_hierarchy) = (build(), build(), build());
+    let mut memo = AnalyticSink::new(&mut memo_hierarchy);
+    for sweep in 0..sweeps {
+        let s = try_generate_with(p, layout, &mut scalar, false);
+        let r = try_generate_with(p, layout, &mut run_length, true);
+        let m = try_generate_with(p, layout, &mut memo, true);
+        after(
+            sweep,
+            [
+                ("scalar", s, &scalar),
+                ("run-length", r, &run_length),
+                ("memo", m, memo.hierarchy()),
+            ],
+        )?;
+    }
+    Ok(memo.nests_closed())
+}
+
+/// The first difference of `h` from the reference `scalar`: a level's
+/// accesses and misses, the write-backs, the prefetch fills, or, with
+/// `contents`, a set's tags, dirty bits and recency order.
+fn hierarchy_difference(h: &Hierarchy, scalar: &Hierarchy, contents: bool) -> Option<String> {
+    let levels = h.stats().into_iter().zip(scalar.stats());
+    if let Some((level, (x, y))) = levels.enumerate().find(|(_, (x, y))| x != y) {
+        return Some(format!("L{}: {x:?}, scalar {y:?}", level + 1));
+    }
+    let (x, y) = (h.writebacks(), scalar.writebacks());
+    if x != y {
+        return Some(format!("write-backs per level {x:?}, scalar {y:?}"));
+    }
+    let (x, y) = (h.prefetch_fills(), scalar.prefetch_fills());
+    if x != y {
+        return Some(format!("prefetch fills {x}, scalar {y}"));
+    }
+    if !contents {
+        return None;
+    }
+    for (level, (c, s)) in h.caches().iter().zip(scalar.caches()).enumerate() {
+        for set in 0..c.config().num_sets() {
+            if !c.set_contents(set).eq(s.set_contents(set)) {
+                let (x, y): (Vec<_>, Vec<_>) =
+                    (c.set_contents(set).collect(), s.set_contents(set).collect());
+                return Some(format!(
+                    "L{} set {set}: contents {x:?}, scalar {y:?}",
+                    level + 1
+                ));
             }
         }
     }
-    r.checked.push(oracle);
+    None
 }
 
 /// Run only the serve-parity oracle on a case — the tier-1 serve-parity
@@ -645,216 +805,6 @@ fn check_cache_parity(case: &Case, layout: &DataLayout, r: &mut Report) {
     r.checked.push(oracle);
 }
 
-/// Fast-path vs scalar simulation: identical miss reports, cold and steady,
-/// and after the cold sweep identical write-backs and final contents (tags,
-/// dirty bits and recency order of every set at every level).
-fn check_fastpath_parity(case: &Case, layout: &DataLayout, r: &mut Report) {
-    let oracle = "fastpath-parity";
-    let (p, h) = (&case.program, &case.hierarchy);
-    let cold = |fast| {
-        let mut hier = mlc_cache_sim::Hierarchy::new(h.clone());
-        try_generate_with(p, layout, &mut hier, fast).map(|_| hier)
-    };
-    match (cold(true), cold(false)) {
-        (Ok(a), Ok(b)) if a.report() != b.report() => {
-            r.fail(
-                oracle,
-                format!(
-                    "cold simulation diverges: fast {:?} vs scalar {:?}",
-                    a.report(),
-                    b.report()
-                ),
-            );
-            return;
-        }
-        (Ok(a), Ok(b)) => {
-            if let Some(diff) = state_difference(&a, &b) {
-                r.fail(
-                    oracle,
-                    format!("after the cold sweep, fast vs scalar: {diff}"),
-                );
-                return;
-            }
-        }
-        (a, b) => {
-            r.fail(
-                oracle,
-                format!(
-                    "generated case does not simulate: fast {:?}, scalar {:?}",
-                    a.map(|h| h.report()),
-                    b.map(|h| h.report())
-                ),
-            );
-            return;
-        }
-    }
-    let steady_fast = try_simulate_steady_with(p, layout, h, 1, 1, true);
-    let steady_scalar = try_simulate_steady_with(p, layout, h, 1, 1, false);
-    if steady_fast != steady_scalar {
-        r.fail(
-            oracle,
-            format!("steady-state diverges: fast {steady_fast:?} vs scalar {steady_scalar:?}"),
-        );
-        return;
-    }
-    r.checked.push(oracle);
-}
-
-/// The first difference between two hierarchies' write-back counts or
-/// final contents (tags, dirty bits and recency order of every set at every
-/// level), described with `a` first.
-fn state_difference(a: &mlc_cache_sim::Hierarchy, b: &mlc_cache_sim::Hierarchy) -> Option<String> {
-    if a.writebacks() != b.writebacks() {
-        return Some(format!(
-            "write-backs {:?} != {:?}",
-            a.writebacks(),
-            b.writebacks()
-        ));
-    }
-    for (level, (ca, cb)) in a.caches().iter().zip(b.caches()).enumerate() {
-        for set in 0..ca.config().num_sets() {
-            let x: Vec<_> = ca.set_contents(set).collect();
-            let y: Vec<_> = cb.set_contents(set).collect();
-            if x != y {
-                return Some(format!("L{} set {set}: contents {x:?} != {y:?}", level + 1));
-            }
-        }
-    }
-    None
-}
-
-/// The analytic engine vs plain run-length replay: identical miss reports,
-/// write-backs, tag-array contents, dirty bits and recency order at every
-/// level, cold and steady (including warmup = 0). Generated nests are too
-/// small for the engine's memo, so it declines them; the
-/// [`repeated_nests`] variant of the case is large enough, and over two
-/// warm-up and two timed sweeps its later sweeps enter recorded states.
-fn check_analytic_parity(case: &Case, layout: &DataLayout, r: &mut Report) {
-    let oracle = "analytic-parity";
-    let (p, h) = (&case.program, &case.hierarchy);
-    let repeated = repeated_nests(p, layout);
-    for (label, prog, warmup, timed) in [
-        ("cold", p, 0, 1),
-        ("steady", p, 1, 1),
-        ("warmup0-timed2", p, 0, 2),
-        ("repeated nests, 2 + 2 sweeps", &repeated, 2, 2),
-    ] {
-        let analytic = steady_sweeps(prog, layout, h, true, warmup, timed);
-        let replay = steady_sweeps(prog, layout, h, false, warmup, timed);
-        let diff = match (&analytic, &replay) {
-            (Ok((a, _)), Ok((b, _))) => (a.report() != b.report())
-                .then(|| format!("reports {:?} != {:?}", a.report(), b.report()))
-                .or_else(|| state_difference(a, b)),
-            (Err(ea), Err(eb)) if ea.to_string() == eb.to_string() => {
-                r.skip(oracle, "case does not generate".to_string());
-                return;
-            }
-            (a, b) => Some(format!(
-                "outcomes differ: analytic {:?}, replay {:?}",
-                a.as_ref().err(),
-                b.as_ref().err()
-            )),
-        };
-        if let Some(diff) = diff {
-            r.fail(oracle, format!("{label}: analytic vs replay: {diff}"));
-            return;
-        }
-    }
-    r.checked.push(oracle);
-}
-
-/// `p` with an outermost repeat loop on every nest the analytic engine is
-/// offered, sized so the nest offers at least
-/// [`mlc_core::analytic::MIN_MEMO_ACCESSES`] accesses. No subscript uses
-/// the loop, so each nest streams its own accesses that many times over.
-/// Other nests stay as they are.
-fn repeated_nests(p: &Program, layout: &DataLayout) -> Program {
-    use mlc_core::analytic::MIN_MEMO_ACCESSES;
-    use mlc_model::trace_gen::CompiledNest;
-    let mut q = p.clone();
-    for nest in &mut q.nests {
-        let total = CompiledNest::try_new(p, nest, layout)
-            .ok()
-            .and_then(|c| c.descriptor())
-            .filter(|d| !d.non_affine)
-            .and_then(|d| d.total_accesses());
-        let Some(total) = total else { continue };
-        let mut var = "rep".to_string();
-        while nest.loops.iter().any(|l| l.var == var) {
-            var.push('_');
-        }
-        let trips = MIN_MEMO_ACCESSES.div_ceil(total);
-        nest.loops
-            .insert(0, mlc_model::Loop::counted(var, 0, trips as i64 - 1));
-    }
-    q
-}
-
-/// `warmup` sweeps of `p`, a counter reset and `timed` sweeps, with the
-/// analytic engine in front or on plain run-length replay: the hierarchy
-/// they leave and the memo hits the engine took.
-fn steady_sweeps(
-    p: &Program,
-    layout: &DataLayout,
-    h: &HierarchyConfig,
-    analytic: bool,
-    warmup: usize,
-    timed: usize,
-) -> Result<(mlc_cache_sim::Hierarchy, u64), mlc_model::trace_gen::TraceError> {
-    let mut hier = mlc_cache_sim::Hierarchy::new(h.clone());
-    let mut closed = 0;
-    if analytic {
-        let mut sink = mlc_core::analytic::AnalyticSink::new(&mut hier);
-        for sweep in 0..warmup + timed {
-            if sweep == warmup {
-                sink.reset_stats();
-            }
-            try_generate_with(p, layout, &mut sink, true)?;
-        }
-        closed = sink.nests_closed();
-    } else {
-        for sweep in 0..warmup + timed {
-            if sweep == warmup {
-                hier.reset_stats();
-            }
-            try_generate_with(p, layout, &mut hier, true)?;
-        }
-    }
-    Ok((hier, closed))
-}
-
-/// The generator's run-length emission vs scalar emission, observed by a
-/// sink that never batches (the TLB expands runs through the default
-/// per-access loop): access and miss counts must agree, so the runs must
-/// describe exactly the addresses the scalar walk produces.
-fn check_tlb_run_parity(case: &Case, layout: &DataLayout, r: &mut Report) {
-    let oracle = "tlb-run-parity";
-    let p = &case.program;
-    // 64-byte "pages" keep the TLB's working set line-scaled so generated
-    // cases actually produce misses; 8 entries force evictions.
-    let mut fast = Tlb::new(8, 64);
-    let mut scalar = Tlb::new(8, 64);
-    let na = try_generate_with(p, layout, &mut fast, true);
-    let nb = try_generate_with(p, layout, &mut scalar, false);
-    if na != nb || fast.accesses() != scalar.accesses() || fast.misses() != scalar.misses() {
-        r.fail(
-            oracle,
-            format!(
-                "TLB sees different traffic: fast {:?} refs, {} accesses, {} misses; \
-                 scalar {:?} refs, {} accesses, {} misses",
-                na,
-                fast.accesses(),
-                fast.misses(),
-                nb,
-                scalar.accesses(),
-                scalar.misses()
-            ),
-        );
-        return;
-    }
-    r.checked.push(oracle);
-}
-
 /// GROUPPAD's interval sweep vs the exhaustive scalar scan:
 /// bitwise-identical pads, bases and positions-tried, on GROUPPAD and its
 /// multi-level form.
@@ -1079,8 +1029,9 @@ fn check_l2maxpad(case: &Case, r: &mut Report) {
 /// moves every line a whole number of lines at every level, so the access
 /// stream of each set moves intact to another set and the cold caches are
 /// alike: every per-level access, miss and write-back count must stay the
-/// same, cold and steady (1 + 1), on the run-length engine and with the
-/// analytic engine in front. The translated route of `Hierarchy::run_group`
+/// same after a cold sweep and after a second sweep (so cold and steady,
+/// 1 + 1), on every engine [`lockstep`] runs: scalar replay, run-length
+/// replay and the memo. The translated route of `Hierarchy::run_group`
 /// rests on this symmetry. The shifts are `Lmax` and `3·Lmax`, a multiple
 /// of no cache size larger than `Lmax`, and the largest cache size, a
 /// multiple of every one.
@@ -1093,66 +1044,68 @@ fn check_base_shift(case: &Case, r: &mut Report) {
     }
     let lmax = h.max_line() as u64;
     let smax = h.levels.iter().map(|l| l.size).max().unwrap_or(1) as u64;
-    let counts =
-        |case: &Case, analytic| caught(|| shift_protocol_counts(case, analytic)).and_then(|r| r);
-    for analytic in [false, true] {
-        let engine = if analytic { "analytic" } else { "run-length" };
-        let Ok(base) = counts(case, analytic) else {
-            r.skip(oracle, "case does not simulate".to_string());
+    let counts = |case: &Case| caught(|| shift_counts(case)).and_then(|r| r);
+    let Ok(base) = counts(case) else {
+        r.skip(oracle, "case does not simulate".to_string());
+        return;
+    };
+    for shift in [lmax, 3 * lmax, smax] {
+        let mut moved = case.clone();
+        moved.pads[0] += shift;
+        if moved.validate().is_err() {
+            r.skip(
+                oracle,
+                format!("a {shift} B shift leaves the address range"),
+            );
             return;
-        };
-        for shift in [lmax, 3 * lmax, smax] {
-            let mut moved = case.clone();
-            moved.pads[0] += shift;
-            if moved.validate().is_err() {
-                r.skip(
-                    oracle,
-                    format!("a {shift} B shift leaves the address range"),
-                );
-                return;
-            }
-            match counts(&moved, analytic) {
-                Ok(c) if c == base => {}
-                Ok(c) => {
+        }
+        match counts(&moved) {
+            Ok(c) => {
+                if let Some(((sweep, engine, from), (_, _, to))) =
+                    base.iter().zip(&c).find(|(b, m)| b != m)
+                {
                     r.fail(
                         oracle,
                         format!(
                             "{engine}: shifting every base by {shift} B (Lmax {lmax}) changes \
-                             the (accesses, misses, write-backs) per level, [cold, steady], \
-                             from {base:?} to {c:?}"
+                             the per-level counts and write-backs after sweep {sweep} \
+                             from {from:?} to {to:?}"
                         ),
                     );
                     return;
                 }
-                Err(e) => {
-                    r.fail(
-                        oracle,
-                        format!("{engine}: the {shift} B shift does not simulate: {e}"),
-                    );
-                    return;
-                }
+            }
+            Err(e) => {
+                r.fail(
+                    oracle,
+                    format!("the {shift} B shift does not simulate: {e}"),
+                );
+                return;
             }
         }
     }
     r.checked.push(oracle);
 }
 
-/// Per-level (accesses, misses, write-backs) of a cold sweep and of a
-/// steady sweep (one warm-up, counters reset, one timed), on the run-length
-/// engine or with the analytic engine in front.
+/// Every engine's per-level counts and write-backs after each of two sweeps
+/// of the case, run in [`lockstep`], as (sweep, engine, (counts,
+/// write-backs)) in sweep order.
 #[allow(clippy::type_complexity)]
-fn shift_protocol_counts(case: &Case, analytic: bool) -> Result<[Vec<(u64, u64, u64)>; 2], String> {
-    let layout = case.layout();
-    let run = |warmup: usize| -> Result<Vec<(u64, u64, u64)>, String> {
-        let (hier, _) = steady_sweeps(&case.program, &layout, &case.hierarchy, analytic, warmup, 1)
-            .map_err(|e| e.to_string())?;
-        Ok(hier
-            .caches()
-            .iter()
-            .map(|c| (c.accesses(), c.misses(), c.writebacks()))
-            .collect())
-    };
-    Ok([run(0)?, run(1)?])
+fn shift_counts(
+    case: &Case,
+) -> Result<Vec<(usize, &'static str, (Vec<LevelStats>, Vec<u64>))>, String> {
+    let mut counts = Vec::new();
+    let build = || Hierarchy::new(case.hierarchy.clone());
+    lockstep(&case.program, &case.layout(), build, 2, |sweep, engines| {
+        for (engine, outcome, h) in engines {
+            if let Err(e) = outcome {
+                return Err(e.to_string());
+            }
+            counts.push((sweep + 1, engine, (h.stats(), h.writebacks())));
+        }
+        Ok(())
+    })?;
+    Ok(counts)
 }
 
 /// Compare the simulated L1 counters (cold, and steady after one warm-up
@@ -1443,7 +1396,7 @@ mod tests {
     #[test]
     fn repeated_nests_reach_the_memo() {
         // Generated nests are too small for the analytic engine's memo, so
-        // on the cases themselves the analytic-parity oracle checks only
+        // on the cases themselves the engine-parity oracle checks only its
         // declines. Their repeat variants must reach it: all 200 of seeds
         // 0-199 take a memo hit, and the floor leaves room for a case whose
         // every nest is unofferable (non-constant bounds, Morton families).
@@ -1453,8 +1406,8 @@ mod tests {
                 let case = Case::generate(seed, &cfg);
                 let layout = case.layout();
                 let q = repeated_nests(&case.program, &layout);
-                steady_sweeps(&q, &layout, &case.hierarchy, true, 2, 2)
-                    .is_ok_and(|(_, closed)| closed > 0)
+                let build = || Hierarchy::new(case.hierarchy.clone());
+                matches!(engine_parity(&q, &layout, build, PARITY_SWEEPS), Ok(Ok(hits)) if hits > 0)
             })
             .count();
         assert!(hits >= 190, "{hits} of 200 repeat variants took a memo hit");

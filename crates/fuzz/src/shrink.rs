@@ -346,7 +346,7 @@ mod tests {
     #[test]
     fn shrink_of_passing_case_is_identity() {
         let case = Case::generate(2, &CaseConfig::default());
-        let out = shrink(&case, "fastpath-parity");
+        let out = shrink(&case, "engine-parity");
         assert_eq!(out, case);
     }
 

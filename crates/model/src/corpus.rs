@@ -426,11 +426,11 @@ mod tests {
     fn generated_cases_round_trip() {
         for seed in 0..60 {
             let case = Case::generate(seed, &CaseConfig::default());
-            let text = write_case(&case, Some("fastpath-parity")).unwrap();
+            let text = write_case(&case, Some("engine-parity")).unwrap();
             let (back, oracle) =
                 parse_case(&text).unwrap_or_else(|e| panic!("seed {seed}: {e}\n{text}"));
             assert_eq!(back, case, "seed {seed}");
-            assert_eq!(oracle.as_deref(), Some("fastpath-parity"));
+            assert_eq!(oracle.as_deref(), Some("engine-parity"));
         }
     }
 
@@ -623,11 +623,11 @@ mod tests {
                 })
                 .collect();
             case.validate().unwrap();
-            let text = write_case(&case, Some("layout-parity")).unwrap();
+            let text = write_case(&case, Some("engine-parity")).unwrap();
             let (back, oracle) =
                 parse_case(&text).unwrap_or_else(|e| panic!("seed {seed}: {e}\n{text}"));
             assert_eq!(back, case, "seed {seed}");
-            assert_eq!(oracle.as_deref(), Some("layout-parity"));
+            assert_eq!(oracle.as_deref(), Some("engine-parity"));
         }
     }
 

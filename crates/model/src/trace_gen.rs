@@ -12,12 +12,21 @@
 //! pushes several billion accesses through this path, so it allocates
 //! nothing per iteration.
 //!
+//! The fast walk (`fast = true`) offers each constant-bound nest to the sink
+//! whole ([`AccessSink::nest`]) and otherwise hands it one run group per
+//! innermost invocation; the scalar walk emits one access at a time.
+//! Expanded, the two streams are equal access for access.
+//!
 //! A reference into a Morton-layout array is affine in each dimension, not
 //! in its address. The fast walk keeps each such offset dilated (every
 //! dimension's index spread over the bits the word gives it) and steps it
 //! in constant time per trip; the scalar walk re-interleaves every access
-//! with [`morton_index`], and the `layout-parity` fuzz oracle compares the
-//! two.
+//! with [`morton_index`].
+//!
+//! The `engine-parity` fuzz oracle checks both walks' streams through a
+//! [`RecordingSink`](mlc_cache_sim::trace::RecordingSink), access by access,
+//! on generated cases and on their Morton and cache-oblivious variants, and
+//! compares the cache simulations the walks drive.
 
 use crate::layout::{morton_index, DataLayout, LayoutFamily};
 use crate::nest::LoopNest;
@@ -888,9 +897,9 @@ impl CompiledNest {
     /// The fast walk steps each Morton reference's interleaved offset in
     /// constant time per trip ([`DimStep`]); `morton_index` only seeds it.
     /// The scalar walk interleaves every access's indices with
-    /// `morton_index`, the reference the `layout-parity` oracle compares
-    /// the fast walk against (debug builds also check every stepped offset
-    /// against it).
+    /// `morton_index`, the reference the `engine-parity` oracle compares
+    /// the fast walk's stream against (debug builds also check every
+    /// stepped offset against it).
     ///
     /// The run-length fast path holds in exactly one shape: a single
     /// (necessarily Morton) reference, whose address sequence is re-encoded
