@@ -26,53 +26,6 @@ pub(crate) fn trips_on_line(addr: u64, stride: i64, line_shift: u32) -> u64 {
 /// realistic address space.
 const INVALID: u64 = u64::MAX;
 
-/// Internal observer of one cache level's outcomes. The hot path is
-/// generic over this; the no-op impl monomorphizes to exactly the
-/// unobserved code, so attaching nothing costs nothing.
-pub(crate) trait CacheObserver {
-    fn on_access(&mut self, line_addr: u64, set: usize, write: bool, hit: bool);
-    fn on_eviction(&mut self, line_addr: u64, set: usize, dirty: bool);
-}
-
-/// The always-attached observer for plain accesses.
-pub(crate) struct NoObserver;
-
-impl CacheObserver for NoObserver {
-    #[inline(always)]
-    fn on_access(&mut self, _line_addr: u64, _set: usize, _write: bool, _hit: bool) {}
-    #[inline(always)]
-    fn on_eviction(&mut self, _line_addr: u64, _set: usize, _dirty: bool) {}
-}
-
-/// Adapter attaching a [`mlc_telemetry::CacheProbe`] at a fixed level.
-pub(crate) struct ProbeObserver<'a> {
-    pub(crate) probe: &'a mut dyn mlc_telemetry::CacheProbe,
-    pub(crate) level: usize,
-}
-
-impl CacheObserver for ProbeObserver<'_> {
-    #[inline]
-    fn on_access(&mut self, line_addr: u64, set: usize, write: bool, hit: bool) {
-        self.probe.on_access(mlc_telemetry::AccessEvent {
-            level: self.level,
-            line_addr,
-            set,
-            write,
-            hit,
-        });
-    }
-
-    #[inline]
-    fn on_eviction(&mut self, line_addr: u64, set: usize, dirty: bool) {
-        self.probe.on_eviction(mlc_telemetry::EvictionEvent {
-            level: self.level,
-            line_addr,
-            set,
-            dirty,
-        });
-    }
-}
-
 /// One level of cache: a tag store with a replacement policy.
 #[derive(Debug, Clone)]
 pub struct Cache {
@@ -153,63 +106,30 @@ impl Cache {
     /// Access with a load/store distinction: stores mark the line dirty, and
     /// evicting a dirty line counts a write-back (write-back, write-allocate
     /// policy). Hit/miss accounting is identical to [`Cache::access`].
-    #[inline]
+    ///
+    /// This is the per-access transition function every engine is held to.
+    /// It is force-inlined into the replay routes, which call it once per
+    /// line they enter; the call overhead shows in end-to-end wall time.
+    #[inline(always)]
     pub fn access_kind(&mut self, addr: u64, write: bool) -> Probe {
-        self.access_kind_obs(addr, write, &mut NoObserver)
-    }
-
-    /// [`Cache::access_kind`] with a telemetry probe attached, reporting the
-    /// outcome (and any eviction) as events at the given `level`. Identical
-    /// state transitions and accounting to the unprobed path.
-    pub fn access_kind_probed(
-        &mut self,
-        addr: u64,
-        write: bool,
-        level: usize,
-        probe: &mut dyn mlc_telemetry::CacheProbe,
-    ) -> Probe {
-        self.access_kind_obs(addr, write, &mut ProbeObserver { probe, level })
-    }
-
-    /// Reconstruct the byte address of a line from its stored tag and set.
-    #[inline(always)]
-    fn line_addr_of(&self, tag: u64, set: usize) -> u64 {
-        ((tag << self.set_shift) | set as u64) << self.line_shift
-    }
-
-    #[inline(always)]
-    pub(crate) fn access_kind_obs<O: CacheObserver>(
-        &mut self,
-        addr: u64,
-        write: bool,
-        obs: &mut O,
-    ) -> Probe {
         self.accesses += 1;
         let line = addr >> self.line_shift;
         let set = (line & self.set_mask) as usize;
         let tag = line >> self.set_shift;
-        let line_addr = line << self.line_shift;
         let base = set * self.assoc;
 
         // Direct-mapped fast path: one compare, one store.
         if self.assoc == 1 {
             if self.tags[base] == tag {
                 self.dirty[base] |= write;
-                obs.on_access(line_addr, set, write, true);
                 return Probe::Hit;
             }
-            let old_tag = self.tags[base];
-            if old_tag != INVALID {
-                let dirty = self.dirty[base];
-                if dirty {
-                    self.writebacks += 1;
-                }
-                obs.on_eviction(self.line_addr_of(old_tag, set), set, dirty);
+            if self.tags[base] != INVALID && self.dirty[base] {
+                self.writebacks += 1;
             }
             self.tags[base] = tag;
             self.dirty[base] = write;
             self.misses += 1;
-            obs.on_access(line_addr, set, write, false);
             return Probe::Miss;
         }
 
@@ -225,7 +145,6 @@ impl Cache {
                 base + pos
             };
             self.dirty[at] |= write;
-            obs.on_access(line_addr, set, write, true);
             return Probe::Hit;
         }
 
@@ -243,13 +162,8 @@ impl Cache {
             }
             _ => self.assoc - 1, // recency order ⇒ tail is LRU / oldest
         };
-        let old_tag = ways[victim];
-        if old_tag != INVALID {
-            let dirty = self.dirty[base + victim];
-            if dirty {
-                self.writebacks += 1;
-            }
-            obs.on_eviction(self.line_addr_of(old_tag, set), set, dirty);
+        if ways[victim] != INVALID && self.dirty[base + victim] {
+            self.writebacks += 1;
         }
         self.tags[base + victim] = tag;
         self.dirty[base + victim] = write;
@@ -258,7 +172,6 @@ impl Cache {
         // promote).
         self.tags[base..=base + victim].rotate_right(1);
         self.dirty[base..=base + victim].rotate_right(1);
-        obs.on_access(line_addr, set, write, false);
         Probe::Miss
     }
 
@@ -389,6 +302,12 @@ impl Cache {
         self.accesses += accesses;
         self.misses += misses;
         self.writebacks += writebacks;
+    }
+
+    /// Reconstruct the byte address of a line from its stored tag and set.
+    #[inline(always)]
+    fn line_addr_of(&self, tag: u64, set: usize) -> u64 {
+        ((tag << self.set_shift) | set as u64) << self.line_shift
     }
 
     /// Resident lines of one set in recency order (most recent first), as

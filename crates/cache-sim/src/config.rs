@@ -242,25 +242,6 @@ impl HierarchyConfig {
         self.levels.iter().map(|l| l.line).max().unwrap()
     }
 
-    /// A [`mlc_telemetry::MissClassifier`] shaped for this hierarchy: one
-    /// fully-associative LRU shadow cache per level, sized to the level's
-    /// line count, so each real miss can be split into
-    /// compulsory/capacity/conflict (the 3C model). Attach it as a probe via
-    /// [`crate::Hierarchy::access_addr_kind_probed`] or
-    /// [`crate::Hierarchy::probed`].
-    pub fn miss_classifier(&self) -> mlc_telemetry::MissClassifier {
-        let geometry: Vec<mlc_telemetry::ShadowGeometry> = self
-            .levels
-            .iter()
-            .map(|c| mlc_telemetry::ShadowGeometry {
-                lines: c.num_lines(),
-                line: c.line,
-                sets: c.num_sets(),
-            })
-            .collect();
-        mlc_telemetry::MissClassifier::new(&geometry)
-    }
-
     /// The virtual cache MULTILVLPAD pads against: size `S1` (the smallest
     /// cache at any level) with line `Lmax` (the largest line at any level).
     ///

@@ -163,37 +163,6 @@ impl Hierarchy {
         self.next_line_prefetch
     }
 
-    /// [`Hierarchy::access_addr_kind`] with a telemetry probe attached: one
-    /// [`mlc_telemetry::AccessEvent`] per level probed (L1 outward, stopping
-    /// at the first hit) and one [`mlc_telemetry::EvictionEvent`] per line
-    /// replaced. State transitions and all counters are identical to the
-    /// unprobed path; prefetch fills are quiet installs and emit no events.
-    pub fn access_addr_kind_probed(
-        &mut self,
-        addr: u64,
-        write: bool,
-        probe: &mut dyn mlc_telemetry::CacheProbe,
-    ) -> Option<usize> {
-        let mut deepest_miss = None;
-        for (i, level) in self.levels.iter_mut().enumerate() {
-            match level.access_kind_probed(addr, write, i, probe) {
-                Probe::Hit => break,
-                Probe::Miss => deepest_miss = Some(i),
-            }
-        }
-        if self.next_line_prefetch {
-            if let Some(deepest) = deepest_miss {
-                for i in 0..=deepest {
-                    let line = self.levels[i].config().line as u64;
-                    if self.levels[i].prefetch_fill(addr + line) {
-                        self.prefetch_fills += 1;
-                    }
-                }
-            }
-        }
-        deepest_miss
-    }
-
     /// Try to consume a [`Run`] through the line-boundary fast path: one
     /// real probe per line segment, the rest bulk-counted as guaranteed L1
     /// hits via [`Cache::note_hits`]. After the first access of a segment
@@ -720,18 +689,6 @@ impl Hierarchy {
             }
         }
     }
-
-    /// View this hierarchy as an [`AccessSink`] that reports every access
-    /// to `probe`. Drives the same state as the plain sink impl.
-    pub fn probed<'a>(
-        &'a mut self,
-        probe: &'a mut dyn mlc_telemetry::CacheProbe,
-    ) -> ProbedHierarchy<'a> {
-        ProbedHierarchy {
-            hierarchy: self,
-            probe,
-        }
-    }
 }
 
 /// Whether a lockstep group — equal strides, `count` trips — provably never
@@ -924,29 +881,6 @@ impl Footprint {
         }
         let [a, m, w] = self.counts;
         c.account_analytic(a, m, w);
-    }
-}
-
-/// An [`AccessSink`] wrapper pairing a [`Hierarchy`] with a
-/// [`mlc_telemetry::CacheProbe`]; see [`Hierarchy::probed`].
-pub struct ProbedHierarchy<'a> {
-    hierarchy: &'a mut Hierarchy,
-    probe: &'a mut dyn mlc_telemetry::CacheProbe,
-}
-
-// ProbedHierarchy deliberately does NOT override `run`/`run_group`: the
-// whole point of attaching a probe is to observe every individual access,
-// so the trait defaults expand runs into the per-access scalar path and the
-// probe sees the exact same event stream with or without run-length
-// encoding upstream.
-impl AccessSink for ProbedHierarchy<'_> {
-    #[inline]
-    fn access(&mut self, access: Access) {
-        self.hierarchy.access_addr_kind_probed(
-            access.addr,
-            access.kind == crate::trace::AccessKind::Write,
-            self.probe,
-        );
     }
 }
 

@@ -24,7 +24,10 @@
 //!   processor references).
 //! * [`trace`] — the [`AccessSink`](trace::AccessSink) abstraction that the
 //!   program model (`mlc-model`) drives with exact address traces, plus
-//!   counting/recording/tee sinks for tests and experiments.
+//!   counting and recording sinks.
+//! * [`MissClassifier`] — a sink that simulates a cold hierarchy and splits
+//!   every miss into compulsory, capacity and conflict (the 3C model) with
+//!   one fully-associative LRU shadow cache per level.
 //!
 //! ## Example
 //!
@@ -47,6 +50,7 @@
 
 pub mod arbitrary;
 pub mod cache;
+pub mod classify;
 pub mod config;
 pub mod hierarchy;
 pub mod replacement;
@@ -56,9 +60,9 @@ pub mod stats;
 pub mod trace;
 
 pub use cache::Cache;
+pub use classify::{MissBreakdown, MissClass, MissClassifier};
 pub use config::{CacheConfig, HierarchyConfig};
 pub use hierarchy::Hierarchy;
-pub use hierarchy::ProbedHierarchy;
 pub use replacement::ReplacementPolicy;
 pub use stable_hash::{stable_hash_of, StableHash, StableHasher};
 pub use stats::{LevelStats, MissRateReport};

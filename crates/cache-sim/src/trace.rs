@@ -3,7 +3,7 @@
 //! The program model (`mlc-model`) walks iteration spaces and emits one
 //! [`Access`] per array reference; anything implementing [`AccessSink`] can
 //! consume the stream — most importantly [`crate::Hierarchy`], but also the
-//! counting/recording/tee sinks used in tests and experiments.
+//! 3C [`crate::MissClassifier`] and the counting and recording sinks.
 
 /// Load or store. The simulator counts them identically (fetch-on-miss,
 /// allocate-on-write) but sinks may care.
@@ -256,56 +256,6 @@ impl AccessSink for RecordingSink {
     }
 }
 
-/// Fans one stream out to two sinks (e.g. a hierarchy plus a counter).
-pub struct TeeSink<'a, A: AccessSink, B: AccessSink> {
-    /// First.
-    pub first: &'a mut A,
-    /// Second.
-    pub second: &'a mut B,
-}
-
-impl<'a, A: AccessSink, B: AccessSink> TeeSink<'a, A, B> {
-    /// Construct the kernel at the given problem size.
-    pub fn new(first: &'a mut A, second: &'a mut B) -> Self {
-        Self { first, second }
-    }
-}
-
-impl<A: AccessSink, B: AccessSink> AccessSink for TeeSink<'_, A, B> {
-    #[inline]
-    fn access(&mut self, access: Access) {
-        self.first.access(access);
-        self.second.access(access);
-    }
-
-    #[inline]
-    fn run(&mut self, run: Run) {
-        self.first.run(run);
-        self.second.run(run);
-    }
-
-    #[inline]
-    fn run_group(&mut self, runs: &[Run]) {
-        self.first.run_group(runs);
-        self.second.run_group(runs);
-    }
-}
-
-/// A sink that drops everything; useful to measure trace-generation cost.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullSink;
-
-impl AccessSink for NullSink {
-    #[inline]
-    fn access(&mut self, _access: Access) {}
-
-    #[inline]
-    fn run(&mut self, _run: Run) {}
-
-    #[inline]
-    fn run_group(&mut self, _runs: &[Run]) {}
-}
-
 impl<S: AccessSink + ?Sized> AccessSink for &mut S {
     #[inline]
     fn access(&mut self, access: Access) {
@@ -348,18 +298,6 @@ mod tests {
         let mut r = RecordingSink::default();
         r.access_all(&[Access::read(1), Access::write(2)]);
         assert_eq!(r.accesses, vec![Access::read(1), Access::write(2)]);
-    }
-
-    #[test]
-    fn tee_feeds_both() {
-        let mut a = CountingSink::default();
-        let mut b = RecordingSink::default();
-        {
-            let mut t = TeeSink::new(&mut a, &mut b);
-            t.access(Access::read(42));
-        }
-        assert_eq!(a.total, 1);
-        assert_eq!(b.accesses.len(), 1);
     }
 
     #[test]
@@ -426,23 +364,6 @@ mod tests {
         assert_eq!(fast.total, slow.total);
         assert_eq!(fast.writes, slow.writes);
         assert_eq!(fast.reads, slow.reads);
-    }
-
-    #[test]
-    fn tee_forwards_runs_to_both() {
-        let mut a = CountingSink::default();
-        let mut b = RecordingSink::default();
-        {
-            let mut t = TeeSink::new(&mut a, &mut b);
-            t.run(Run {
-                start: 0,
-                stride: 4,
-                count: 3,
-                kind: AccessKind::Read,
-            });
-        }
-        assert_eq!(a.total, 3);
-        assert_eq!(b.accesses.len(), 3);
     }
 
     #[test]

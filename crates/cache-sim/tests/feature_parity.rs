@@ -1,11 +1,10 @@
-//! Golden simulation results for the unprobed simulator.
+//! Golden simulation results for the per-access path.
 //!
-//! This file deliberately uses no telemetry APIs: it drives `Hierarchy`
-//! with no probe attached, and the hard-coded digests pin the exact
-//! per-level access/miss/write-back counts. The probe hooks are always
-//! compiled in, so if instrumentation ever perturbed the unprobed path, a
-//! digest would diverge from its golden value. `tests/telemetry.rs` checks
-//! that attaching a probe leaves the results unchanged too.
+//! The hard-coded digests pin the exact per-level access, miss and
+//! write-back counts (and prefetch fills) of three traces driven through
+//! `Hierarchy::access_addr_kind` one access at a time, so any change to the
+//! per-access transition function (`Cache::access_kind`, the reference
+//! every engine is held to) makes a digest diverge from its golden value.
 
 use mlc_cache_sim::rng::DetRng;
 use mlc_cache_sim::{Hierarchy, HierarchyConfig};

@@ -2,7 +2,7 @@
 //!
 //! Section 6.1: "intra-variable (array column) padding is first performed
 //! in ADI32 and ERLE64 to avoid severe conflicts between references to the
-//! same variable as described in [20]." When an array's leading dimension
+//! same variable as described in \[20\]." When an array's leading dimension
 //! is a (near-)multiple of the cache size, lockstep references to adjacent
 //! columns of the *same* array map to the same cache line; no inter-variable
 //! pad can help, but widening the leading dimension by a few elements moves

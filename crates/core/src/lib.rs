@@ -9,14 +9,14 @@
 //! * [`conflict`] — detection of *severe* ("ping-pong") conflict misses:
 //!   lockstep references from different variables within one cache line of
 //!   each other (Section 3).
-//! * [`pad`] — the `PAD` algorithm (base-address nudging until severe
+//! * [`pad`](mod@pad) — the `PAD` algorithm (base-address nudging until severe
 //!   conflicts disappear) and its multi-level generalizations
 //!   `MULTILVLPAD` (pad against the virtual cache `(S1, Lmax)`) and the
 //!   per-level variant it is proven equivalent to (Section 3.1.2).
 //! * [`group`] — group-temporal-reuse accounting: the arc test of the
 //!   paper's layout diagrams, and the per-reference classification
 //!   (register / L1 / L2 / memory) behind the fusion cost model (Section 4).
-//! * [`group_pad`] — `GROUPPAD`: position search maximizing the number of
+//! * [`group_pad`](mod@group_pad) — `GROUPPAD`: position search maximizing the number of
 //!   references exploiting group reuse on the L1 cache (Section 3.2.1).
 //! * [`maxpad`] — `MAXPAD` and `L2MAXPAD`: maximal separation of variables
 //!   on the L2 cache using pads that are multiples of `S1`, preserving the
@@ -31,10 +31,11 @@
 //!   L1/2×L1/4×L1/L2 capacity policies of Figure 13, and the §5 cost model.
 //! * [`pipeline`] — an end-to-end optimizer chaining intra-padding, fusion,
 //!   `GROUPPAD` and `L2MAXPAD`, with a human-readable [`report`].
-//! * [`search`] — the pruned incremental engine behind the padding
-//!   searches: suffix-shift delta scoring plus conflict-window candidate
-//!   pruning, bitwise-identical to the exhaustive scans (differentially
-//!   tested) and an order of magnitude faster.
+//! * [`search`] — GROUPPAD's position search as one exact interval sweep
+//!   per placement: nests a placement cannot change fold into constants,
+//!   and one walk over the conflict windows' endpoints scores only the
+//!   start of each constant-score segment, bitwise-identical to the
+//!   exhaustive scan (differentially tested).
 //! * [`exec`] — the work-stealing sweep executor: per-worker chunked
 //!   claims over indexed work, half-remainder stealing, direct writes into
 //!   pre-sized result slots, panic-safe joins, and per-worker telemetry

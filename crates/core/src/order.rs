@@ -5,15 +5,15 @@
 //! at every level, so the compiler does not need multi-level awareness to
 //! pick a loop order. This module implements the classical loop-cost model
 //! the paper's group used for that choice (McKinley, Carr & Tseng, TOPLAS
-//! '96, the paper's reference [18]): estimate, for each loop placed
+//! '96, the paper's reference \[18\]): estimate, for each loop placed
 //! innermost, how many cache lines one iteration of the *rest* of the nest
 //! pulls; order loops by decreasing cost from the outside in ("memory
 //! order") and take the best legal permutation.
 //!
 //! The cost is computed against a single cache's line size; the multi-level
-//! question is answered experimentally by [`order_benefits_all_levels`]-
-//! style checks in the tests and the `fig01` parts of the examples: the
-//! chosen order is the same for every level, and improves all of them.
+//! question is answered experimentally by the test
+//! `figure1_permutation_benefits_all_levels_simultaneously`: the chosen
+//! order improves L1, L2 and an added L3 at once.
 
 use mlc_model::transform::permute;
 use mlc_model::{ArrayDecl, LoopNest, Program};

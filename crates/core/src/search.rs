@@ -1,6 +1,6 @@
 //! GROUPPAD's padding-position search as one exact sweep per placement.
 //!
-//! The exhaustive scan in [`crate::group_pad`] scores every candidate
+//! The exhaustive scan in [`crate::group_pad`](mod@crate::group_pad) scores every candidate
 //! position (`cache.size / quantum` of them — 512 per variable on the
 //! 16 KiB L1) with a full severe-conflict + exploited-arc recompute over
 //! every nest. This engine gets the same answer from two structural facts:
@@ -13,7 +13,7 @@
 //! invariant. Only nests whose references straddle the split (`min_array <
 //! k <= max_array`, the per-variable index on [`ProgramSkeleton`]) can
 //! change; the engine caches per-nest counts and folds the others into
-//! constants ([`GroupPadSearch::rescore_move`] keeps the cache current).
+//! constants (`GroupPadSearch::rescore_move` keeps the cache current).
 //!
 //! **Conflict windows.** Within an affected nest, every condition the
 //! score depends on is a window of shift deltas — the paper's modular

@@ -13,7 +13,7 @@
 //!   --assoc K                                # k-way caches (default: 1)
 //!   --l1 BYTES --l2 BYTES                    # cache sizes (default 16K/512K)
 //!   --trace-out PATH                         # write a JSONL span/event trace
-//!   --metrics-out PATH                       # write metrics JSON (.csv: CSV)
+//!   --metrics-out PATH                       # write metrics JSON
 //! ```
 //!
 //! Exit status 2 means bad input, reported before any work: an unknown
@@ -25,11 +25,12 @@
 
 use mlc_cache_sim::{CacheConfig, HierarchyConfig, ReplacementPolicy};
 use mlc_core::pipeline::{optimize_traced, OptimizeOptions};
-use mlc_experiments::sim::{simulate_one, simulate_one_classified};
+use mlc_experiments::sim::simulate_one;
 use mlc_experiments::timing::time_kernel;
 use mlc_experiments::TelemetryCli;
 use mlc_kernels::{all_kernels, kernel_by_name, Kernel};
 use mlc_model::diagram::render_nest;
+use mlc_model::trace_gen::simulate_classified;
 use mlc_model::DataLayout;
 
 struct Args {
@@ -200,8 +201,8 @@ fn run(tcli: &mut TelemetryCli, argv: &[String]) -> Result<(), String> {
             if tel.is_enabled() {
                 // One classified cold sweep for the 3C breakdown metrics.
                 let span = tel.tracer.begin("sim.classified");
-                let (_, cls) =
-                    simulate_one_classified(&program, &layout, &h, &mut tel.metrics, "sim");
+                let cls = simulate_classified(&program, &layout, &h);
+                cls.install_metrics(&mut tel.metrics, "sim");
                 tel.tracer.end(span);
                 for (i, b) in cls.breakdowns().iter().enumerate() {
                     println!(

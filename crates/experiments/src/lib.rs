@@ -24,13 +24,12 @@
 //!
 //! The instrumented binaries (`mlc`, `table1`, `fig09`–`fig13`, the
 //! ablations and `sweep`) additionally accept `--trace-out PATH` (JSONL
-//! span/event trace) and `--metrics-out PATH` (JSON, or CSV if the path
-//! ends in `.csv`) — see [`telemetry_cli`] and `docs/OBSERVABILITY.md` —
-//! plus `--cache-dir PATH` / `--no-cache` to persist simulation results in
-//! a content-addressed store (see [`sweep`] and `docs/CACHING.md`) and
-//! `--threads N`. The `sweep` binary runs the whole experiment grid cell
-//! by cell through that store, so a rerun over the same cache directory
-//! finishes an interrupted sweep. `diagrams`, `fusion_example` and
+//! span/event trace) and `--metrics-out PATH` (JSON) — see
+//! [`telemetry_cli`] and `docs/OBSERVABILITY.md` — plus `--cache-dir PATH`
+//! to persist simulation results in a content-addressed store (see
+//! [`sweep`] and `docs/CACHING.md`) and `--threads N`. The `sweep` binary
+//! runs the whole experiment grid cell by cell through that store, so a
+//! rerun over the same cache directory finishes an interrupted sweep. `diagrams`, `fusion_example` and
 //! `validate_estimator` take no flags. An argument a binary does not read,
 //! or an option given twice, exits 2 naming it ([`reject_unknown_args`]).
 //!

@@ -4,9 +4,7 @@ use crate::versions::Versions;
 use mlc_cache_sim::stats::MissRateReport;
 use mlc_cache_sim::HierarchyConfig;
 use mlc_core::rescache::{CacheKey, ResultCache, SimProtocol};
-use mlc_model::trace_gen::simulate_classified;
 use mlc_model::{DataLayout, Program};
-use mlc_telemetry::{MetricsRegistry, MissClassifier};
 use std::sync::{Arc, RwLock};
 
 /// Process-wide content-addressed result cache. When installed (the
@@ -112,25 +110,6 @@ pub fn simulate_cold(
         SimProtocol::Cold,
         result_cache().as_deref(),
     )
-}
-
-/// Simulate one program+layout with the shadow-cache miss classifier
-/// attached, and install the per-level compulsory/capacity/conflict counts
-/// into `metrics` under `prefix` (e.g. `sim.l1.miss.conflict`).
-///
-/// Unlike [`simulate_one`] this is a single cold sweep — the 3C taxonomy
-/// needs the compulsory misses that the steady-state protocol deliberately
-/// warms away.
-pub fn simulate_one_classified(
-    program: &Program,
-    layout: &DataLayout,
-    h: &HierarchyConfig,
-    metrics: &mut MetricsRegistry,
-    prefix: &str,
-) -> (MissRateReport, MissClassifier) {
-    let (report, classifier) = simulate_classified(program, layout, h);
-    classifier.install_metrics(metrics, prefix);
-    (report, classifier)
 }
 
 /// Simulate all three versions.

@@ -6,9 +6,8 @@
 //!
 //! ```text
 //! --trace-out PATH      # span/event trace as JSONL
-//! --metrics-out PATH    # metrics registry as JSON (or CSV if PATH ends in .csv)
+//! --metrics-out PATH    # metrics registry as JSON
 //! --cache-dir PATH      # persist simulation results in a content-addressed store
-//! --no-cache            # ignore --cache-dir: simulate everything fresh
 //! --threads N           # pin the process-wide worker-thread count
 //! ```
 //!
@@ -30,17 +29,17 @@
 //! and installs it process-wide ([`crate::sim::install_result_cache`]),
 //! so every simulation the binary runs is memoized to disk. The cache is
 //! content-addressed and differentially guarded, so results are bitwise
-//! identical with and without it (see `docs/CACHING.md`). `--no-cache`
-//! wins over `--cache-dir` wherever both appear — handy for overriding a
-//! cache baked into a wrapper script. A cache summary goes to stderr (and
+//! identical with and without it (see `docs/CACHING.md`); leave the flag
+//! out to simulate everything fresh. A cache summary goes to stderr (and
 //! into `--metrics-out` under `rescache.*`) at exit.
 //!
 //! `--threads N` pins the process-wide worker-thread count via
 //! [`mlc_core::par::set_thread_override`], so the explicit flag beats the
 //! `MLC_THREADS` environment variable everywhere [`default_threads`]
-//! is consulted — the sweep executors, the padding search's candidate
-//! scans, and the `mlc-serve` server's worker pool (which sizes itself
-//! from `default_threads` when no explicit worker count is configured).
+//! is consulted — the sweep and figure executors, the Morton layout
+//! search's candidate batches, and the `mlc-serve` server's worker pool
+//! (which sizes itself from `default_threads` when no explicit worker
+//! count is configured).
 //! Binaries built on this extractor get the flag for free and must not
 //! re-parse it.
 //!
@@ -72,9 +71,9 @@ pub struct TelemetryCli {
     /// asked for at least one output file.
     pub telemetry: Telemetry,
     /// The result cache this invocation installed (if `--cache-dir` was
-    /// given and `--no-cache` was not). Held here so [`finish`] can report
-    /// its traffic; the same cache is installed process-wide for
-    /// [`crate::sim::simulate_one`] and friends.
+    /// given). Held here so [`finish`] can report its traffic; the same
+    /// cache is installed process-wide for [`crate::sim::simulate_one`] and
+    /// friends.
     ///
     /// [`finish`]: TelemetryCli::finish
     pub cache: Option<Arc<ResultCache>>,
@@ -91,9 +90,8 @@ impl TelemetryCli {
     /// `--metrics-out`, `--cache-dir`, `--threads`) given no value, an
     /// empty one, or another flag where its value belongs
     /// (`--trace-out --metrics-out m.json`), a thread count that is not a
-    /// positive integer, one of these flags (or `--no-cache`) given twice,
-    /// or a removed engine flag (`--no-fast-path`, `--no-analytic`,
-    /// `--no-fast-search`).
+    /// positive integer, one of these flags given twice, or a removed
+    /// engine flag (`--no-fast-path`, `--no-analytic`, `--no-fast-search`).
     pub fn extract(argv: Vec<String>) -> (Self, Vec<String>) {
         Self::try_extract(argv).unwrap_or_else(|e| {
             eprintln!("{e}");
@@ -110,7 +108,6 @@ impl TelemetryCli {
         let mut metrics_out: Option<PathBuf> = None;
         let mut cache_dir: Option<PathBuf> = None;
         let mut threads: Option<String> = None;
-        let mut no_cache = false;
         let mut seen: Vec<String> = Vec::new();
         let mut it = argv.into_iter();
         while let Some(arg) = it.next() {
@@ -118,13 +115,11 @@ impl TelemetryCli {
                 Some((f, v)) if VALUE_FLAGS.contains(&f) => (f, Some(v.to_string())),
                 _ => (arg.as_str(), None),
             };
-            if VALUE_FLAGS.contains(&flag) || flag == "--no-cache" {
+            if VALUE_FLAGS.contains(&flag) {
                 if seen.iter().any(|f| f == flag) {
                     return Err(format!("{flag} given twice"));
                 }
                 seen.push(flag.to_string());
-            }
-            if VALUE_FLAGS.contains(&flag) {
                 // `--flag=VALUE` takes VALUE verbatim; that spelling is how
                 // a value starting with `--` gets through.
                 let value = match inline {
@@ -145,8 +140,6 @@ impl TelemetryCli {
                     "--cache-dir" => cache_dir = Some(value.into()),
                     _ => threads = Some(value),
                 }
-            } else if arg == "--no-cache" {
-                no_cache = true;
             } else if REMOVED_FLAGS.contains(&arg.as_str()) {
                 return Err(format!(
                     "{arg} was removed: every engine gives identical results, so the fastest always runs"
@@ -163,25 +156,19 @@ impl TelemetryCli {
         } else {
             Telemetry::disabled()
         };
-        let touched = no_cache || cache_dir.is_some();
-        let cache = match (no_cache, cache_dir) {
-            (true, _) | (false, None) => None,
-            (false, Some(dir)) => match ResultCache::open(&dir) {
-                Ok(c) => Some(Arc::new(c)),
-                Err(e) => {
-                    // A requested-but-unusable cache is a hard error: the
-                    // user asked for persistence (a warm rerun or the
-                    // completion of an interrupted sweep depends on it),
-                    // so silently simulating fresh would be worse than
-                    // stopping.
-                    eprintln!("rescache: cannot open cache dir {}: {e}", dir.display());
-                    std::process::exit(1);
-                }
-            },
-        };
-        if touched {
-            // `--no-cache` wins: it clears whatever would otherwise be
-            // installed. Without either flag the global is left alone.
+        let cache = cache_dir.map(|dir| match ResultCache::open(&dir) {
+            Ok(c) => Arc::new(c),
+            Err(e) => {
+                // A requested-but-unusable cache is a hard error: the user
+                // asked for persistence (a warm rerun or the completion of
+                // an interrupted sweep depends on it), so silently
+                // simulating fresh would be worse than stopping.
+                eprintln!("rescache: cannot open cache dir {}: {e}", dir.display());
+                std::process::exit(1);
+            }
+        });
+        if cache.is_some() {
+            // Without `--cache-dir` the global is left alone.
             crate::sim::install_result_cache(cache.clone());
         }
         Ok((
@@ -232,11 +219,7 @@ impl TelemetryCli {
             eprintln!("trace written to {}", path.display());
         }
         if let Some(path) = &self.metrics_out {
-            if is_csv(path) {
-                self.telemetry.write_metrics_csv(path)?;
-            } else {
-                self.telemetry.write_metrics_json(path)?;
-            }
+            self.telemetry.write_metrics_json(path)?;
             eprintln!("metrics written to {}", path.display());
         }
         Ok(())
@@ -356,12 +339,6 @@ fn arg_error(args: &[String], switches: &[&str], value_flags: &[&str]) -> Option
     None
 }
 
-fn is_csv(path: &Path) -> bool {
-    path.extension()
-        .map(|e| e.eq_ignore_ascii_case("csv"))
-        .unwrap_or(false)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -398,7 +375,7 @@ mod tests {
     }
 
     #[test]
-    fn cache_dir_installs_exports_metrics_and_no_cache_wins() {
+    fn cache_dir_installs_and_exports_metrics() {
         // The only test that touches the process-wide result cache.
         let dir =
             std::env::temp_dir().join(format!("mlc-telemetry-cli-cache-{}", std::process::id()));
@@ -422,17 +399,8 @@ mod tests {
         let written = std::fs::read_to_string(&metrics_path).unwrap();
         assert!(written.contains("rescache.hit_rate"));
         drop(t);
-
-        // --no-cache wins regardless of flag order, and clears the global.
-        let (t2, rest2) = TelemetryCli::extract(sv(&[
-            "mlc",
-            "--no-cache",
-            &format!("--cache-dir={dir_s}"),
-            "fig09",
-        ]));
-        assert_eq!(rest2, sv(&["mlc", "fig09"]));
-        assert!(t2.cache.is_none());
-        assert!(crate::sim::result_cache().is_none());
+        // The other tests expect no process-wide cache.
+        crate::sim::install_result_cache(None);
 
         std::fs::remove_dir_all(&dir).ok();
         std::fs::remove_file(&metrics_path).ok();
@@ -508,14 +476,12 @@ mod tests {
             err(&["fig11", "--csv", "--csv"]).as_deref(),
             Some("--csv given twice")
         );
-        // The telemetry flags, in either spelling; `--no-cache` pairs with
-        // `--cache-dir` but not with itself.
+        // The telemetry flags, in either spelling.
         for argv in [
             sv(&["mlc", "--threads", "2", "fig11", "--threads=4"]),
             sv(&["mlc", "--cache-dir=a", "--cache-dir", "b"]),
             sv(&["mlc", "--trace-out", "t.jsonl", "--trace-out", "u.jsonl"]),
             sv(&["mlc", "--metrics-out=m.json", "--metrics-out=n.json"]),
-            sv(&["mlc", "--no-cache", "--cache-dir", "c", "--no-cache"]),
         ] {
             let flag = argv[1].split('=').next().unwrap().to_string();
             let err = TelemetryCli::try_extract(argv).unwrap_err();
@@ -568,7 +534,7 @@ mod tests {
         let dir = std::env::temp_dir().join("mlc-telemetry-cli-test");
         std::fs::create_dir_all(&dir).unwrap();
         let trace = dir.join("drop.jsonl");
-        let metrics = dir.join("drop.csv");
+        let metrics = dir.join("drop.json");
         {
             let (mut t, _) = TelemetryCli::extract(sv(&[
                 "x",

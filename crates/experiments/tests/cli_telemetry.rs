@@ -102,18 +102,50 @@ fn acceptance_command_produces_valid_outputs() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A `.csv` metrics path selects the CSV exporter.
+/// `mlc simulate adi32 --assoc 2 --metrics-out` runs one classified cold
+/// sweep; its per-level 3C counts, evictions and write-backs are pinned.
 #[test]
-fn csv_metrics_extension_is_respected() {
-    let dir = out_dir("csv");
-    let m = dir.join("m.csv");
-    run_mlc(&["simulate", "dot512", "--metrics-out", m.to_str().unwrap()]);
-    let csv = std::fs::read_to_string(&m).unwrap();
-    assert!(
-        csv.lines().next().unwrap().contains("kind"),
-        "missing CSV header: {csv}"
+fn classified_cold_sweep_counts_are_pinned() {
+    let dir = out_dir("adi32");
+    let m = dir.join("m.json");
+    run_mlc(&[
+        "simulate",
+        "adi32",
+        "--assoc",
+        "2",
+        "--metrics-out",
+        m.to_str().unwrap(),
+    ]);
+    let metrics = JsonValue::parse(&std::fs::read_to_string(&m).unwrap()).unwrap();
+    let counters = metrics.get("counters").expect("counters object");
+    let counts = |level: &str| -> Vec<u64> {
+        [
+            "accesses",
+            "hits",
+            "miss.compulsory",
+            "miss.capacity",
+            "miss.conflict",
+            "evictions",
+            "writebacks",
+        ]
+        .iter()
+        .map(|k| {
+            let name = format!("sim.{level}.{k}");
+            counters
+                .get(&name)
+                .and_then(JsonValue::as_u64)
+                .unwrap_or_else(|| panic!("missing counter {name}"))
+        })
+        .collect()
+    };
+    assert_eq!(
+        counts("l1"),
+        [956_416, 573_696, 49_152, 95_488, 238_080, 382_208, 159_232]
     );
-    assert!(csv.contains("sim.l1.accesses"));
+    assert_eq!(
+        counts("l2"),
+        [382_720, 159_120, 24_576, 32_368, 166_656, 215_408, 0]
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -222,8 +254,8 @@ fn bad_step_or_at_exits_2_naming_it() {
 /// An argument a binary does not read, or a value it cannot use, is a
 /// usage error before any work, not a silently dropped option, a panic or
 /// the exit status of a failed run. The binaries that simulate nothing take
-/// none of the shared telemetry and cache flags either, and `serve_load`
-/// no longer takes `--history-dir`.
+/// none of the shared telemetry and cache flags either, `serve_load` no
+/// longer takes `--history-dir`, and no binary takes `--no-cache`.
 #[test]
 fn unknown_argument_exits_2_naming_it() {
     let sweep = env!("CARGO_BIN_EXE_sweep");
@@ -254,6 +286,11 @@ fn unknown_argument_exits_2_naming_it() {
             sweep,
             &["run", "--grid", "smoke"][..],
             "unknown argument run",
+        ),
+        (
+            sweep,
+            &["--grid", "conflict", "--threads", "1", "--no-cache"][..],
+            "sweep: unknown argument --no-cache",
         ),
         (sweep, &["--grid", "bogus"][..], r#"got "bogus""#),
         (mlc, &["--bogus"][..], "unknown command '--bogus'"),

@@ -9,7 +9,7 @@
 //!   the serialized miss reports bit-for-bit.
 //!
 //! The release CI sweep-cache job repeats the first check on the full
-//! conflict grid: `sweep --grid conflict --threads 1 --no-cache` must
+//! conflict grid: an uncached `sweep --grid conflict --threads 1` must
 //! `cmp` equal to the default-thread run.
 
 use mlc_core::exec::execute;

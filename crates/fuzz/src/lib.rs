@@ -43,7 +43,7 @@
 //! The [`requests`] module reuses the case generator to build seed-stable
 //! HTTP request streams for the `serve_load` load generator.
 //!
-//! A failing case is [shrunk](shrink) to a minimal reproducer and
+//! A failing case is [shrunk](mod@shrink) to a minimal reproducer and
 //! serialized in a line-oriented text format ([`corpus`]) meant to be
 //! committed under `tests/corpus/`, where the tier-1 suite replays it
 //! forever. The `fuzz` binary drives the loop:

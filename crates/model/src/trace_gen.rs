@@ -33,7 +33,7 @@ use crate::nest::LoopNest;
 use crate::program::Program;
 use mlc_cache_sim::stats::MissRateReport;
 use mlc_cache_sim::trace::{Access, AccessKind, AccessSink, NestDescriptor, RefDescriptor, Run};
-use mlc_cache_sim::{Hierarchy, HierarchyConfig};
+use mlc_cache_sim::{Hierarchy, HierarchyConfig, MissClassifier};
 
 /// Why a nest could not be compiled or streamed.
 ///
@@ -1239,20 +1239,19 @@ pub fn try_simulate_with(
     Ok(hier.report())
 }
 
-/// [`simulate`] with a 3C miss classification attached: every access also
-/// drives one fully-associative LRU shadow cache per level, splitting each
-/// real miss into compulsory/capacity/conflict. Returns the report plus the
-/// loaded classifier (use
-/// [`mlc_telemetry::MissClassifier::install_metrics`] to export it).
+/// One cold sweep through a [`MissClassifier`], which splits every miss
+/// of its hierarchy into compulsory/capacity/conflict with one
+/// fully-associative LRU shadow cache per level. The classifier's
+/// [`MissClassifier::hierarchy`] holds the sweep's counts; export the
+/// classes with [`MissClassifier::install_metrics`].
 pub fn simulate_classified(
     program: &Program,
     layout: &DataLayout,
     config: &HierarchyConfig,
-) -> (MissRateReport, mlc_telemetry::MissClassifier) {
-    let mut hier = Hierarchy::new(config.clone());
-    let mut classifier = config.miss_classifier();
-    generate(program, layout, &mut hier.probed(&mut classifier));
-    (hier.report(), classifier)
+) -> MissClassifier {
+    let mut classifier = MissClassifier::new(config.clone());
+    generate(program, layout, &mut classifier);
+    classifier
 }
 
 /// Simulate with `warmup` full program sweeps before counting, then `timed`

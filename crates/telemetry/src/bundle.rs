@@ -4,12 +4,7 @@
 //! `Telemetry::disabled()` costs nothing to pass around — the tracer
 //! no-ops and the registry stays empty — so instrumented entry points can
 //! serve both traced and untraced callers.
-//!
-//! The file-writing methods honor the `MLC_LOG` environment filter (see
-//! [`crate::envfilter`]): names the filter silences are dropped at export
-//! time, never at recording time.
 
-use crate::envfilter::EnvFilter;
 use crate::metrics::MetricsRegistry;
 use crate::span::Tracer;
 use std::fs::File;
@@ -55,32 +50,18 @@ impl Telemetry {
         self.tracer.is_enabled()
     }
 
-    /// Write the trace as JSONL to `path`, honoring `MLC_LOG`.
+    /// Write the trace as JSONL to `path`.
     pub fn write_trace_jsonl(&self, path: &Path) -> std::io::Result<()> {
         let mut out = BufWriter::new(File::create(path)?);
-        self.tracer
-            .write_jsonl_filtered(&mut out, &EnvFilter::from_env())?;
+        self.tracer.write_jsonl(&mut out)?;
         out.flush()
     }
 
-    /// Write the metrics registry as pretty JSON to `path`, honoring
-    /// `MLC_LOG`.
+    /// Write the metrics registry as pretty JSON to `path`.
     pub fn write_metrics_json(&self, path: &Path) -> std::io::Result<()> {
         let mut out = BufWriter::new(File::create(path)?);
-        let json = self.metrics.to_json_filtered(&EnvFilter::from_env());
-        out.write_all(json.pretty().as_bytes())?;
+        out.write_all(self.metrics.to_json_string().as_bytes())?;
         out.write_all(b"\n")?;
-        out.flush()
-    }
-
-    /// Write the metrics registry as CSV to `path`, honoring `MLC_LOG`.
-    pub fn write_metrics_csv(&self, path: &Path) -> std::io::Result<()> {
-        let mut out = BufWriter::new(File::create(path)?);
-        out.write_all(
-            self.metrics
-                .to_csv_filtered(&EnvFilter::from_env())
-                .as_bytes(),
-        )?;
         out.flush()
     }
 }
@@ -110,10 +91,8 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let trace = dir.join("t.jsonl");
         let json = dir.join("m.json");
-        let csv = dir.join("m.csv");
         t.write_trace_jsonl(&trace).unwrap();
         t.write_metrics_json(&json).unwrap();
-        t.write_metrics_csv(&csv).unwrap();
 
         let line = std::fs::read_to_string(&trace).unwrap();
         assert!(JsonValue::parse(line.lines().next().unwrap()).is_ok());
@@ -122,9 +101,13 @@ mod tests {
             metrics.get("schema_version").and_then(JsonValue::as_u64),
             Some(1)
         );
-        assert!(std::fs::read_to_string(&csv)
-            .unwrap()
-            .contains("sim.l1.accesses"));
+        assert_eq!(
+            metrics
+                .get("counters")
+                .and_then(|c| c.get("sim.l1.accesses"))
+                .and_then(JsonValue::as_u64),
+            Some(10)
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 }

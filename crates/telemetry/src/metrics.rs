@@ -2,7 +2,7 @@
 //!
 //! Names are flat dotted strings (`sim.l1.miss.conflict`,
 //! `optimizer.pad.positions_tried`); the registry keeps them sorted so the
-//! JSON and CSV exports are deterministic. Histograms are log₂-bucketed —
+//! JSON export is deterministic. Histograms are log₂-bucketed —
 //! the right shape for conflict distances and set-pressure counts, which
 //! span many orders of magnitude.
 //!
@@ -10,7 +10,6 @@
 //! Schema) and validated in tests; it is the JSON that `--metrics-out`
 //! writes.
 
-use crate::envfilter::{EnvFilter, Level};
 use crate::json::JsonValue;
 use std::collections::BTreeMap;
 
@@ -217,30 +216,19 @@ impl MetricsRegistry {
 
     /// The registry as a JSON value matching `results/metrics_schema.json`.
     pub fn to_json(&self) -> JsonValue {
-        self.to_json_filtered(&EnvFilter::allow_all())
-    }
-
-    /// [`MetricsRegistry::to_json`] with an [`EnvFilter`] applied:
-    /// counters and values export at [`Level::Info`], histograms at
-    /// [`Level::Debug`]. Names the filter silences are simply absent from
-    /// the export; in-memory reads are never filtered.
-    pub fn to_json_filtered(&self, filter: &EnvFilter) -> JsonValue {
         let counters = self
             .counters
             .iter()
-            .filter(|(k, _)| filter.enabled(k, Level::Info))
             .map(|(k, &v)| (k.clone(), JsonValue::from(v)))
             .collect();
         let values = self
             .values
             .iter()
-            .filter(|(k, _)| filter.enabled(k, Level::Info))
             .map(|(k, &v)| (k.clone(), JsonValue::Num(v)))
             .collect();
         let histograms = self
             .histograms
             .iter()
-            .filter(|(k, _)| filter.enabled(k, Level::Debug))
             .map(|(k, h)| (k.clone(), h.to_json()))
             .collect();
         JsonValue::object(vec![
@@ -254,45 +242,6 @@ impl MetricsRegistry {
     /// Pretty-printed JSON export.
     pub fn to_json_string(&self) -> String {
         self.to_json().pretty()
-    }
-
-    /// CSV export: `kind,name,field,value` rows, one per scalar fact.
-    /// Counters and values use field `value`; histograms emit one row per
-    /// summary field (`count`, `sum`, `min`, `max`) plus one
-    /// `bucket_log2_<i>` row per non-empty bucket.
-    pub fn to_csv(&self) -> String {
-        self.to_csv_filtered(&EnvFilter::allow_all())
-    }
-
-    /// [`MetricsRegistry::to_csv`] with an [`EnvFilter`] applied (same
-    /// levels as [`MetricsRegistry::to_json_filtered`]).
-    pub fn to_csv_filtered(&self, filter: &EnvFilter) -> String {
-        let mut out = String::from("kind,name,field,value\n");
-        for (k, v) in &self.counters {
-            if !filter.enabled(k, Level::Info) {
-                continue;
-            }
-            out.push_str(&format!("counter,{k},value,{v}\n"));
-        }
-        for (k, v) in &self.values {
-            if !filter.enabled(k, Level::Info) {
-                continue;
-            }
-            out.push_str(&format!("value,{k},value,{v}\n"));
-        }
-        for (k, h) in &self.histograms {
-            if !filter.enabled(k, Level::Debug) {
-                continue;
-            }
-            out.push_str(&format!("histogram,{k},count,{}\n", h.count));
-            out.push_str(&format!("histogram,{k},sum,{}\n", h.sum));
-            out.push_str(&format!("histogram,{k},min,{}\n", h.min().unwrap_or(0)));
-            out.push_str(&format!("histogram,{k},max,{}\n", h.max().unwrap_or(0)));
-            for (i, c) in h.nonzero_buckets() {
-                out.push_str(&format!("histogram,{k},bucket_log2_{i},{c}\n"));
-            }
-        }
-        out
     }
 }
 
@@ -337,41 +286,6 @@ mod tests {
         assert!(j.get("counters").and_then(|c| c.get("c")).is_some());
         let h = j.get("histograms").and_then(|h| h.get("h")).unwrap();
         assert_eq!(h.get("count").and_then(JsonValue::as_u64), Some(1));
-    }
-
-    #[test]
-    fn csv_export_lists_all_kinds() {
-        let mut m = MetricsRegistry::new();
-        m.count("c", 9);
-        m.set_value("v", 1.25);
-        m.record("h", 5);
-        let csv = m.to_csv();
-        assert!(csv.starts_with("kind,name,field,value\n"));
-        assert!(csv.contains("counter,c,value,9\n"));
-        assert!(csv.contains("value,v,value,1.25\n"));
-        assert!(csv.contains("histogram,h,count,1\n"));
-        assert!(csv.contains("histogram,h,bucket_log2_2,1\n"));
-    }
-
-    #[test]
-    fn env_filter_prunes_exports_but_not_reads() {
-        let mut m = MetricsRegistry::new();
-        m.count("sim.l1.misses", 4);
-        m.count("rescache.hits", 2);
-        m.set_value("rescache.hit_rate", 0.5);
-        m.record("sim.l1.dist", 3);
-
-        let f = EnvFilter::parse("info,sim.l1=off");
-        let j = m.to_json_filtered(&f);
-        assert!(j.get("counters").unwrap().get("sim.l1.misses").is_none());
-        assert!(j.get("counters").unwrap().get("rescache.hits").is_some());
-        // Histograms are debug-level: pruned by the bare `info` default.
-        assert!(j.get("histograms").unwrap().get("sim.l1.dist").is_none());
-        let csv = m.to_csv_filtered(&f);
-        assert!(!csv.contains("sim.l1.misses"));
-        assert!(csv.contains("rescache.hits"));
-        // In-memory reads are unaffected.
-        assert_eq!(m.counter("sim.l1.misses"), 4);
     }
 
     #[test]

@@ -288,24 +288,6 @@ impl Tracer {
     /// Write the trace as JSONL: one `{"type":"span",…}` or
     /// `{"type":"event",…}` object per line, spans sorted by start time.
     pub fn write_jsonl(&self, out: &mut impl std::io::Write) -> std::io::Result<()> {
-        self.write_jsonl_filtered(out, &crate::envfilter::EnvFilter::allow_all())
-    }
-
-    /// [`Tracer::write_jsonl`] with an [`EnvFilter`] applied by span/event
-    /// name: spans export at [`Level::Info`], events at [`Level::Debug`].
-    /// A filtered-out span's children keep their recorded `parent` id even
-    /// though the parent line is absent — consumers treat unknown parents
-    /// as roots.
-    ///
-    /// [`EnvFilter`]: crate::envfilter::EnvFilter
-    /// [`Level::Info`]: crate::envfilter::Level::Info
-    /// [`Level::Debug`]: crate::envfilter::Level::Debug
-    pub fn write_jsonl_filtered(
-        &self,
-        out: &mut impl std::io::Write,
-        filter: &crate::envfilter::EnvFilter,
-    ) -> std::io::Result<()> {
-        use crate::envfilter::Level;
         let attrs_json = |attrs: &[(String, AttrValue)]| {
             JsonValue::Object(
                 attrs
@@ -314,11 +296,7 @@ impl Tracer {
                     .collect(),
             )
         };
-        let mut spans: Vec<&SpanRecord> = self
-            .spans
-            .iter()
-            .filter(|s| filter.enabled(&s.name, Level::Info))
-            .collect();
+        let mut spans: Vec<&SpanRecord> = self.spans.iter().collect();
         spans.sort_by_key(|s| (s.start_us, s.id));
         for s in spans {
             let mut pairs = vec![
@@ -337,9 +315,6 @@ impl Tracer {
             writeln!(out, "{}", JsonValue::object(pairs).to_string_compact())?;
         }
         for e in &self.events {
-            if !filter.enabled(&e.name, Level::Debug) {
-                continue;
-            }
             let mut pairs = vec![("type", JsonValue::from("event"))];
             if let Some(p) = e.span {
                 pairs.push(("span", JsonValue::from(p)));
@@ -459,29 +434,6 @@ mod tests {
         );
         let event = JsonValue::parse(lines[1]).unwrap();
         assert_eq!(event.get("type").unwrap().as_str(), Some("event"));
-    }
-
-    #[test]
-    fn jsonl_honors_env_filter() {
-        use crate::envfilter::EnvFilter;
-        let mut t = Tracer::new();
-        let a = t.begin("pass.pad");
-        t.end(a);
-        let b = t.begin("sim.replay");
-        t.event("sim.note", vec![]);
-        t.end(b);
-        let mut buf = Vec::new();
-        t.write_jsonl_filtered(&mut buf, &EnvFilter::parse("info,sim=off"))
-            .unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        assert!(text.contains("pass.pad"));
-        assert!(!text.contains("sim.replay"));
-        assert!(!text.contains("sim.note"));
-        // The bare `info` default also drops debug-level events elsewhere.
-        let mut buf2 = Vec::new();
-        t.write_jsonl_filtered(&mut buf2, &EnvFilter::parse("debug"))
-            .unwrap();
-        assert!(String::from_utf8(buf2).unwrap().contains("sim.note"));
     }
 
     #[test]
