@@ -198,16 +198,23 @@ impl Cache {
         );
         self.accesses += n;
         if write {
-            let line = addr >> self.line_shift;
-            let set = (line & self.set_mask) as usize;
-            let tag = line >> self.set_shift;
-            let base = set * self.assoc;
-            let pos = self.tags[base..base + self.assoc]
-                .iter()
-                .position(|&t| t == tag)
-                .expect("note_hits on a non-resident line");
-            self.dirty[base + pos] = true;
+            self.mark_dirty(addr);
         }
+    }
+
+    /// Set the dirty bit of the resident line containing `addr`, as a write
+    /// hit would; no counter moves.
+    #[inline]
+    pub(crate) fn mark_dirty(&mut self, addr: u64) {
+        let line = addr >> self.line_shift;
+        let set = (line & self.set_mask) as usize;
+        let tag = line >> self.set_shift;
+        let base = set * self.assoc;
+        let pos = self.tags[base..base + self.assoc]
+            .iter()
+            .position(|&t| t == tag)
+            .expect("dirtying a non-resident line");
+        self.dirty[base + pos] = true;
     }
 
     /// Bulk access-counter bump for hits already proven by the caller. The

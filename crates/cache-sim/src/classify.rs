@@ -35,6 +35,7 @@ use crate::hierarchy::Hierarchy;
 use crate::trace::{Access, AccessKind, AccessSink};
 use mlc_telemetry::{Histogram, MetricsRegistry};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// How a miss is attributed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -95,12 +96,50 @@ impl MissBreakdown {
 
 const NONE: u32 = u32::MAX;
 
+/// What a level's shadow knows of one line it has seen.
+#[derive(Debug, Clone, Copy)]
+struct LineRecord {
+    /// Its slot in the shadow's recency list, `NONE` once evicted.
+    slot: u32,
+    /// The level's access clock when the line was last touched.
+    last_touch: u64,
+}
+
+/// Hashes a line id with one multiply (Fibonacci hashing), rotated so the
+/// well-mixed high bits of the product pick the bucket. The keys are line
+/// ids of a simulated trace, not chosen by an adversary, so the default
+/// hasher's collision resistance buys nothing here, and it cost about half
+/// the classified sweep.
+#[derive(Default)]
+struct LineHasher(u64);
+
+impl Hasher for LineHasher {
+    /// Only `u64` keys are hashed; other input still hashes, bytewise.
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0 ^ u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, line: u64) {
+        self.0 = line.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(26);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type LineMap = HashMap<u64, LineRecord, BuildHasherDefault<LineHasher>>;
+
 /// Fully-associative LRU shadow over line ids, O(1) per access via an
-/// index-linked list.
+/// index-linked list. The slot of each line it holds is kept in the
+/// level's [`LineMap`].
 #[derive(Debug, Clone)]
 struct ShadowLru {
     capacity: usize,
-    map: HashMap<u64, u32>,
     lines: Vec<u64>,
     prev: Vec<u32>,
     next: Vec<u32>,
@@ -113,7 +152,6 @@ impl ShadowLru {
         assert!(capacity > 0, "shadow cache needs at least one line");
         Self {
             capacity,
-            map: HashMap::new(),
             lines: Vec::with_capacity(capacity),
             prev: Vec::with_capacity(capacity),
             next: Vec::with_capacity(capacity),
@@ -148,17 +186,19 @@ impl ShadowLru {
         }
     }
 
-    /// Touch `line`: returns true on a shadow hit. Misses insert the line,
-    /// evicting the LRU line when full.
-    fn touch(&mut self, line: u64) -> bool {
-        if let Some(&slot) = self.map.get(&line) {
-            if self.head != slot {
-                self.unlink(slot);
-                self.push_front(slot);
+    /// Touch `line`, whose slot (`NONE` when it is not held) is `slot`:
+    /// returns whether the shadow hit, and the line a miss evicted. A miss
+    /// inserts the line, evicting the LRU line when full.
+    fn touch(&mut self, line: u64, slot: &mut u32) -> (bool, Option<u64>) {
+        if *slot != NONE {
+            if self.head != *slot {
+                self.unlink(*slot);
+                self.push_front(*slot);
             }
-            return true;
+            return (true, None);
         }
-        let slot = if self.lines.len() < self.capacity {
+        let mut evicted = None;
+        *slot = if self.lines.len() < self.capacity {
             self.lines.push(line);
             self.prev.push(NONE);
             self.next.push(NONE);
@@ -166,13 +206,11 @@ impl ShadowLru {
         } else {
             let victim = self.tail;
             self.unlink(victim);
-            self.map.remove(&self.lines[victim as usize]);
-            self.lines[victim as usize] = line;
+            evicted = Some(std::mem::replace(&mut self.lines[victim as usize], line));
             victim
         };
-        self.map.insert(line, slot);
-        self.push_front(slot);
-        false
+        self.push_front(*slot);
+        (false, evicted)
     }
 }
 
@@ -182,9 +220,9 @@ struct ShadowLevel {
     set_mask: u64,
     associativity: u64,
     shadow: ShadowLru,
-    /// line id -> this level's access clock when last touched. Presence
-    /// doubles as the "seen before" (compulsory) test.
-    last_touch: HashMap<u64, u64>,
+    /// Every line this level has seen. Presence doubles as the "seen
+    /// before" (compulsory) test.
+    seen: LineMap,
     clock: u64,
     /// Every total but `dirty_evictions`, which the real level counts.
     breakdown: MissBreakdown,
@@ -199,7 +237,7 @@ impl ShadowLevel {
             set_mask: c.num_sets() as u64 - 1,
             associativity: c.associativity as u64,
             shadow: ShadowLru::new(c.num_lines()),
-            last_touch: HashMap::new(),
+            seen: LineMap::default(),
             clock: 0,
             breakdown: MissBreakdown::default(),
             conflict_distance: Histogram::new(),
@@ -213,8 +251,23 @@ impl ShadowLevel {
         self.clock += 1;
         let stamp = self.clock;
         self.breakdown.accesses += 1;
-        let shadow_hit = self.shadow.touch(line);
-        let previous = self.last_touch.insert(line, stamp);
+        let mut previous = None;
+        let record = self
+            .seen
+            .entry(line)
+            .and_modify(|r| previous = Some(r.last_touch))
+            .or_insert(LineRecord {
+                slot: NONE,
+                last_touch: stamp,
+            });
+        record.last_touch = stamp;
+        let (shadow_hit, evicted) = self.shadow.touch(line, &mut record.slot);
+        if let Some(evicted) = evicted {
+            self.seen
+                .get_mut(&evicted)
+                .expect("a shadow line was seen")
+                .slot = NONE;
+        }
         if hit {
             self.breakdown.hits += 1;
             return;
@@ -507,13 +560,23 @@ mod tests {
     #[test]
     fn shadow_lru_evicts_least_recent() {
         let mut s = ShadowLru::new(2);
-        assert!(!s.touch(1));
-        assert!(!s.touch(2));
-        assert!(s.touch(1)); // 1 now MRU
-        assert!(!s.touch(3)); // evicts 2
-        assert!(s.touch(1));
-        assert!(s.touch(3));
-        assert!(!s.touch(2));
+        let mut slots = HashMap::new();
+        let mut touch = |line: u64| {
+            let mut slot = slots.get(&line).copied().unwrap_or(NONE);
+            let (hit, evicted) = s.touch(line, &mut slot);
+            slots.insert(line, slot);
+            if let Some(e) = evicted {
+                slots.insert(e, NONE);
+            }
+            hit
+        };
+        assert!(!touch(1));
+        assert!(!touch(2));
+        assert!(touch(1)); // 1 now MRU
+        assert!(!touch(3)); // evicts 2
+        assert!(touch(1));
+        assert!(touch(3));
+        assert!(!touch(2));
     }
 
     #[test]

@@ -35,9 +35,64 @@ pub struct Hierarchy {
     /// simplest form of the hardware prefetching Section 2.2 alludes to).
     next_line_prefetch: bool,
     prefetch_fills: u64,
-    /// Per-level buffers of [`Hierarchy::run_group_translated`], kept so
-    /// that consecutive groups reuse them. No state crosses groups.
+    buffers: GroupBuffers,
+}
+
+/// Per-group buffers of the run-group routes, kept in the [`Hierarchy`] so
+/// that consecutive groups reuse them. No state crosses groups.
+#[derive(Debug, Clone, Default)]
+struct GroupBuffers {
+    /// [`Hierarchy::run_group_pinned`]'s moving references.
+    moving: Vec<Run>,
+    /// [`Hierarchy::run_group_periodic`]'s schedule, and the read
+    /// followers it leaves out.
+    entries: Vec<Entry>,
+    followers: Vec<Entry>,
+    /// [`Hierarchy::run_group_windowed`]'s per-reference cursors.
+    cursors: Vec<Cursor>,
+    /// [`Hierarchy::run_group_translated`]'s per-level footprints.
     footprints: Vec<Footprint>,
+}
+
+/// One moving reference of a periodic group, in schedule order.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    /// The address at which it next enters a line.
+    addr: u64,
+    /// The trip of its first line crossing.
+    first: u64,
+    write: bool,
+    role: Role,
+    /// The last L2 line it probed (`u64::MAX` before the first).
+    mark: u64,
+}
+
+/// How [`Hierarchy::run_group_periodic`] treats an [`Entry`]'s line
+/// entries ([`role`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Role {
+    /// Each is probed through the hierarchy.
+    Probe,
+    /// Another moving reference touched the line at the previous trip, or
+    /// earlier in body order at the same one: each is a guaranteed L1 hit,
+    /// counted in closed form.
+    Follow,
+    /// A write [`Role::Follow`] whose leaders all read: each hit sets the
+    /// line's dirty bit, without a probe.
+    FollowWrite,
+}
+
+/// One reference of [`Hierarchy::run_group_windowed`].
+#[derive(Debug, Clone, Copy)]
+struct Cursor {
+    /// Its current address.
+    addr: u64,
+    /// Trips left on its current line (0 ⇒ recompute).
+    tol: u64,
+    /// Its current line.
+    line: u64,
+    /// Whether its next access is the first on a new line.
+    entering: bool,
 }
 
 impl Hierarchy {
@@ -49,7 +104,7 @@ impl Hierarchy {
             levels,
             next_line_prefetch: false,
             prefetch_fills: 0,
-            footprints: Vec::new(),
+            buffers: GroupBuffers::default(),
         }
     }
 
@@ -212,38 +267,6 @@ impl Hierarchy {
         }
     }
 
-    /// One line-entering access of a periodic run group: a real L1 probe,
-    /// then a walk of the deeper levels that short-circuits where the
-    /// group's guaranteed-hit invariant applies. `marks[l]` holds the last
-    /// line of level `l+1` this reference probed; while the group's
-    /// references are pairwise set-disjoint at that level (`skip[l].1`, with
-    /// `skip[l].0` the level's line shift), nothing can have evicted or
-    /// demoted that line since, so a repeat touch is a hit that changes only
-    /// the access counter — the dirty bit was set when the line was probed
-    /// with this same access kind, and promotion is a no-op because the line
-    /// is still the set's most recent.
-    #[inline]
-    fn access_entering(&mut self, addr: u64, write: bool, marks: &mut [u64], skip: &[(u32, bool)]) {
-        if self.levels[0].access_kind(addr, write) == Probe::Hit {
-            return;
-        }
-        for (l, &(shift, disjoint)) in skip.iter().enumerate() {
-            let line = addr >> shift;
-            if disjoint && marks[l] == line {
-                if cfg!(debug_assertions) {
-                    self.levels[l + 1].note_hits(addr, 1, write);
-                } else {
-                    self.levels[l + 1].add_hit_accesses(1);
-                }
-                return;
-            }
-            marks[l] = line;
-            if self.levels[l + 1].access_kind(addr, write) == Probe::Hit {
-                return;
-            }
-        }
-    }
-
     /// Try to consume an interleaved run group through the fast path.
     ///
     /// Correctness rests on one invariant: while no two references occupy
@@ -319,9 +342,11 @@ impl Hierarchy {
         line_shift: u32,
         num_sets: u64,
     ) -> GroupPath {
-        let moving: Vec<Run> = runs.iter().filter(|r| r.stride != 0).copied().collect();
+        let mut moving = std::mem::take(&mut self.buffers.moving);
+        moving.clear();
+        moving.extend(runs.iter().filter(|r| r.stride != 0));
         let stride = moving[0].stride;
-        if moving.iter().all(|r| r.stride == stride)
+        let path = if moving.iter().all(|r| r.stride == stride)
             && (1u64 << line_shift).is_multiple_of(stride.unsigned_abs())
             && pinned_set_disjoint(runs, &moving, count, line_shift, num_sets)
         {
@@ -330,7 +355,9 @@ impl Hierarchy {
         } else {
             self.run_group_windowed(runs, count, line_shift, num_sets - 1, false);
             GroupPath::Windowed
-        }
+        };
+        self.buffers.moving = moving;
+        path
     }
 
     /// Collision-free group whose `moving` references (the nonzero-stride
@@ -341,13 +368,35 @@ impl Hierarchy {
     /// stable sort); every other access is a guaranteed L1 hit, flushed as
     /// one counter bump. Stride-0 references are probed once at trip 0 and
     /// hit for the rest of the run.
-    fn run_group_periodic(&mut self, runs: &[Run], moving: &[Run], count: u64, line_shift: u32) {
-        let n = moving.len();
-        let period = (1u64 << line_shift) / moving[0].stride.unsigned_abs();
+    ///
+    /// A follower ([`role`]) enters only lines another reference has just
+    /// touched, so its entering accesses are L1 hits too: a read follower's
+    /// are counted in closed form and leave the schedule, and a write
+    /// follower whose leaders all read sets the dirty bit in the rounds
+    /// where every reference enters a whole line, without a probe. Returns
+    /// how many probes the followers skipped.
+    fn run_group_periodic(
+        &mut self,
+        runs: &[Run],
+        moving: &[Run],
+        count: u64,
+        line_shift: u32,
+    ) -> u64 {
+        let stride = moving[0].stride;
+        let line = 1u64 << line_shift;
+        let period = line / stride.unsigned_abs();
+        let line_delta = if stride > 0 {
+            line
+        } else {
+            line.wrapping_neg()
+        };
         let mut hits = 0u64;
+        let mut ents = std::mem::take(&mut self.buffers.entries);
+        let mut followers = std::mem::take(&mut self.buffers.followers);
+        ents.clear();
+        followers.clear();
         // Trip 0: every reference's first access, in body order; each then
         // hits until its first line crossing (a stride-0 one never crosses).
-        let mut first_cross = Vec::with_capacity(n);
         for r in runs {
             self.access_addr_kind(r.start, r.is_write());
             let tol = trips_on_line(r.start, r.stride, line_shift).min(count);
@@ -357,101 +406,117 @@ impl Hierarchy {
                 hits += tol - 1;
             }
             if r.stride != 0 {
-                first_cross.push(tol);
+                ents.push(Entry {
+                    addr: r.addr(tol),
+                    first: tol,
+                    write: r.is_write(),
+                    role: Role::Probe,
+                    mark: u64::MAX,
+                });
             }
         }
+        // Each moving reference enters every line at the same in-line
+        // offset, so whether it follows is one test per group. A follower
+        // that needs no dirty bit hits from its first crossing to the end.
+        for (i, e) in ents.iter_mut().enumerate() {
+            e.role = role(moving, i, e.addr & (line - 1), line_shift);
+        }
+        followers.extend(ents.iter().filter(|e| e.role == Role::Follow));
+        ents.retain(|e| e.role != Role::Follow);
+        let rounds = |e: &Entry| (count - e.first).div_ceil(period);
+        let mut skipped: u64 = followers.iter().map(rounds).sum();
+        if !cfg!(debug_assertions) {
+            hits += followers.iter().map(|f| count - f.first).sum::<u64>();
+        }
         // Rounds of crossings: in round k, reference i enters a new line at
-        // trip first_cross[i] + k·period, at an address exactly one line
-        // past its previous entry. Within a round, ascending trip with ties
-        // in body order — exactly the scalar emission order, since
-        // consecutive rounds cover disjoint ascending trip ranges.
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by_key(|&i| first_cross[i]);
-        let line = 1u64 << line_shift;
-        let line_delta = if moving[0].stride > 0 {
-            line
-        } else {
-            line.wrapping_neg()
-        };
-        // Per scheduled reference: next entering address, first-cross trip,
-        // write flag.
-        let mut ents: Vec<(u64, u64, bool)> = order
-            .iter()
-            .map(|&i| {
-                (
-                    moving[i].addr(first_cross[i]),
-                    first_cross[i],
-                    moving[i].is_write(),
-                )
-            })
-            .collect();
-        // The guaranteed-hit argument applies at *every* level whose sets
-        // the group's references provably never contend for: once a
-        // reference has probed a line of such a level, later touches within
-        // this group find it resident and still most-recent. Track the last
-        // probed line per (reference, deeper level) so entering accesses can
-        // stop their miss walk with a counter bump instead of a probe. Only
-        // the moving references matter here: after trip 0, before any mark
-        // is set, a stride-0 reference only ever hits L1.
-        let skip: Vec<(u32, bool)> = self
-            .levels
-            .iter()
-            .skip(1)
-            .map(|c| {
-                let cfg = c.config();
-                let shift = (cfg.line as u64).trailing_zeros();
-                (
-                    shift,
-                    lockstep_set_disjoint(moving, count, shift, cfg.num_sets() as u64),
-                )
-            })
-            .collect();
-        let depth = skip.len();
-        let mut marks = vec![u64::MAX; n * depth];
-        // Rounds where every reference enters with a full-period segment
-        // need no per-entry bounds checks and contribute a closed-form hit
-        // count; only the ragged tail rounds are scheduled individually.
+        // trip first + k·period, at an address exactly one line past its
+        // previous entry. Within a round, ascending trip with ties in body
+        // order — exactly the scalar emission order, since consecutive
+        // rounds cover disjoint ascending trip ranges.
+        ents.sort_by_key(|e| e.first);
+        // The guaranteed-hit argument applies at L2 too where the group's
+        // moving references provably never contend for its sets: once a
+        // reference has probed an L2 line, later touches within this group
+        // find it resident and still most-recent, so a repeat touch of the
+        // line it last probed there ([`enter_l2`]) is a counter bump. After
+        // trip 0 a stride-0 reference only ever hits L1.
+        let (l2_disjoint, l2_shift) = self.levels.get(1).map_or((false, 0), |c| {
+            let cfg = c.config();
+            let shift = cfg.line.trailing_zeros();
+            let sets = cfg.num_sets() as u64;
+            (lockstep_set_disjoint(moving, count, shift, sets), shift)
+        });
+        // Rounds where every scheduled reference enters with a full-period
+        // segment need no per-entry bounds checks and contribute a
+        // closed-form hit count; only the ragged tail rounds are scheduled
+        // individually.
         let full = ents
             .iter()
-            .map(|&(_, fc, _)| (count - fc) / period)
+            .map(|e| (count - e.first) / period)
             .min()
             .unwrap_or(0);
-        for _ in 0..full {
-            for (i, e) in ents.iter_mut().enumerate() {
-                self.access_entering(e.0, e.2, &mut marks[i * depth..(i + 1) * depth], &skip);
-                if cfg!(debug_assertions) {
-                    self.levels[0].note_hits(e.0, period - 1, e.2);
+        let dirtying = ents.iter().filter(|e| e.role == Role::FollowWrite).count() as u64;
+        skipped += full * dirtying;
+        {
+            let (l1, deeper) = self.levels.split_first_mut().expect("a level");
+            let (mut l2, past_l2) = match deeper {
+                [] => (None, &mut [][..]),
+                [l2, past_l2 @ ..] => (Some(l2), past_l2),
+            };
+            for round in 0..full {
+                for e in ents.iter_mut() {
+                    if e.role != Role::Probe {
+                        // A write follower: the read ones left the schedule.
+                        l1.mark_dirty(e.addr);
+                    } else if l1.access_kind(e.addr, e.write) == Probe::Miss {
+                        if let Some(l2) = l2.as_deref_mut() {
+                            if enter_l2(l2, e, l2_disjoint, l2_shift) == Probe::Miss {
+                                for c in past_l2.iter_mut() {
+                                    if c.access_kind(e.addr, e.write) == Probe::Hit {
+                                        break;
+                                    }
+                                }
+                            }
+                        }
+                    }
+                    if cfg!(debug_assertions) {
+                        l1.note_hits(e.addr, period - (e.role == Role::Probe) as u64, false);
+                    }
+                    e.addr = e.addr.wrapping_add(line_delta);
                 }
-                e.0 = e.0.wrapping_add(line_delta);
+                if cfg!(debug_assertions) {
+                    note_follower_round(l1, &mut followers, round, period, count, line_delta);
+                }
             }
         }
         if !cfg!(debug_assertions) {
-            hits += full * n as u64 * (period - 1);
+            hits += full * (ents.len() as u64 * (period - 1) + dirtying);
         }
-        let mut round = full;
-        loop {
-            let mut any = false;
+        let last = ents.iter().chain(&followers).map(rounds).max().unwrap_or(0);
+        for round in full..last {
             for e in ents.iter_mut() {
-                let enter = e.1 + round * period;
+                let enter = e.first + round * period;
                 if enter >= count {
                     continue;
                 }
-                any = true;
-                self.access_addr_kind(e.0, e.2);
+                self.access_addr_kind(e.addr, e.write);
                 let seg = period.min(count - enter);
                 if cfg!(debug_assertions) {
-                    self.levels[0].note_hits(e.0, seg - 1, e.2);
+                    self.levels[0].note_hits(e.addr, seg - 1, e.write);
                 } else {
                     hits += seg - 1;
                 }
-                e.0 = e.0.wrapping_add(line_delta);
+                e.addr = e.addr.wrapping_add(line_delta);
             }
-            if !any {
-                break;
+            if cfg!(debug_assertions) {
+                let l1 = &mut self.levels[0];
+                note_follower_round(l1, &mut followers, round, period, count, line_delta);
             }
-            round += 1;
         }
         self.levels[0].add_hit_accesses(hits);
+        self.buffers.entries = ents;
+        self.buffers.followers = followers;
+        skipped
     }
 
     /// General windowed path: advance to the next line-crossing boundary of
@@ -472,83 +537,79 @@ impl Hierarchy {
     ) -> u64 {
         /// Consecutive conflict windows before giving up on batching.
         const CONFLICT_BAIL: u32 = 16;
-        let n = runs.len();
-        let mut cur: Vec<u64> = runs.iter().map(|r| r.start).collect();
-        // Trips left on each reference's current line (0 ⇒ recompute), its
-        // current line number, and whether its next access is the first on
-        // a new line (initially true; true for everyone after a conflict
-        // window, whose eviction order is not tracked).
-        let mut tol = vec![0u64; n];
-        let mut line_of = vec![0u64; n];
-        let mut entering = vec![true; n];
+        // Each reference's next access is the first on a new line initially,
+        // and for everyone after a conflict window, whose eviction order is
+        // not tracked.
+        let mut cur = std::mem::take(&mut self.buffers.cursors);
+        cur.clear();
+        cur.extend(runs.iter().map(|r| Cursor {
+            addr: r.start,
+            tol: 0,
+            line: 0,
+            entering: true,
+        }));
         let mut hits = 0u64;
         let mut conflict_streak = 0u32;
         let mut conflicts = 0u64;
         let mut t = 0u64;
         while t < count {
             let mut w = count - t;
-            for i in 0..n {
-                if tol[i] == 0 {
-                    tol[i] = trips_on_line(cur[i], runs[i].stride, line_shift);
-                    line_of[i] = cur[i] >> line_shift;
+            for (c, r) in cur.iter_mut().zip(runs) {
+                if c.tol == 0 {
+                    c.tol = trips_on_line(c.addr, r.stride, line_shift);
+                    c.line = c.addr >> line_shift;
                 }
-                w = w.min(tol[i]);
+                w = w.min(c.tol);
             }
-            let mut conflict = false;
-            if !never_conflict {
-                // Pairs of references that both kept their lines were
-                // checked when one of them last entered, so only pairs
-                // involving an entering reference need (re)checking.
-                'check: for i in 0..n {
-                    if !entering[i] {
-                        continue;
-                    }
-                    let (li, si) = (line_of[i], line_of[i] & set_mask);
-                    for (j, &lj) in line_of.iter().enumerate() {
-                        if j != i && lj != li && (lj & set_mask) == si {
-                            conflict = true;
-                            break 'check;
-                        }
-                    }
-                }
-            }
+            // Pairs of references that both kept their lines were checked
+            // when one of them last entered, so only pairs involving an
+            // entering reference need (re)checking.
+            let conflict = !never_conflict
+                && cur.iter().enumerate().any(|(i, a)| {
+                    a.entering
+                        && cur.iter().enumerate().any(|(j, b)| {
+                            j != i && b.line != a.line && (b.line & set_mask) == (a.line & set_mask)
+                        })
+                });
             if conflict {
                 conflicts += 1;
                 conflict_streak += 1;
                 if conflict_streak >= CONFLICT_BAIL {
                     self.levels[0].add_hit_accesses(hits);
                     self.run_trips_scalar(runs, t, count - t);
+                    self.buffers.cursors = cur;
                     return conflicts;
                 }
                 for trip in 0..w {
-                    for (i, r) in runs.iter().enumerate() {
-                        let addr = cur[i].wrapping_add((r.stride as u64).wrapping_mul(trip));
+                    for (c, r) in cur.iter().zip(runs) {
+                        let addr = c.addr.wrapping_add((r.stride as u64).wrapping_mul(trip));
                         self.access_addr_kind(addr, r.is_write());
                     }
                 }
             } else {
                 conflict_streak = 0;
-                for (i, r) in runs.iter().enumerate() {
+                for (c, r) in cur.iter().zip(runs) {
                     let write = r.is_write();
-                    if entering[i] {
-                        self.access_addr_kind(cur[i], write);
+                    if c.entering {
+                        self.access_addr_kind(c.addr, write);
                     }
-                    let h = w - entering[i] as u64;
+                    let h = w - c.entering as u64;
                     if cfg!(debug_assertions) {
-                        self.levels[0].note_hits(cur[i], h, write);
+                        self.levels[0].note_hits(c.addr, h, write);
                     } else {
                         hits += h;
                     }
                 }
             }
-            for (i, r) in runs.iter().enumerate() {
-                tol[i] -= w;
-                entering[i] = conflict || tol[i] == 0;
-                cur[i] = cur[i].wrapping_add((r.stride as u64).wrapping_mul(w));
+            for (c, r) in cur.iter_mut().zip(runs) {
+                c.tol -= w;
+                c.entering = conflict || c.tol == 0;
+                c.addr = c.addr.wrapping_add((r.stride as u64).wrapping_mul(w));
             }
             t += w;
         }
         self.levels[0].add_hit_accesses(hits);
+        self.buffers.cursors = cur;
         conflicts
     }
 
@@ -615,7 +676,7 @@ impl Hierarchy {
         } else {
             lmax.wrapping_neg()
         };
-        let mut fps = std::mem::take(&mut self.footprints);
+        let mut fps = std::mem::take(&mut self.buffers.footprints);
         fps.resize_with(self.levels.len(), Footprint::default);
         for (fp, c) in fps.iter_mut().zip(&self.levels) {
             fp.shape(c, runs, period, moved);
@@ -662,7 +723,7 @@ impl Hierarchy {
             referenced += 1;
             k += 1;
         }
-        self.footprints = fps;
+        self.buffers.footprints = fps;
         let (from, rest) = (k * period, count - k * period);
         if failed == REPLAY_BAIL {
             let slice: Vec<Run> = runs
@@ -768,6 +829,85 @@ fn pinned_set_disjoint(
         }
     }
     true
+}
+
+/// The [`Role`] of moving reference `i` of a periodic group, which enters
+/// each of its lines at in-line `offset`.
+///
+/// Reference `i` follows when another moving reference `j` touched the line
+/// it enters at the previous trip, or earlier in body order at the same
+/// trip. Marching at the common stride `s`, `j` sits `d = start_j −
+/// start_i` bytes from `i` at every trip, so it is on `i`'s new line at the
+/// same trip iff `0 ≤ offset + d < line`, and was one trip earlier iff
+/// `0 ≤ offset + d − s < line`. Every access between that touch and `i`'s
+/// entry is at one of those two trips, where the group's L1 certificate
+/// ([`lockstep_set_disjoint`], [`pinned_set_disjoint`]) puts each reference
+/// on `i`'s line or in another set. So the line stays resident and its
+/// set's most recent, and `i`'s entry is a hit that changes only the access
+/// counter and, unless a leader wrote the line, a write's dirty bit: for
+/// direct-mapped, LRU, FIFO and Random levels alike.
+fn role(moving: &[Run], i: usize, offset: u64, line_shift: u32) -> Role {
+    let on_line = |at: i64| (0..1i64 << line_shift).contains(&at);
+    let s = moving[0].stride;
+    let (mut follows, mut dirty) = (false, false);
+    for (j, r) in moving.iter().enumerate() {
+        // Addresses are non-negative `i64`s and `offset + d ± s` stays far
+        // from the wrap, so wrapping never lands on the line.
+        let at = (offset as i64).wrapping_add(r.start.wrapping_sub(moving[i].start) as i64);
+        if j != i && (on_line(at.wrapping_sub(s)) || (j < i && on_line(at))) {
+            follows = true;
+            dirty |= r.is_write();
+        }
+    }
+    match (follows, moving[i].is_write() && !dirty) {
+        (false, _) => Role::Probe,
+        (true, true) => Role::FollowWrite,
+        (true, false) => Role::Follow,
+    }
+}
+
+/// A periodic group's line-entering access `e` at L2, which L1 missed.
+/// Where the group is set-disjoint at L2 (`disjoint`, with `shift` its line
+/// shift), nothing can have evicted or demoted the line `e` last probed
+/// there (`e.mark`), so a repeat touch of it is a hit that changes only the
+/// access counter: the dirty bit was set when the line was probed with this
+/// same access kind, and promotion is a no-op because the line is still
+/// its set's most recent. Anything else is a real probe.
+#[inline(always)]
+fn enter_l2(l2: &mut Cache, e: &mut Entry, disjoint: bool, shift: u32) -> Probe {
+    let line = e.addr >> shift;
+    if disjoint && e.mark == line {
+        if cfg!(debug_assertions) {
+            l2.note_hits(e.addr, 1, e.write);
+        } else {
+            l2.add_hit_accesses(1);
+        }
+        return Probe::Hit;
+    }
+    e.mark = line;
+    l2.access_kind(e.addr, e.write)
+}
+
+/// Debug builds' check of one round of a periodic group's read followers,
+/// which release builds count in closed form: each line a follower enters
+/// in `round` is resident for the whole segment it stays there. The
+/// schedule's probes of that round ran first, but a follower's line stays
+/// resident until it leaves it, after every entry of the round.
+fn note_follower_round(
+    l1: &mut Cache,
+    followers: &mut [Entry],
+    round: u64,
+    period: u64,
+    count: u64,
+    line_delta: u64,
+) {
+    for f in followers {
+        let enter = f.first + round * period;
+        if enter < count {
+            l1.note_hits(f.addr, period.min(count - enter), false);
+        }
+        f.addr = f.addr.wrapping_add(line_delta);
+    }
 }
 
 /// One level's part of [`Hierarchy::run_group_translated`]: the sets one
@@ -1783,6 +1923,152 @@ mod tests {
         assert!(
             replaying >= 200,
             "{replaying} of {routed} routed groups replayed"
+        );
+    }
+
+    /// The follower tests' hierarchies: a direct-mapped, a 2-way LRU, a
+    /// 4-way FIFO and a 2-way Random L1 (32 B lines) over a direct-mapped
+    /// L2, and the three-level Alpha-like one.
+    fn follower_geometries() -> Vec<HierarchyConfig> {
+        let over_l2 = |l1| {
+            HierarchyConfig::new(
+                vec![l1, CacheConfig::direct_mapped(64 * 1024, 64)],
+                vec![1.0, 10.0],
+            )
+        };
+        vec![
+            HierarchyConfig::ultrasparc_i(),
+            over_l2(CacheConfig::new(8192, 32, 2, ReplacementPolicy::Lru)),
+            over_l2(CacheConfig::new(8192, 32, 4, ReplacementPolicy::Fifo)),
+            over_l2(CacheConfig::new(8192, 32, 2, ReplacementPolicy::Random)),
+            HierarchyConfig::alpha_21164_like(),
+        ]
+    }
+
+    /// Run `runs` on every follower geometry: [`group_state_parity`] must
+    /// see the periodic route, and the route itself, on an identically
+    /// primed hierarchy, must skip exactly `skipped` probes.
+    fn assert_followers_skip(runs: &[Run], skipped: u64) {
+        let moving: Vec<Run> = runs.iter().filter(|r| r.stride != 0).copied().collect();
+        // Dirty and clean lines around the group, at every level.
+        let prime: Vec<u64> = (0..24u64).map(|k| FOLLOW_BASE - 4096 + 1000 * k).collect();
+        for cfg in follower_geometries() {
+            let path = group_state_parity(&cfg, &prime, runs);
+            assert_eq!(path, GroupPath::Periodic, "{cfg:?} {runs:?}");
+            let mut h = Hierarchy::new(cfg.clone());
+            for &a in &prime {
+                h.access_addr_kind(a, a & 8 != 0);
+            }
+            let shift = cfg.levels[0].line.trailing_zeros();
+            let got = h.run_group_periodic(runs, &moving, runs[0].count, shift);
+            assert_eq!(got, skipped, "probes skipped on {cfg:?}");
+        }
+    }
+
+    /// The follower tests' groups start 24 B into a 32 B L1 line, so the
+    /// first crossing comes after one trip, and run 203 f64 trips: 50 full
+    /// rounds of 4 and a ragged tail.
+    const FOLLOW_BASE: u64 = (1 << 16) + 24;
+    const FOLLOW_TRIPS: u64 = 203;
+
+    fn f64_ref(start: u64, stride: i64, kind: AccessKind) -> Run {
+        run(start, stride, FOLLOW_TRIPS, kind)
+    }
+
+    #[test]
+    fn read_then_write_of_one_element_follows() {
+        // A(i) = A(i) + 1: the write enters each line its read just
+        // brought in, at the same trip. It sets the dirty bit without a
+        // probe in each of the 50 full rounds.
+        let a = FOLLOW_BASE;
+        assert_followers_skip(
+            &[
+                f64_ref(a, 8, AccessKind::Read),
+                f64_ref(a, 8, AccessKind::Write),
+            ],
+            50,
+        );
+    }
+
+    #[test]
+    fn neighbours_one_element_apart_follow() {
+        // B(i) = A(i-1) + A(i) + A(i+1): A(i+1) leads, A(i) and A(i-1)
+        // enter each line one and two trips after it. A(i-1) enters 51
+        // lines (first at trip 2), A(i) 51 (first at trip 1); none is
+        // probed. B sits 48 L1 lines past A, in other sets of every level.
+        let a = FOLLOW_BASE;
+        assert_followers_skip(
+            &[
+                f64_ref(a - 8, 8, AccessKind::Read),
+                f64_ref(a, 8, AccessKind::Read),
+                f64_ref(a + 8, 8, AccessKind::Read),
+                f64_ref(a + 1536, 8, AccessKind::Write),
+            ],
+            102,
+        );
+    }
+
+    #[test]
+    fn reference_one_line_behind_follows() {
+        // A(i+4) is exactly one 32 B line ahead of A(i): its last touch of
+        // each line is the trip before A(i) enters it. A(i) reads a line
+        // A(i+4) wrote, so it needs no dirty bit either: 51 entries.
+        let a = FOLLOW_BASE;
+        assert_followers_skip(
+            &[
+                f64_ref(a, 8, AccessKind::Read),
+                f64_ref(a + 32, 8, AccessKind::Write),
+            ],
+            51,
+        );
+    }
+
+    #[test]
+    fn descending_stride_follows_the_lower_reference() {
+        // A(i+1) + A(i) with i descending: A(i) now leads, A(i+1) enters
+        // each line one trip later (50 entries from trip 4), and the write
+        // of A(i) follows its read at the same trip (50 full rounds).
+        let a = (1 << 16) + 2048 + 16;
+        assert_followers_skip(
+            &[
+                f64_ref(a + 8, -8, AccessKind::Read),
+                f64_ref(a, -8, AccessKind::Read),
+                f64_ref(a, -8, AccessKind::Write),
+            ],
+            100,
+        );
+    }
+
+    #[test]
+    fn invariant_reference_beside_a_write_follower() {
+        // A(i) = A(i) * s, s loop-invariant 56 L1 lines past A's first,
+        // outside the sets its 51 lines map to: a pinned group whose write
+        // follower sets the dirty bit in 50 full rounds.
+        let a = FOLLOW_BASE;
+        assert_followers_skip(
+            &[
+                f64_ref(a, 8, AccessKind::Read),
+                f64_ref(a + 1792, 0, AccessKind::Read),
+                f64_ref(a, 8, AccessKind::Write),
+            ],
+            50,
+        );
+    }
+
+    #[test]
+    fn reference_one_stride_too_far_is_no_follower() {
+        // A(i+5) is one line and one element ahead of A(i): when A(i)
+        // enters a line, A(i+5) left it two trips ago, so A(i) probes.
+        // Only the write of A(i+5) follows, in 49 full rounds (A(i+5)
+        // first crosses at trip 4).
+        let a = FOLLOW_BASE;
+        assert_followers_skip(
+            &[
+                f64_ref(a, 8, AccessKind::Read),
+                f64_ref(a + 40, 8, AccessKind::Read),
+                f64_ref(a + 40, 8, AccessKind::Write),
+            ],
+            49,
         );
     }
 

@@ -395,6 +395,18 @@ pub fn try_simulate_steady_analytic(
     warmup: usize,
     timed: usize,
 ) -> Result<MissRateReport, TraceError> {
+    try_steady_hierarchy_analytic(program, layout, config, warmup, timed).map(|h| h.report())
+}
+
+/// [`try_simulate_steady_analytic`], returning the hierarchy the timed
+/// sweeps leave: their counters and write-backs, and the cache contents.
+pub fn try_steady_hierarchy_analytic(
+    program: &Program,
+    layout: &DataLayout,
+    config: &HierarchyConfig,
+    warmup: usize,
+    timed: usize,
+) -> Result<Hierarchy, TraceError> {
     let mut h = Hierarchy::new(config.clone());
     let mut sink = AnalyticSink::new(&mut h);
     for _ in 0..warmup {
@@ -405,7 +417,7 @@ pub fn try_simulate_steady_analytic(
         try_generate_with(program, layout, &mut sink, true)?;
     }
     drop(sink);
-    Ok(h.report())
+    Ok(h)
 }
 
 #[cfg(test)]

@@ -16,8 +16,8 @@
 //! those are ordinary (non-severe) conflicts that padding cannot eliminate.
 
 use mlc_cache_sim::CacheConfig;
-use mlc_model::diagram::{reference_addresses, reference_locations};
-use mlc_model::{DataLayout, Program};
+use mlc_model::diagram::reference_addresses;
+use mlc_model::{DataLayout, LoopNest, Program};
 
 /// A severe conflict between two body references of one nest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,7 +49,6 @@ pub fn severe_conflicts_in_nest(
     cache: CacheConfig,
 ) -> Vec<SevereConflict> {
     let nest = &program.nests[nest_idx];
-    let locs = reference_locations(program, nest, layout, cache);
     let addrs = reference_addresses(program, nest, layout);
     let vars = nest.loop_vars();
     let mut out = Vec::new();
@@ -62,21 +61,28 @@ pub fn severe_conflicts_in_nest(
             if ri.coeff_matrix(&vars) != rj.coeff_matrix(&vars) {
                 continue; // not lockstep: transient collision only
             }
-            if addrs[i].abs_diff(addrs[j]) < cache.line as u64 {
-                continue; // same memory line: sharing, not ping-ponging
-            }
-            let d = circular_distance(locs[i], locs[j], cache.size as u64);
-            if d < cache.line as u64 {
+            if let Some(distance) = severe_distance(addrs[i], addrs[j], cache) {
                 out.push(SevereConflict {
                     nest: nest_idx,
                     a: i,
                     b: j,
-                    distance: d,
+                    distance,
                 });
             }
         }
     }
     out
+}
+
+/// The circular cache distance of two lockstep references at byte addresses
+/// `x` and `y` when they conflict severely on `cache`: on different memory
+/// lines, but less than a line apart on the cache.
+pub(crate) fn severe_distance(x: u64, y: u64, cache: CacheConfig) -> Option<u64> {
+    if x.abs_diff(y) < cache.line as u64 {
+        return None; // same memory line: sharing, not ping-ponging
+    }
+    let d = circular_distance(cache.location(x), cache.location(y), cache.size as u64);
+    (d < cache.line as u64).then_some(d)
 }
 
 /// Severe conflicts across the whole program.
@@ -101,34 +107,36 @@ pub fn severe_self_conflicts(
 ) -> Vec<SevereConflict> {
     let mut out = Vec::new();
     for (nest_idx, nest) in program.nests.iter().enumerate() {
-        let locs = reference_locations(program, nest, layout, cache);
         let addrs = reference_addresses(program, nest, layout);
-        let vars = nest.loop_vars();
-        for i in 0..nest.body.len() {
-            for j in i + 1..nest.body.len() {
-                let (ri, rj) = (&nest.body[i], &nest.body[j]);
-                if ri.array != rj.array
-                    || ri.coeff_matrix(&vars) != rj.coeff_matrix(&vars)
-                    || ri.constant_vector() == rj.constant_vector()
-                {
-                    continue;
-                }
-                if addrs[i].abs_diff(addrs[j]) < cache.line as u64 {
-                    continue; // stencil neighbours share the line: reuse
-                }
-                let d = circular_distance(locs[i], locs[j], cache.size as u64);
-                if d < cache.line as u64 {
-                    out.push(SevereConflict {
-                        nest: nest_idx,
-                        a: i,
-                        b: j,
-                        distance: d,
-                    });
-                }
+        for (a, b) in self_pairs(nest) {
+            if let Some(distance) = severe_distance(addrs[a], addrs[b], cache) {
+                out.push(SevereConflict {
+                    nest: nest_idx,
+                    a,
+                    b,
+                    distance,
+                });
             }
         }
     }
     out
+}
+
+/// The body index pairs `(a, b)`, `a < b`, of a nest's lockstep references
+/// to one variable at different constant offsets: the pairs a severe
+/// self-conflict can arise between. Which pairs these are depends on the
+/// subscripts alone, not on the layout or any pad.
+pub(crate) fn self_pairs(nest: &LoopNest) -> impl Iterator<Item = (usize, usize)> + '_ {
+    let vars = nest.loop_vars();
+    let body = &nest.body;
+    (0..body.len())
+        .flat_map(move |a| (a + 1..body.len()).map(move |b| (a, b)))
+        .filter(move |&(a, b)| {
+            let (ra, rb) = (&body[a], &body[b]);
+            ra.array == rb.array
+                && ra.coeff_matrix(&vars) == rb.coeff_matrix(&vars)
+                && ra.constant_vector() != rb.constant_vector()
+        })
 }
 
 #[cfg(test)]

@@ -8,8 +8,9 @@
 //! pad can help, but widening the leading dimension by a few elements moves
 //! the columns apart on the cache.
 
-use crate::conflict::severe_self_conflicts;
+use crate::conflict::{self_pairs, severe_distance};
 use mlc_cache_sim::CacheConfig;
+use mlc_model::diagram::reference_addresses;
 use mlc_model::{DataLayout, Program};
 
 /// Result of intra-variable padding: the rewritten program plus the number
@@ -36,29 +37,28 @@ pub struct IntraPadResult {
 /// The pad quantum is one cache line's worth of elements, and the search is
 /// bounded by one full cache span per array; an array with no conflict-free
 /// pad within that span is reported in
-/// [`IntraPadResult::unresolved`] and left unpadded.
+/// [`IntraPadResult::unresolved`] and left unpadded. Each candidate pad is
+/// checked against the array's own lockstep pairs only, listed once, since
+/// which pairs move in lockstep does not depend on any pad.
 pub fn intra_pad(program: &Program, cache: CacheConfig) -> IntraPadResult {
     let mut p = program.clone();
     let n = p.arrays.len();
     let mut pads = vec![0usize; n];
     let mut unresolved = Vec::new();
-    #[allow(clippy::needless_range_loop)]
-    // `a` indexes the program, pads and the conflict filter together
-    for a in 0..n {
-        if p.arrays[a].rank() < 2 {
-            continue; // 1-D arrays have no columns to pad apart
+    // Per array, its (nest, a, b) self-pairs in nest order.
+    let mut pairs = vec![Vec::new(); n];
+    for (k, nest) in p.nests.iter().enumerate() {
+        for (a, b) in self_pairs(nest) {
+            pairs[nest.body[a].array].push((k, a, b));
+        }
+    }
+    for (a, pairs) in pairs.iter().enumerate() {
+        if p.arrays[a].rank() < 2 || pairs.is_empty() {
+            continue; // no columns, or none in lockstep, to pad apart
         }
         let quantum = (cache.line / p.arrays[a].elem_size).max(1);
         let limit = cache.size / p.arrays[a].elem_size;
-        loop {
-            let layout = DataLayout::contiguous(&p.arrays);
-            let conflicts = severe_self_conflicts(&p, &layout, cache);
-            if !conflicts.iter().any(|c| {
-                let nest = &p.nests[c.nest];
-                nest.body[c.a].array == a
-            }) {
-                break;
-            }
+        while self_conflicted(&p, pairs, cache) {
             pads[a] += quantum;
             if pads[a] > limit {
                 // Structurally unfixable: give up on this array.
@@ -77,9 +77,23 @@ pub fn intra_pad(program: &Program, cache: CacheConfig) -> IntraPadResult {
     }
 }
 
+/// Whether any of one array's `(nest, a, b)` self-pairs conflicts severely
+/// on `cache` under the contiguous layout of `p`.
+fn self_conflicted(p: &Program, pairs: &[(usize, usize, usize)], cache: CacheConfig) -> bool {
+    let layout = DataLayout::contiguous(&p.arrays);
+    let mut addrs = (usize::MAX, Vec::new());
+    pairs.iter().any(|&(k, a, b)| {
+        if addrs.0 != k {
+            addrs = (k, reference_addresses(p, &p.nests[k], &layout));
+        }
+        severe_distance(addrs.1[a], addrs.1[b], cache).is_some()
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::conflict::severe_self_conflicts;
     use mlc_cache_sim::CacheConfig;
     use mlc_model::prelude::*;
 

@@ -80,7 +80,8 @@ pub mod tiling;
 
 pub use analytic::{
     install_metrics as install_analytic_metrics, take_stats as take_analytic_stats,
-    try_simulate_analytic, try_simulate_steady_analytic, AnalyticSink, AnalyticStats,
+    try_simulate_analytic, try_simulate_steady_analytic, try_steady_hierarchy_analytic,
+    AnalyticSink, AnalyticStats,
 };
 pub use conflict::severe_conflicts;
 pub use cost::MissCosts;

@@ -25,7 +25,8 @@
 
 use mlc_cache_sim::{CacheConfig, HierarchyConfig, ReplacementPolicy};
 use mlc_core::pipeline::{optimize_traced, OptimizeOptions};
-use mlc_experiments::sim::simulate_one;
+use mlc_core::try_steady_hierarchy_analytic;
+use mlc_experiments::sim::{TIMED, WARMUP};
 use mlc_experiments::timing::time_kernel;
 use mlc_experiments::TelemetryCli;
 use mlc_kernels::{all_kernels, kernel_by_name, Kernel};
@@ -170,15 +171,13 @@ fn run(tcli: &mut TelemetryCli, argv: &[String]) -> Result<(), String> {
                     (o.program, o.layout, a.opt.clone())
                 }
             };
+            // The miss rates and write-backs of one steady simulation (the
+            // result cache keeps no write-backs, so it is not consulted).
             let steady = tel.tracer.begin("sim.steady");
-            let r = simulate_one(&program, &layout, &h);
+            let hier = try_steady_hierarchy_analytic(&program, &layout, &h, WARMUP, TIMED)
+                .unwrap_or_else(|e| panic!("{}: {e}", k.name()));
             tel.tracer.end(steady);
-            // A second pass for the write-back counters (simulate_one hides
-            // its hierarchy).
-            let mut hier = mlc_cache_sim::Hierarchy::new(h.clone());
-            mlc_model::trace_gen::generate(&program, &layout, &mut hier);
-            hier.reset_stats();
-            mlc_model::trace_gen::generate(&program, &layout, &mut hier);
+            let r = hier.report();
             let wb = hier.writebacks();
             println!(
                 "{} under {label} layout ({}-way, L1 {}B, L2 {}B):",

@@ -12,13 +12,18 @@
 //! against the exhaustive scan in debug, so these runs are doubly covered
 //! but slow); `--release` (the CI search-parity job) runs every kernel
 //! everywhere and every 20th (Figure 11) or 30th (Figure 12) size.
+//!
+//! Intra-variable padding, which runs before GROUPPAD, is held the same
+//! way to the scan it replaced: every candidate pad rescanning every pair
+//! of every nest.
 
-use mlc_cache_sim::HierarchyConfig;
+use mlc_cache_sim::{CacheConfig, HierarchyConfig};
+use mlc_core::conflict::circular_distance;
 use mlc_core::group_pad::{
     group_pad_multi, group_pad_multi_exhaustive, group_pad_quantized,
     group_pad_quantized_exhaustive,
 };
-use mlc_core::intra_pad::intra_pad;
+use mlc_core::intra_pad::{intra_pad, IntraPadResult};
 use mlc_core::maxpad::l2_max_pad;
 use mlc_core::pad::PadResult;
 use mlc_core::PadError;
@@ -26,8 +31,9 @@ use mlc_kernels::expl::Expl;
 use mlc_kernels::registry::all_kernels;
 use mlc_kernels::shal::Shallow;
 use mlc_kernels::Kernel;
+use mlc_model::diagram::{reference_addresses, reference_locations};
 use mlc_model::transform::fuse_unchecked_in_program;
-use mlc_model::Program;
+use mlc_model::{DataLayout, Program};
 
 /// Demand identical results from the sweep (`fast`) and exhaustive
 /// (`scalar`) runs of one algorithm.
@@ -189,6 +195,111 @@ fn size_sweep_programs_match_on_ultrasparc_i() {
             let fused = fuse_unchecked_in_program(&p, at).expect("EXPL nests fuse");
             let name = format!("fig12 N={n} fused at {at}");
             assert_program_parity(&fused, &name, &cfg, "ultrasparc_i");
+        }
+    }
+}
+
+/// Intra-variable padding as the exhaustive rescan: for each candidate pad
+/// of each array, every lockstep same-array pair of every nest is checked
+/// again under the contiguous layout. Returns the pads and the unresolved
+/// arrays.
+fn intra_pad_by_rescan(program: &Program, cache: CacheConfig) -> (Vec<usize>, Vec<usize>) {
+    // The array of every severe self-conflict, once per conflict.
+    let self_conflicted_arrays = |p: &Program| -> Vec<usize> {
+        let layout = DataLayout::contiguous(&p.arrays);
+        let mut arrays = Vec::new();
+        for nest in &p.nests {
+            let locs = reference_locations(p, nest, &layout, cache);
+            let addrs = reference_addresses(p, nest, &layout);
+            let vars = nest.loop_vars();
+            for i in 0..nest.body.len() {
+                for j in i + 1..nest.body.len() {
+                    let (ri, rj) = (&nest.body[i], &nest.body[j]);
+                    if ri.array == rj.array
+                        && ri.coeff_matrix(&vars) == rj.coeff_matrix(&vars)
+                        && ri.constant_vector() != rj.constant_vector()
+                        && addrs[i].abs_diff(addrs[j]) >= cache.line as u64
+                        && circular_distance(locs[i], locs[j], cache.size as u64)
+                            < cache.line as u64
+                    {
+                        arrays.push(ri.array);
+                    }
+                }
+            }
+        }
+        arrays
+    };
+    let mut p = program.clone();
+    let mut pads = vec![0usize; p.arrays.len()];
+    let mut unresolved = Vec::new();
+    #[allow(clippy::needless_range_loop)] // `a` indexes the program and the pads
+    for a in 0..p.arrays.len() {
+        if p.arrays[a].rank() < 2 {
+            continue;
+        }
+        let quantum = (cache.line / p.arrays[a].elem_size).max(1);
+        let limit = cache.size / p.arrays[a].elem_size;
+        while self_conflicted_arrays(&p).contains(&a) {
+            pads[a] += quantum;
+            if pads[a] > limit {
+                pads[a] = 0;
+                p.arrays[a].set_dim_pad(0, 0);
+                unresolved.push(a);
+                break;
+            }
+            p.arrays[a].set_dim_pad(0, pads[a]);
+        }
+    }
+    (pads, unresolved)
+}
+
+/// Demand [`intra_pad`]'s pads, unresolved arrays and padded program from
+/// the rescan; returns how many arrays it padded and left unresolved.
+fn assert_intra_pad_parity(p: &Program, cache: CacheConfig, name: &str) -> [usize; 2] {
+    let IntraPadResult {
+        program,
+        pads,
+        unresolved,
+    } = intra_pad(p, cache);
+    assert_eq!(
+        (pads.clone(), unresolved.clone()),
+        intra_pad_by_rescan(p, cache),
+        "{name}: intra-variable pads diverge"
+    );
+    for (a, &pad) in pads.iter().enumerate() {
+        let mut want = p.arrays[a].clone();
+        want.set_dim_pad(0, pad);
+        assert_eq!(program.arrays[a], want, "{name}: array {a}");
+    }
+    [
+        pads.iter().filter(|&&pad| pad > 0).count(),
+        unresolved.len(),
+    ]
+}
+
+/// Every kernel on the L1 of each hierarchy the experiments use (fftpde's
+/// two unfixable arrays try every pad), and the Figure 11 and 12 programs
+/// at every size of their sweeps.
+#[test]
+fn intra_pad_matches_the_rescan() {
+    for cfg in [
+        HierarchyConfig::ultrasparc_i(),
+        HierarchyConfig::alpha_21164_like(),
+        HierarchyConfig::ultrasparc_like_assoc(2),
+    ] {
+        let mut seen = [0; 2];
+        for kernel in all_kernels() {
+            let [padded, unresolved] =
+                assert_intra_pad_parity(&kernel.model(), cfg.l1(), &kernel.name());
+            seen = [seen[0] + padded, seen[1] + unresolved];
+        }
+        assert!(seen.iter().all(|&k| k > 0), "padded, unresolved: {seen:?}");
+    }
+    let l1 = HierarchyConfig::ultrasparc_i().l1();
+    for n in 250..=700 {
+        assert_intra_pad_parity(&Expl::new(n).model(), l1, &format!("expl N={n}"));
+        if n <= 520 {
+            assert_intra_pad_parity(&Shallow::shal(n).model(), l1, &format!("shal N={n}"));
         }
     }
 }
