@@ -218,55 +218,6 @@ impl Hierarchy {
         self.next_line_prefetch
     }
 
-    /// Try to consume a [`Run`] through the line-boundary fast path: one
-    /// real probe per line segment, the rest bulk-counted as guaranteed L1
-    /// hits via [`Cache::note_hits`]. After the first access of a segment
-    /// the line is resident at L1 and nothing else touches its set before
-    /// the segment ends, so every remaining trip is a hit that cannot
-    /// change cache state beyond counters and the dirty bit — identical to
-    /// the scalar loop for every associativity and replacement policy.
-    ///
-    /// Returns `false` (caller must run the scalar loop) when the
-    /// preconditions fail: next-line prefetching is enabled (a prefetch
-    /// fill may evict the active line in degenerate geometries, and the
-    /// paper's prefetch ablation should not silently change paths), or the
-    /// stride covers more than half a line (too few accesses per line for
-    /// batching to pay).
-    fn try_run_fast(&mut self, run: Run) -> bool {
-        if self.next_line_prefetch {
-            return false;
-        }
-        let line = self.levels[0].config().line as u64;
-        if run.stride.unsigned_abs() * 2 > line {
-            return false;
-        }
-        let line_shift = line.trailing_zeros();
-        let write = run.is_write();
-        let mut addr = run.start;
-        let mut left = run.count;
-        while left > 0 {
-            let k = trips_on_line(addr, run.stride, line_shift).min(left);
-            self.access_addr_kind(addr, write);
-            self.note_l1_run_hits(addr, k - 1, write);
-            addr = addr.wrapping_add((run.stride as u64).wrapping_mul(k));
-            left -= k;
-        }
-        true
-    }
-
-    /// Count `n` guaranteed L1 hits on the line at `addr`: asserted through
-    /// [`Cache::note_hits`] in debug builds, a bare counter bump in release
-    /// (the line was entered with an access of the same kind, so the dirty
-    /// bit is already correct).
-    #[inline]
-    fn note_l1_run_hits(&mut self, addr: u64, n: u64, write: bool) {
-        if cfg!(debug_assertions) {
-            self.levels[0].note_hits(addr, n, write);
-        } else {
-            self.levels[0].add_hit_accesses(n);
-        }
-    }
-
     /// Try to consume an interleaved run group through the fast path.
     ///
     /// Correctness rests on one invariant: while no two references occupy
@@ -1030,28 +981,14 @@ impl AccessSink for Hierarchy {
         self.access_addr_kind(access.addr, access.kind == crate::trace::AccessKind::Write);
     }
 
-    fn run(&mut self, run: Run) {
-        if !self.try_run_fast(run) {
-            let mut addr = run.start;
-            let write = run.is_write();
-            for _ in 0..run.count {
-                self.access_addr_kind(addr, write);
-                addr = addr.wrapping_add(run.stride as u64);
-            }
-        }
-    }
-
+    /// A group of one run takes the same routes as any other: periodic for
+    /// a stride that divides the line, windowed for stride 0 or one that
+    /// does not, and the scalar loop for a stride over half a line.
     fn run_group(&mut self, runs: &[Run]) {
-        match runs {
-            [] => {}
-            [run] => self.run(*run),
-            _ => {
-                if self.try_run_group_fast(runs) == GroupPath::Declined {
-                    // Exact interleaved scalar fallback, mirroring the
-                    // trait's default implementation.
-                    self.run_trips_scalar(runs, 0, runs[0].count);
-                }
-            }
+        if !runs.is_empty() && self.try_run_group_fast(runs) == GroupPath::Declined {
+            // Exact interleaved scalar fallback, mirroring the trait's
+            // default implementation.
+            self.run_trips_scalar(runs, 0, runs[0].count);
         }
     }
 }
@@ -1252,26 +1189,33 @@ mod tests {
     }
 
     #[test]
-    fn run_matches_scalar_across_geometries() {
+    fn one_run_groups_match_scalar_across_geometries() {
+        // A group of one run, on a warm hierarchy, against scalar replay:
+        // counts, write-backs and every set's contents.
+        let prime = [1 << 20, (1 << 20) + 16 * 1024 + 8];
         for cfg in geometries() {
-            for stride in [0i64, 1, 4, 8, 16, -8] {
+            for stride in [0i64, 1, 4, 8, 12, 16, -8, 64] {
                 for kind in [AccessKind::Read, AccessKind::Write] {
-                    let run = Run {
-                        start: 1 << 20,
-                        stride,
-                        count: 500,
-                        kind,
-                    };
-                    let mut fast = Hierarchy::new(cfg.clone());
-                    fast.run(run);
-                    let mut slow = Hierarchy::new(cfg.clone());
-                    for t in 0..run.count {
-                        slow.access_addr_kind(run.addr(t), run.is_write());
-                    }
-                    assert_eq!(fast.stats(), slow.stats(), "{cfg:?} {run:?}");
-                    assert_eq!(fast.writebacks(), slow.writebacks());
+                    group_state_parity(&cfg, &prime, &[run(1 << 20, stride, 500, kind)]);
                 }
             }
+        }
+        // Its route on the 32 B lines of ultrasparc_i's L1: periodic for a
+        // stride that divides the line, windowed for stride 0 and for one
+        // that does not, declined over half a line.
+        let cfg = HierarchyConfig::ultrasparc_i();
+        for (stride, path) in [
+            (8, GroupPath::Periodic),
+            (0, GroupPath::Windowed),
+            (12, GroupPath::Windowed),
+            (64, GroupPath::Declined),
+        ] {
+            let runs = [run(1 << 20, stride, 500, AccessKind::Read)];
+            assert_eq!(
+                group_state_parity(&cfg, &[], &runs),
+                path,
+                "stride {stride}"
+            );
         }
     }
 
@@ -1400,27 +1344,8 @@ mod tests {
         ];
         assert_group_parity(HierarchyConfig::ultrasparc_i(), true, &runs);
         let mut h = Hierarchy::with_next_line_prefetch(HierarchyConfig::ultrasparc_i());
-        assert!(!h.try_run_fast(runs[0]));
+        assert_eq!(h.try_run_group_fast(&runs[..1]), GroupPath::Declined);
         assert_eq!(h.try_run_group_fast(&runs), GroupPath::Declined);
-    }
-
-    #[test]
-    fn wide_stride_falls_back_to_scalar() {
-        let run = Run {
-            start: 0,
-            stride: 64, // 2× the 32 B L1 line of ultrasparc_i
-            count: 300,
-            kind: AccessKind::Read,
-        };
-        let mut h = Hierarchy::new(HierarchyConfig::ultrasparc_i());
-        assert!(!h.try_run_fast(run));
-        let mut fast = Hierarchy::new(HierarchyConfig::ultrasparc_i());
-        fast.run(run);
-        let mut slow = Hierarchy::new(HierarchyConfig::ultrasparc_i());
-        for t in 0..run.count {
-            slow.access_addr_kind(run.addr(t), false);
-        }
-        assert_eq!(fast.stats(), slow.stats());
     }
 
     fn run(start: u64, stride: i64, count: u64, kind: AccessKind) -> Run {

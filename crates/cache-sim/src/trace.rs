@@ -1,9 +1,13 @@
 //! Access traces and sinks.
 //!
-//! The program model (`mlc-model`) walks iteration spaces and emits one
-//! [`Access`] per array reference; anything implementing [`AccessSink`] can
-//! consume the stream — most importantly [`crate::Hierarchy`], but also the
-//! 3C [`crate::MissClassifier`] and the counting and recording sinks.
+//! The program model (`mlc-model`) walks iteration spaces in execution
+//! order and feeds an [`AccessSink`] through its two calls: one [`Access`]
+//! at a time ([`AccessSink::access`]), or one innermost loop at a time as
+//! a group of strided [`Run`]s, one per array reference
+//! ([`AccessSink::run_group`]). Anything implementing the trait can consume
+//! the stream — most importantly [`crate::Hierarchy`], which batches the
+//! line-resident accesses of a group, but also the 3C
+//! [`crate::MissClassifier`] and the counting and recording sinks.
 
 /// Load or store. The simulator counts them identically (fetch-on-miss,
 /// allocate-on-write) but sinks may care.
@@ -82,102 +86,11 @@ impl Run {
     }
 }
 
-/// A whole affine loop nest described in closed form: per-reference
-/// base/stride descriptors over a rectangular (constant-bound) iteration
-/// space, instead of the expanded access stream.
-///
-/// The trace generator offers one of these to the sink *before* streaming a
-/// nest (see [`AccessSink::nest`]). A sink that accounts for the entire
-/// nest itself consumes it, and the generator skips the nest. The analytic
-/// engine's memo does so: it restores a recorded transition from an equal
-/// entry state, or replays the nest from this descriptor and records it.
-/// The descriptor is normalized to trip space: loop `l` runs `trips[l]`
-/// times and reference `r` starts at `refs[r].start` and advances by
-/// `refs[r].deltas[l]` bytes per trip of loop `l` (outermost first). The
-/// access order is the interleaved walk: for every outer trip vector, the
-/// innermost loop advances with the references interleaved in body order —
-/// exactly what [`AccessSink::run_group`] would see, one group per
-/// innermost invocation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct NestDescriptor {
-    /// Trip count per loop, outermost first (all ≥ 1; empty or zero-trip
-    /// nests are never offered as descriptors).
-    pub trips: Vec<u64>,
-    /// One descriptor per reference, in body (interleave) order.
-    pub refs: Vec<RefDescriptor>,
-    /// True when at least one reference's address function is *not* affine
-    /// in the trip vector (e.g. a Morton-layout array), so `refs` does not
-    /// describe the stream. Sinks must decline such descriptors — expanding
-    /// `refs` would miscount — and let the caller stream the nest itself.
-    pub non_affine: bool,
-}
-
-/// One array reference of a [`NestDescriptor`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RefDescriptor {
-    /// Byte address at the all-zero trip vector (validated non-negative by
-    /// the trace generator before the descriptor is offered).
-    pub start: u64,
-    /// Byte delta per trip of each loop, outermost first (stride × step).
-    pub deltas: Vec<i64>,
-    /// Load or store.
-    pub kind: AccessKind,
-}
-
-impl NestDescriptor {
-    /// Total accesses the nest emits, Π trips × refs, or `None` when that
-    /// count overflows `u64`.
-    pub fn total_accesses(&self) -> Option<u64> {
-        self.trips
-            .iter()
-            .try_fold(1u64, |a, &t| a.checked_mul(t))?
-            .checked_mul(self.refs.len() as u64)
-    }
-}
-
-/// Consumer of an access stream.
+/// Consumer of an access stream. A sink that only implements
+/// [`AccessSink::access`] sees every group expanded access by access.
 pub trait AccessSink {
     /// Consume one access.
     fn access(&mut self, access: Access);
-
-    /// Offer a whole loop nest as a descriptor *instead of* its expanded
-    /// stream. Returning `Some(n)` means the sink fully accounted for all
-    /// `n` accesses (counters **and** any state the sink models must end up
-    /// exactly as if the stream had been replayed); the caller then skips
-    /// the nest entirely. Returning `None` (the default) declines, and the
-    /// caller streams the nest through `access`/`run`/`run_group` as usual.
-    ///
-    /// Only `mlc_core::analytic`'s hierarchy wrapper overrides this: it
-    /// serves a nest from its memo of recorded transitions, or replays and
-    /// records it. Overrides must be observably identical to replay
-    /// wherever they accept.
-    fn nest(&mut self, _desc: &NestDescriptor) -> Option<u64> {
-        None
-    }
-
-    /// Consume a batch; override if a sink can do better than a loop.
-    fn access_all(&mut self, accesses: &[Access]) {
-        for &a in accesses {
-            self.access(a);
-        }
-    }
-
-    /// Consume a strided run: `run.count` accesses at `start`,
-    /// `start + stride`, ... in order. The default implementation loops over
-    /// [`AccessSink::access`], so every sink keeps exact per-access
-    /// semantics; sinks that can do better (bulk counters, line-boundary
-    /// batching) override this. Overrides must be observably identical to
-    /// the default loop.
-    fn run(&mut self, run: Run) {
-        let mut addr = run.start;
-        for _ in 0..run.count {
-            self.access(Access {
-                addr,
-                kind: run.kind,
-            });
-            addr = addr.wrapping_add(run.stride as u64);
-        }
-    }
 
     /// Consume an interleaved group of runs sharing one trip count: for each
     /// trip `t` in `0..count`, every run's `t`-th access is consumed in
@@ -226,18 +139,13 @@ impl AccessSink for CountingSink {
     }
 
     #[inline]
-    fn run(&mut self, run: Run) {
-        self.total += run.count;
-        match run.kind {
-            AccessKind::Read => self.reads += run.count,
-            AccessKind::Write => self.writes += run.count,
-        }
-    }
-
-    #[inline]
     fn run_group(&mut self, runs: &[Run]) {
-        for &r in runs {
-            self.run(r);
+        for r in runs {
+            self.total += r.count;
+            match r.kind {
+                AccessKind::Read => self.reads += r.count,
+                AccessKind::Write => self.writes += r.count,
+            }
         }
     }
 }
@@ -260,16 +168,6 @@ impl<S: AccessSink + ?Sized> AccessSink for &mut S {
     #[inline]
     fn access(&mut self, access: Access) {
         (**self).access(access);
-    }
-
-    #[inline]
-    fn nest(&mut self, desc: &NestDescriptor) -> Option<u64> {
-        (**self).nest(desc)
-    }
-
-    #[inline]
-    fn run(&mut self, run: Run) {
-        (**self).run(run);
     }
 
     #[inline]
@@ -296,7 +194,8 @@ mod tests {
     #[test]
     fn recording_sink_preserves_order() {
         let mut r = RecordingSink::default();
-        r.access_all(&[Access::read(1), Access::write(2)]);
+        r.access(Access::read(1));
+        r.access(Access::write(2));
         assert_eq!(r.accesses, vec![Access::read(1), Access::write(2)]);
     }
 
@@ -311,14 +210,14 @@ mod tests {
     }
 
     #[test]
-    fn run_default_impl_expands_to_accesses() {
+    fn one_run_group_expands_to_accesses() {
         let mut r = RecordingSink::default();
-        r.run(Run {
+        r.run_group(&[Run {
             start: 100,
             stride: -8,
             count: 3,
             kind: AccessKind::Write,
-        });
+        }]);
         let addrs: Vec<u64> = r.accesses.iter().map(|a| a.addr).collect();
         assert_eq!(addrs, vec![100, 92, 84]);
         assert!(r.accesses.iter().all(|a| a.kind == AccessKind::Write));
@@ -346,20 +245,31 @@ mod tests {
     }
 
     #[test]
-    fn counting_sink_run_overrides_match_default() {
-        let run = Run {
-            start: 16,
-            stride: 8,
-            count: 5,
-            kind: AccessKind::Write,
-        };
+    fn counting_sink_group_override_matches_default() {
+        let runs = [
+            Run {
+                start: 16,
+                stride: 8,
+                count: 5,
+                kind: AccessKind::Write,
+            },
+            Run {
+                start: 4096,
+                stride: 0,
+                count: 5,
+                kind: AccessKind::Read,
+            },
+        ];
         let mut fast = CountingSink::default();
-        fast.run(run);
+        fast.run_group(&runs);
         let mut slow = CountingSink::default();
-        let mut addr = run.start;
-        for _ in 0..run.count {
-            slow.access(Access::write(addr));
-            addr += 8;
+        for t in 0..5 {
+            for r in &runs {
+                slow.access(Access {
+                    addr: r.addr(t),
+                    kind: r.kind,
+                });
+            }
         }
         assert_eq!(fast.total, slow.total);
         assert_eq!(fast.writes, slow.writes);
@@ -369,12 +279,12 @@ mod tests {
     #[test]
     fn empty_run_and_group_emit_nothing() {
         let mut r = RecordingSink::default();
-        r.run(Run {
+        r.run_group(&[Run {
             start: 0,
             stride: 8,
             count: 0,
             kind: AccessKind::Read,
-        });
+        }]);
         r.run_group(&[]);
         assert!(r.accesses.is_empty());
     }

@@ -1,39 +1,43 @@
 //! The analytic engine: whole affine loop nests served from a memo of
 //! recorded cache-state transitions.
 //!
-//! The trace generator offers each constant-bound nest as a
-//! [`NestDescriptor`] before streaming it (see [`AccessSink::nest`]).
-//! [`AnalyticSink`] wraps a [`Hierarchy`] and keeps one memo slot per
-//! descriptor. A slot records transitions: the state of every level when
-//! the nest began (its entry), the state the nest left (its exit), and
-//! each level's access, miss and write-back counts over the nest. When the
-//! nest is offered again and the hierarchy's state equals a recorded entry
-//! in full — every tag in recency order, every dirty bit and every empty
-//! way, at every level — the sink restores that record's exit state and
-//! credits its counts. Otherwise it replays the nest from the descriptor
-//! through the run-length path and records the transition.
+//! [`NestMemo`] drives one program under one layout through a
+//! [`Hierarchy`], one sweep at a time. It compiles each nest as the trace
+//! generator does ([`mlc_model::trace_gen::try_generate_with`]) and offers
+//! it to the memo when the nest has a loop and a reference, every loop
+//! bound is a constant and no loop is empty
+//! ([`CompiledNest::constant_accesses`]). The memo keeps
+//! one slot per distinct nest: a nest the program lists twice shares the
+//! slot of its first occurrence. A slot records transitions: the state of
+//! every level when the nest began (its entry), the state the nest left
+//! (its exit), and each level's access, miss and write-back counts over the
+//! nest. When the nest is offered again and the hierarchy's state equals a
+//! recorded entry in full — every tag in recency order, every dirty bit and
+//! every empty way, at every level — the memo restores that record's exit
+//! state and credits its counts. Otherwise it runs the nest through the
+//! run-length path ([`CompiledNest::try_run`]) and records the transition.
 //!
-//! Simulation is deterministic for every hierarchy the sink accepts, so a
+//! Simulation is deterministic for every hierarchy the memo accepts, so a
 //! nest entered in a recorded state makes the recorded transition: a memo
 //! hit is exact, never an approximation. Equality is a full state compare,
 //! never a hash. Steady-state protocols hit once a nest's entry state
 //! repeats; under the paper's protocol (one warm-up sweep, one timed sweep)
 //! that happens in the timed sweep.
 //!
-//! The sink declines, and the generator streams the nest itself, for nests
-//! of fewer than [`MIN_MEMO_ACCESSES`] accesses, non-affine (Morton)
-//! nests, prefetching hierarchies, set-associative levels with random
-//! replacement (their victims depend on generator state no snapshot
-//! holds), and nests whose access count overflows. Coverage is observable:
-//! every offered nest bumps process-wide `analytic.*` counters, exported
-//! through [`install_metrics`].
+//! The memo declines, and runs the nest unrecorded, for nests of fewer than
+//! [`MIN_MEMO_ACCESSES`] accesses, non-affine (Morton) nests, prefetching
+//! hierarchies, set-associative levels with random replacement (their
+//! victims depend on generator state no snapshot holds), nests whose access
+//! count overflows, and new nests once `MAX_MEMO_NESTS` nests hold
+//! transitions. Coverage is observable: every offered nest bumps
+//! process-wide `analytic.*` counters, exported through
+//! [`install_metrics`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use mlc_cache_sim::cache::CacheSnapshot;
-use mlc_cache_sim::trace::{Access, AccessSink, NestDescriptor, Run};
 use mlc_cache_sim::{Hierarchy, HierarchyConfig, MissRateReport, ReplacementPolicy};
-use mlc_model::trace_gen::{try_generate_with, TraceError};
+use mlc_model::trace_gen::{CompiledNest, TraceError};
 use mlc_model::{DataLayout, Program};
 use mlc_telemetry::MetricsRegistry;
 
@@ -41,18 +45,19 @@ use mlc_telemetry::MetricsRegistry;
 /// than snapshotting every level twice.
 pub const MIN_MEMO_ACCESSES: u64 = 4096;
 
-/// At most this many transitions per descriptor (steady sweeps need two:
-/// the cold entry and the converged one).
+/// At most this many transitions per nest (steady sweeps need two: the
+/// cold entry and the converged one).
 const MAX_SNAPSHOTS: usize = 3;
 
-/// At most this many memoized descriptors per sink.
+/// At most this many nests with recorded transitions per memo; later nests
+/// run unrecorded.
 const MAX_MEMO_NESTS: usize = 24;
 
 // ---------------------------------------------------------------------------
 // Coverage telemetry.
 // ---------------------------------------------------------------------------
 
-/// Why the sink declined a nest outright.
+/// Why the memo declined a nest outright.
 #[derive(Debug, Clone, Copy)]
 enum Decline {
     /// The hierarchy prefetches.
@@ -61,8 +66,7 @@ enum Decline {
     Overflow,
     /// A set-associative level replaces at random.
     Policy,
-    /// The nest references a non-affine (e.g. Morton) layout family, so
-    /// its descriptor describes no stream to replay.
+    /// The nest references a non-affine (e.g. Morton) layout family.
     NonAffineLayout,
 }
 
@@ -83,8 +87,8 @@ pub struct AnalyticStats {
     /// Offered nests served by a memo hit: a recorded exit state restored
     /// and its counts credited, nothing replayed.
     pub nests_closed: u64,
-    /// Every other offered nest: declined to the generator's stream, or
-    /// replayed by the sink and recorded.
+    /// Every other offered nest: declined, or run through the run-length
+    /// path (and recorded, unless the memo is full).
     pub nests_fallback: u64,
     /// Accesses of the memo hits (never expanded).
     pub accesses_closed: u64,
@@ -135,7 +139,7 @@ pub fn install_metrics(reg: &mut MetricsRegistry) {
 }
 
 // ---------------------------------------------------------------------------
-// The sink.
+// The memo.
 // ---------------------------------------------------------------------------
 
 /// One recorded run of a nest: every level's state before and after it,
@@ -146,29 +150,32 @@ struct Transition {
     deltas: Vec<(u64, u64, u64)>,
 }
 
-/// A descriptor's memo slot: its transitions, oldest first.
-struct Memo {
-    desc: NestDescriptor,
-    transitions: Vec<Transition>,
-}
-
-/// [`AccessSink`] wrapper that serves recorded nests from its memo and
-/// replays everything else through the wrapped [`Hierarchy`]. Counters and
-/// contents of the hierarchy are the bitwise image of a plain replay after
-/// every nest.
-pub struct AnalyticSink<'h> {
-    h: &'h mut Hierarchy,
-    /// Why every nest is declined, when the hierarchy prefetches or
+/// The analytic engine for one program under one layout: drives the
+/// program's nests through a [`Hierarchy`], serving recorded ones from its
+/// memo and running everything else through the run-length path. Counters
+/// and contents of the hierarchy are the bitwise image of a plain replay
+/// after every nest.
+pub struct NestMemo<'a> {
+    h: &'a mut Hierarchy,
+    program: &'a Program,
+    layout: &'a DataLayout,
+    /// Why every offered nest is declined, when the hierarchy prefetches or
     /// replaces at random.
     unsupported: Option<Decline>,
-    memo: Vec<Memo>,
+    /// Per nest, its slot: the position of the first nest equal to it.
+    slot: Vec<usize>,
+    /// Per slot, its transitions, oldest first.
+    transitions: Vec<Vec<Transition>>,
+    /// Slots holding at least one transition.
+    recorded: usize,
     closed: u64,
     fallback: u64,
 }
 
-impl<'h> AnalyticSink<'h> {
-    /// Wrap a hierarchy, in any state.
-    pub fn new(h: &'h mut Hierarchy) -> Self {
+impl<'a> NestMemo<'a> {
+    /// A memo for `program` under `layout`, driving `h` from whatever state
+    /// it is in.
+    pub fn new(h: &'a mut Hierarchy, program: &'a Program, layout: &'a DataLayout) -> Self {
         let unsupported = if h.prefetch_enabled() {
             Some(Decline::Prefetch)
         } else if h.caches().iter().any(|c| {
@@ -179,32 +186,53 @@ impl<'h> AnalyticSink<'h> {
         } else {
             None
         };
+        let nests = &program.nests;
         Self {
             h,
+            program,
+            layout,
             unsupported,
-            memo: Vec::new(),
+            slot: (0..nests.len())
+                .map(|i| nests.iter().position(|n| *n == nests[i]).unwrap_or(i))
+                .collect(),
+            transitions: nests.iter().map(|_| Vec::new()).collect(),
+            recorded: 0,
             closed: 0,
             fallback: 0,
         }
     }
 
-    /// The wrapped hierarchy, as the nests so far have left it.
+    /// One sweep of the program, nest by nest; returns the references it
+    /// made, as [`mlc_model::trace_gen::try_generate_with`] does. On error,
+    /// the nests before the failing one have run, and the failing one may
+    /// have run in part.
+    pub fn sweep(&mut self) -> Result<u64, TraceError> {
+        let program = self.program;
+        let mut total = 0;
+        for (i, n) in program.nests.iter().enumerate() {
+            let nest = CompiledNest::try_new(program, n, self.layout)?;
+            total += self.run(i, &nest)?;
+        }
+        Ok(total)
+    }
+
+    /// The hierarchy, as the nests so far have left it.
     pub fn hierarchy(&self) -> &Hierarchy {
         self.h
     }
 
-    /// Nests this sink served from its memo.
+    /// Nests this memo served from its records.
     pub fn nests_closed(&self) -> u64 {
         self.closed
     }
 
-    /// Nests offered to this sink that it declined or replayed.
+    /// Nests offered to this memo that it declined or ran.
     pub fn nests_fallback(&self) -> u64 {
         self.fallback
     }
 
-    /// Zero the wrapped hierarchy's counters (the steady protocol's
-    /// warmup/timed boundary). Cache contents persist.
+    /// Zero the hierarchy's counters (the steady protocol's warmup/timed
+    /// boundary). Cache contents persist.
     pub fn reset_stats(&mut self) {
         self.h.reset_stats();
     }
@@ -215,22 +243,6 @@ impl<'h> AnalyticSink<'h> {
         if let Some(d) = decline {
             DECLINES[d as usize].fetch_add(1, Ordering::Relaxed);
         }
-    }
-
-    /// The memo slot for a descriptor, made (evicting the oldest slot when
-    /// full) if it has none.
-    fn memo_index(&mut self, desc: &NestDescriptor) -> usize {
-        if let Some(i) = self.memo.iter().position(|m| m.desc == *desc) {
-            return i;
-        }
-        if self.memo.len() >= MAX_MEMO_NESTS {
-            self.memo.remove(0);
-        }
-        self.memo.push(Memo {
-            desc: desc.clone(),
-            transitions: Vec::new(),
-        });
-        self.memo.len() - 1
     }
 
     fn counts(&self) -> Vec<(u64, u64, u64)> {
@@ -245,27 +257,28 @@ impl<'h> AnalyticSink<'h> {
         self.h.caches().iter().map(|c| c.snapshot()).collect()
     }
 
-    /// Serve an offered nest; `None` declines it to the generator.
-    fn serve(&mut self, desc: &NestDescriptor) -> Option<u64> {
-        if desc.non_affine {
-            self.count_fallback(Some(Decline::NonAffineLayout));
-            return None;
-        }
-        if let Some(d) = self.unsupported {
-            self.count_fallback(Some(d));
-            return None;
-        }
-        let Some(total) = desc.total_accesses() else {
-            self.count_fallback(Some(Decline::Overflow));
-            return None;
+    /// Nest `i` of the program, compiled as `nest`: served from its slot,
+    /// run and recorded there, or run unrecorded.
+    fn run(&mut self, i: usize, nest: &CompiledNest) -> Result<u64, TraceError> {
+        let Some(count) = nest.constant_accesses() else {
+            return nest.try_run(self.h);
         };
-        if total < MIN_MEMO_ACCESSES {
-            self.count_fallback(None);
-            return None;
-        }
-        let mi = self.memo_index(desc);
+        let decline = if nest.has_morton() {
+            Some(Decline::NonAffineLayout)
+        } else {
+            self.unsupported
+                .or(count.is_none().then_some(Decline::Overflow))
+        };
+        let total = match (decline, count) {
+            (None, Some(total)) if total >= MIN_MEMO_ACCESSES => total,
+            _ => {
+                self.count_fallback(decline);
+                return nest.try_run(self.h);
+            }
+        };
+        let slot = self.slot[i];
         let caches = self.h.caches();
-        let hit = self.memo[mi].transitions.iter().find(|t| {
+        let hit = self.transitions[slot].iter().find(|t| {
             caches
                 .iter()
                 .zip(&t.entry)
@@ -281,11 +294,15 @@ impl<'h> AnalyticSink<'h> {
             self.closed += 1;
             NESTS_CLOSED.fetch_add(1, Ordering::Relaxed);
             ACCESSES_CLOSED.fetch_add(total, Ordering::Relaxed);
-            return Some(total);
+            return Ok(total);
+        }
+        self.count_fallback(None);
+        if self.transitions[slot].is_empty() && self.recorded == MAX_MEMO_NESTS {
+            return nest.try_run(self.h);
         }
         let entry = self.snapshot();
         let before = self.counts();
-        expand_replay(desc, self.h);
+        nest.try_run(self.h)?;
         let deltas = self
             .counts()
             .iter()
@@ -293,8 +310,10 @@ impl<'h> AnalyticSink<'h> {
             .map(|(&(a, m, w), &(a0, m0, w0))| (a - a0, m - m0, w - w0))
             .collect();
         let exit = self.snapshot();
-        let transitions = &mut self.memo[mi].transitions;
-        if transitions.len() >= MAX_SNAPSHOTS {
+        let transitions = &mut self.transitions[slot];
+        if transitions.is_empty() {
+            self.recorded += 1;
+        } else if transitions.len() == MAX_SNAPSHOTS {
             transitions.remove(0);
         }
         transitions.push(Transition {
@@ -302,67 +321,7 @@ impl<'h> AnalyticSink<'h> {
             exit,
             deltas,
         });
-        self.count_fallback(None);
-        Some(total)
-    }
-}
-
-impl AccessSink for AnalyticSink<'_> {
-    fn access(&mut self, access: Access) {
-        self.h.access(access);
-    }
-
-    fn nest(&mut self, desc: &NestDescriptor) -> Option<u64> {
-        self.serve(desc)
-    }
-
-    fn run(&mut self, run: Run) {
-        self.h.run(run);
-    }
-
-    fn run_group(&mut self, runs: &[Run]) {
-        self.h.run_group(runs);
-    }
-}
-
-/// Replay a descriptor concretely through the hierarchy, emitting exactly
-/// the run groups the trace walker would: one group of parallel strided
-/// runs per innermost invocation, outer dimensions in odometer (time)
-/// order. The generator offers only nests whose every address it has
-/// checked to lie in range, and wrapping arithmetic reaches each such
-/// address exactly, whatever the order of its terms.
-fn expand_replay(desc: &NestDescriptor, h: &mut Hierarchy) {
-    let dims = desc.trips.len();
-    let (inner_trip, inner_dim) = (desc.trips[dims - 1], dims - 1);
-    let mut idx = vec![0u64; dims - 1];
-    let mut runs: Vec<Run> = Vec::with_capacity(desc.refs.len());
-    loop {
-        runs.clear();
-        runs.extend(desc.refs.iter().map(|r| Run {
-            start: idx.iter().zip(&r.deltas).fold(r.start, |a, (&v, &d)| {
-                a.wrapping_add((d as u64).wrapping_mul(v))
-            }),
-            stride: r.deltas[inner_dim],
-            count: inner_trip,
-            kind: r.kind,
-        }));
-        if let [run] = runs.as_slice() {
-            h.run(*run);
-        } else {
-            h.run_group(&runs);
-        }
-        let mut k = idx.len();
-        loop {
-            if k == 0 {
-                return;
-            }
-            k -= 1;
-            idx[k] += 1;
-            if idx[k] < desc.trips[k] {
-                break;
-            }
-            idx[k] = 0;
-        }
+        Ok(total)
     }
 }
 
@@ -379,9 +338,7 @@ pub fn try_simulate_analytic(
     config: &HierarchyConfig,
 ) -> Result<MissRateReport, TraceError> {
     let mut h = Hierarchy::new(config.clone());
-    let mut sink = AnalyticSink::new(&mut h);
-    try_generate_with(program, layout, &mut sink, true)?;
-    drop(sink);
+    NestMemo::new(&mut h, program, layout).sweep()?;
     Ok(h.report())
 }
 
@@ -408,25 +365,23 @@ pub fn try_steady_hierarchy_analytic(
     timed: usize,
 ) -> Result<Hierarchy, TraceError> {
     let mut h = Hierarchy::new(config.clone());
-    let mut sink = AnalyticSink::new(&mut h);
+    let mut memo = NestMemo::new(&mut h, program, layout);
     for _ in 0..warmup {
-        try_generate_with(program, layout, &mut sink, true)?;
+        memo.sweep()?;
     }
-    sink.reset_stats();
+    memo.reset_stats();
     for _ in 0..timed {
-        try_generate_with(program, layout, &mut sink, true)?;
+        memo.sweep()?;
     }
-    drop(sink);
     Ok(h)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mlc_cache_sim::trace::{AccessKind, RefDescriptor};
     use mlc_cache_sim::CacheConfig;
     use mlc_model::prelude::*;
-    use mlc_model::trace_gen::{try_simulate_steady_with, try_simulate_with};
+    use mlc_model::trace_gen::{try_generate_with, try_simulate_steady_with, try_simulate_with};
 
     fn stencil_program(n: usize, pad: i64) -> (Program, DataLayout) {
         let mut p = Program::new("stencil");
@@ -453,14 +408,14 @@ mod tests {
         (p, l)
     }
 
-    /// `sweeps` program sweeps through one sink; returns the sink's
+    /// `sweeps` program sweeps through one memo; returns the memo's
     /// (closed, fallback) counts.
     fn sweep(h: &mut Hierarchy, p: &Program, l: &DataLayout, sweeps: usize) -> (u64, u64) {
-        let mut sink = AnalyticSink::new(h);
+        let mut memo = NestMemo::new(h, p, l);
         for _ in 0..sweeps {
-            try_generate_with(p, l, &mut sink, true).unwrap();
+            memo.sweep().unwrap();
         }
-        (sink.nests_closed(), sink.nests_fallback())
+        (memo.nests_closed(), memo.nests_fallback())
     }
 
     /// Per-set contents of every level must be equal.
@@ -494,7 +449,7 @@ mod tests {
     fn conflicting_layout_falls_back_and_stays_bitwise() {
         // Contiguous 32 KB arrays collide on every L1 set (32 KB ≡ 0 mod
         // the 16 KB way span). One cold sweep has nothing recorded to hit:
-        // the sink replays the nest and the report stays bitwise.
+        // the memo runs the nest and the report stays bitwise.
         let (p, l) = stencil_program(64, 0);
         let cfg = HierarchyConfig::ultrasparc_i();
         let mut h = Hierarchy::new(cfg.clone());
@@ -574,42 +529,86 @@ mod tests {
 
     #[test]
     fn dirty_bits_are_part_of_the_entry_state() {
-        // Line 0 is resident, clean, when a nest that evicts it is first
-        // offered, and resident with the same tag but dirty the second
-        // time: that eviction costs a write-back the recorded one did not.
+        // One nest that evicts line 0 runs twice in a sweep. Line 0 is
+        // resident, clean, the first time, and resident with the same tag
+        // but dirty the second: that eviction costs a write-back the
+        // recorded one did not.
+        let mut p = Program::new("dirty");
+        let a = p.add_array(ArrayDecl::f64("A", vec![128]));
+        let b = p.add_array(ArrayDecl::f64("B", vec![4]));
+        let touch = |r: ArrayRef| LoopNest::new("touch", vec![Loop::counted("t", 0, 0)], vec![r]);
+        let evict = LoopNest::new(
+            "evict",
+            vec![Loop::counted("t", 0, MIN_MEMO_ACCESSES as i64 - 1)],
+            vec![ArrayRef::read(b, vec![AffineExpr::constant(0)])],
+        );
+        let line0 = vec![AffineExpr::constant(0)];
+        p.add_nest(touch(ArrayRef::read(a, line0.clone())));
+        p.add_nest(evict.clone());
+        p.add_nest(touch(ArrayRef::write(a, line0)));
+        p.add_nest(evict);
+        let l = DataLayout::contiguous(&p.arrays);
+        assert_eq!(l.bases[b], 1024, "B shares line 0's set");
         let cfg = HierarchyConfig::new(vec![CacheConfig::direct_mapped(1024, 32)], vec![6.0]);
-        let evict = NestDescriptor {
-            trips: vec![MIN_MEMO_ACCESSES],
-            refs: vec![RefDescriptor {
-                start: 1024,
-                deltas: vec![0],
-                kind: AccessKind::Read,
-            }],
-            non_affine: false,
-        };
-        let drive = |sink: &mut dyn AccessSink| {
-            for kind in [AccessKind::Read, AccessKind::Write] {
-                sink.access(Access { addr: 0, kind });
-                if sink.nest(&evict).is_none() {
-                    sink.run(Run {
-                        start: 1024,
-                        stride: 0,
-                        count: MIN_MEMO_ACCESSES,
-                        kind: AccessKind::Read,
-                    });
-                }
-            }
-        };
         let mut h = Hierarchy::new(cfg.clone());
-        let mut sink = AnalyticSink::new(&mut h);
-        drive(&mut sink);
-        assert_eq!(sink.nests_closed(), 0, "a dirty line is not a clean one");
-        drop(sink);
+        assert_eq!(
+            sweep(&mut h, &p, &l, 1),
+            (0, 4),
+            "a dirty line is not a clean one"
+        );
         let mut hr = Hierarchy::new(cfg);
-        drive(&mut hr);
+        try_generate_with(&p, &l, &mut hr, false).unwrap();
         assert_eq!(hr.writebacks(), vec![1]);
         assert_eq!(h.writebacks(), hr.writebacks());
         assert_eq!(h.report(), hr.report());
+        assert_same_contents(&h, &hr);
+    }
+
+    #[test]
+    fn a_repeated_nest_shares_its_twins_transitions() {
+        // The stencil nest, listed twice: the first copy records the cold
+        // transition and the second the converged one, and every later
+        // offer of either copy enters a recorded state.
+        let (mut p, l) = stencil_program(64, 2048);
+        p.add_nest(p.nests[0].clone());
+        let cfg = HierarchyConfig::ultrasparc_i();
+        let mut h = Hierarchy::new(cfg.clone());
+        assert_eq!(sweep(&mut h, &p, &l, 3), (4, 2));
+        let mut hr = Hierarchy::new(cfg);
+        for _ in 0..3 {
+            try_generate_with(&p, &l, &mut hr, false).unwrap();
+        }
+        assert_eq!(h.report(), hr.report());
+        assert_same_contents(&h, &hr);
+    }
+
+    #[test]
+    fn morton_and_triangular_nests_are_declined_or_not_offered() {
+        // The memo's own counts: the process-wide ones are shared with
+        // every test running beside this one.
+        let n = 64;
+        let mut p = Program::new("morton");
+        let a = p.add_array(ArrayDecl::f64("A", vec![n, n]));
+        let nn = n as i64 - 1;
+        p.add_nest(LoopNest::new(
+            "copy",
+            vec![Loop::counted("j", 0, nn), Loop::counted("i", 0, nn)],
+            vec![ArrayRef::read(
+                a,
+                vec![AffineExpr::var("i"), AffineExpr::var("j")],
+            )],
+        ));
+        let fams = [LayoutFamily::morton_round_robin(&p.arrays[a])];
+        let morton = DataLayout::with_pads_and_families(&p.arrays, &[0], &fams).unwrap();
+        let cfg = HierarchyConfig::ultrasparc_i();
+        let mut h = Hierarchy::new(cfg.clone());
+        assert_eq!(sweep(&mut h, &p, &morton, 1), (0, 1), "Morton declines");
+
+        p.nests[0].loops[1] = Loop::new("i", AffineExpr::constant(0), AffineExpr::var("j"));
+        let linear = DataLayout::contiguous(&p.arrays);
+        let mut h = Hierarchy::new(cfg);
+        assert_eq!(sweep(&mut h, &p, &linear, 1), (0, 0), "not offered");
+        assert_eq!(h.stats()[0].accesses(), (n * (n + 1) / 2) as u64);
     }
 
     /// One-nest helper for the edge-case programs below.
@@ -705,13 +704,13 @@ mod tests {
         let (p, l) = stencil_program(64, 2048);
         let cfg = HierarchyConfig::ultrasparc_i();
         let mut h = Hierarchy::new(cfg);
-        let mut sink = AnalyticSink::new(&mut h);
+        let mut memo = NestMemo::new(&mut h, &p, &l);
         for _ in 0..8 {
-            try_generate_with(&p, &l, &mut sink, true).unwrap();
+            memo.sweep().unwrap();
         }
-        assert_eq!(sink.nests_closed(), 6);
+        assert_eq!(memo.nests_closed(), 6);
         // Fixed point after the first sweep: exactly two distinct entry
         // states (cold and converged) were ever replayed.
-        assert_eq!(sink.memo[0].transitions.len(), 2, "steady state memoizes");
+        assert_eq!(memo.transitions[0].len(), 2, "steady state memoizes");
     }
 }

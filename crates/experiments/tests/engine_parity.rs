@@ -16,7 +16,7 @@
 use mlc_cache_sim::config::CacheConfig;
 use mlc_cache_sim::replacement::ReplacementPolicy;
 use mlc_cache_sim::{Hierarchy, HierarchyConfig};
-use mlc_core::analytic::AnalyticSink;
+use mlc_core::analytic::NestMemo;
 use mlc_core::try_simulate_steady_analytic;
 use mlc_experiments::versions::{build_versions, OptLevel};
 use mlc_fuzz::oracle::engine_parity;
@@ -25,7 +25,7 @@ use mlc_kernels::jacobi::Jacobi;
 use mlc_kernels::registry::all_kernels;
 use mlc_kernels::shal::Shallow;
 use mlc_kernels::Kernel;
-use mlc_model::trace_gen::{simulate_steady_with, try_generate_with};
+use mlc_model::trace_gen::simulate_steady_with;
 use mlc_model::{DataLayout, Program};
 
 /// Run `sweeps` sweeps of `kernel`'s contiguous layout through every engine
@@ -126,7 +126,7 @@ fn steady_state_protocol_matches() {
 /// Three of the paper's padded versions and one contiguous layout under a
 /// long steady protocol (2 warm-up sweeps, then T timed ones). A nest the
 /// memo has not served replays only until its entry state repeats, after
-/// which every sweep is a memo hit: the sink's own fallback count after
+/// which every sweep is a memo hit: the memo's own fallback count after
 /// 2 + 8 sweeps equals the count after 2 + 64. And the analytic report
 /// equals plain replay's. The replay side of 2 + 64 sweeps is too slow for
 /// debug builds, which compare 2 + 8.
@@ -166,11 +166,11 @@ fn long_steady_protocol_replays_only_until_state_repeats() {
     for (name, cfg, (program, layout)) in &cases {
         let fallbacks = |sweeps: usize| {
             let mut h = Hierarchy::new((*cfg).clone());
-            let mut sink = AnalyticSink::new(&mut h);
+            let mut memo = NestMemo::new(&mut h, program, layout);
             for _ in 0..sweeps {
-                try_generate_with(program, layout, &mut sink, true).unwrap();
+                memo.sweep().unwrap();
             }
-            sink.nests_fallback()
+            memo.nests_fallback()
         };
         assert_eq!(
             fallbacks(2 + 8),

@@ -10,7 +10,7 @@
 use crate::case::Case;
 use mlc_cache_sim::trace::RecordingSink;
 use mlc_cache_sim::{Hierarchy, HierarchyConfig, LevelStats};
-use mlc_core::analytic::AnalyticSink;
+use mlc_core::analytic::NestMemo;
 use mlc_core::conflict::severe_conflicts;
 use mlc_core::fusion::{accounting_cost, fusion_profit, reuse_layout};
 use mlc_core::group::{exploited_count, ProgramSkeleton};
@@ -230,6 +230,8 @@ fn check_engine_parity(case: &Case, layout: &DataLayout, r: &mut Report) {
 /// The variants `engine-parity` derives from a case, each with its layout:
 /// - `repeat`: an outermost repeat loop on every nest the memo is offered
 ///   ([`repeated_nests`]), so that the memo takes hits;
+/// - `collide`: every array's base on a multiple of the largest cache
+///   ([`colliding_layout`]), so that run groups take the translated route;
 /// - `morton`: every eligible array on its round-robin Morton word;
 /// - `morton-blocked`: every eligible array on its blocked word with two
 ///   bits of each dimension per round, the kind of word the layout search
@@ -238,7 +240,8 @@ fn check_engine_parity(case: &Case, layout: &DataLayout, r: &mut Report) {
 ///   (leaf 4); nests the recursion cannot express are kept as they are.
 ///
 /// A variant is left out when its derivation changes nothing: no nest is
-/// offered to the memo, no array takes a Morton word, or no nest splits.
+/// offered to the memo, no base moves (or the program has one array), no
+/// array takes a Morton word, or no nest splits.
 /// `Err` names a word that validated against its array but that the
 /// layout rejects.
 fn engine_variants(
@@ -254,6 +257,9 @@ fn engine_variants(
     let repeated = repeated_nests(p, layout);
     if repeated != *p {
         variants.push(("repeat", repeated, layout.clone()));
+    }
+    if let Some(l) = colliding_layout(p, layout, &case.hierarchy) {
+        variants.push(("collide", p.clone(), l));
     }
 
     fn blocked(a: &ArrayDecl) -> LayoutFamily {
@@ -305,6 +311,29 @@ fn engine_variants(
     Ok(variants)
 }
 
+/// `layout` with every array's base moved up to the next multiple of the
+/// hierarchy's largest cache size, families kept. Equal subscripts of
+/// different arrays then share a set at every level, the severe conflict
+/// [`Hierarchy`]'s translated route replays. `None` for a one-array
+/// program, when no base moves, or when the layout's end would leave the
+/// `i64` address range.
+fn colliding_layout(p: &Program, layout: &DataLayout, h: &HierarchyConfig) -> Option<DataLayout> {
+    let size = h.levels.iter().map(|c| c.size as u64).max()?;
+    if p.arrays.len() < 2 {
+        return None;
+    }
+    let mut pads = Vec::with_capacity(p.arrays.len());
+    let mut end = 0u64;
+    for (a, fam) in p.arrays.iter().zip(&layout.families) {
+        let base = end.checked_next_multiple_of(size)?;
+        pads.push(base - end);
+        end = base.checked_add(fam.alloc_bytes(a))?;
+    }
+    DataLayout::checked_end(&p.arrays, &pads, &layout.families)?;
+    let moved = DataLayout::with_pads_and_families(&p.arrays, &pads, &layout.families).ok()?;
+    (moved != *layout).then_some(moved)
+}
+
 /// `p` with an outermost repeat loop on every nest the analytic engine is
 /// offered, sized so the nest offers at least
 /// [`mlc_core::analytic::MIN_MEMO_ACCESSES`] accesses. No subscript uses
@@ -317,9 +346,9 @@ fn repeated_nests(p: &Program, layout: &DataLayout) -> Program {
     for nest in &mut q.nests {
         let total = CompiledNest::try_new(p, nest, layout)
             .ok()
-            .and_then(|c| c.descriptor())
-            .filter(|d| !d.non_affine)
-            .and_then(|d| d.total_accesses());
+            .filter(|c| !c.has_morton())
+            .and_then(|c| c.constant_accesses())
+            .flatten();
         let Some(total) = total else { continue };
         let mut var = "rep".to_string();
         while nest.loops.iter().any(|l| l.var == var) {
@@ -355,7 +384,7 @@ fn stream_difference(p: &Program, layout: &DataLayout) -> Option<String> {
 }
 
 /// The engine-parity comparator. Scalar replay, run-length replay and the
-/// analytic engine's memo ([`AnalyticSink`]) each simulate `sweeps` sweeps
+/// analytic engine's memo ([`NestMemo`]) each simulate `sweeps` sweeps
 /// of `p` under `layout` on their own hierarchy from `build`, advanced
 /// together one sweep at a time. Scalar replay is the reference:
 /// - after every sweep, each other engine's reference count, per-level
@@ -409,7 +438,7 @@ pub fn engine_parity(
 type EngineSweep<'a> = (&'static str, Result<u64, TraceError>, &'a Hierarchy);
 
 /// Scalar replay, run-length replay and the analytic engine's memo
-/// ([`AnalyticSink`]), each on its own hierarchy from `build`, advanced
+/// ([`NestMemo`]), each on its own hierarchy from `build`, advanced
 /// together over `sweeps` sweeps of `p`. After each sweep, `after` sees the
 /// sweep's index and every engine's outcome, scalar first; its first `Err`
 /// ends the run and is returned. Otherwise the memo's hit count is.
@@ -421,11 +450,11 @@ fn lockstep<B>(
     mut after: impl FnMut(usize, [EngineSweep<'_>; 3]) -> Result<(), B>,
 ) -> Result<u64, B> {
     let (mut scalar, mut run_length, mut memo_hierarchy) = (build(), build(), build());
-    let mut memo = AnalyticSink::new(&mut memo_hierarchy);
+    let mut memo = NestMemo::new(&mut memo_hierarchy, p, layout);
     for sweep in 0..sweeps {
         let s = try_generate_with(p, layout, &mut scalar, false);
         let r = try_generate_with(p, layout, &mut run_length, true);
-        let m = try_generate_with(p, layout, &mut memo, true);
+        let m = memo.sweep();
         after(
             sweep,
             [

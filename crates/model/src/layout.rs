@@ -363,14 +363,13 @@ impl DataLayout {
 // ---------------------------------------------------------------------------
 
 /// Process-wide counters for non-affine layout handling in the trace
-/// generator, mirroring `mlc_core::analytic`'s fallback telemetry: every
-/// Morton nest either batches into runs or certifiably bails to scalar
-/// emission, and both outcomes are observable.
+/// generator, mirroring `mlc_core::analytic`'s fallback telemetry: the
+/// fast walk emits every innermost invocation of a Morton nest access by
+/// access, and counts it.
 pub mod stats {
     use std::sync::atomic::{AtomicU64, Ordering};
 
     pub(crate) static MORTON_NESTS: AtomicU64 = AtomicU64::new(0);
-    pub(crate) static MORTON_RUNS: AtomicU64 = AtomicU64::new(0);
     pub(crate) static MORTON_SCALAR_BAILS: AtomicU64 = AtomicU64::new(0);
     pub(crate) static COT_NESTS: AtomicU64 = AtomicU64::new(0);
 
@@ -379,11 +378,12 @@ pub mod stats {
     pub struct LayoutStats {
         /// Nests containing at least one Morton reference streamed.
         pub morton_nests: u64,
-        /// Coalesced constant-stride runs emitted for Morton references
-        /// (the fast path batching across Morton tiles).
+        /// Always 0: the fast walk no longer re-encodes Morton addresses
+        /// into runs. The end-to-end benchmark (`benchmark/`) still reads
+        /// the field.
         pub morton_runs: u64,
-        /// Innermost invocations that certifiably bailed to per-access
-        /// scalar emission (multi-reference Morton bodies).
+        /// Innermost invocations of Morton nests that the fast walk
+        /// emitted access by access.
         pub morton_scalar_bails: u64,
         /// Cache-obliviously tiled nests materialized by
         /// [`crate::transform::cache_oblivious_in_program`].
@@ -394,7 +394,7 @@ pub mod stats {
     pub fn take_stats() -> LayoutStats {
         LayoutStats {
             morton_nests: MORTON_NESTS.swap(0, Ordering::Relaxed),
-            morton_runs: MORTON_RUNS.swap(0, Ordering::Relaxed),
+            morton_runs: 0,
             morton_scalar_bails: MORTON_SCALAR_BAILS.swap(0, Ordering::Relaxed),
             cot_nests: COT_NESTS.swap(0, Ordering::Relaxed),
         }
@@ -406,7 +406,6 @@ pub mod stats {
         let s = take_stats();
         for (name, v) in [
             ("layout.morton_nests", s.morton_nests),
-            ("layout.morton_runs", s.morton_runs),
             ("layout.morton_scalar_bails", s.morton_scalar_bails),
             ("layout.cot_nests", s.cot_nests),
         ] {

@@ -12,16 +12,19 @@
 //! pushes several billion accesses through this path, so it allocates
 //! nothing per iteration.
 //!
-//! The fast walk (`fast = true`) offers each constant-bound nest to the sink
-//! whole ([`AccessSink::nest`]) and otherwise hands it one run group per
-//! innermost invocation; the scalar walk emits one access at a time.
-//! Expanded, the two streams are equal access for access.
+//! A sink sees the walk through the two calls of [`AccessSink`]. The fast
+//! walk (`fast = true`) hands it one run group per innermost invocation
+//! ([`AccessSink::run_group`]); the scalar walk emits one access at a time
+//! ([`AccessSink::access`]). Expanded, the two streams are equal access
+//! for access. The analytic engine (`mlc_core::analytic`) drives compiled
+//! nests itself, and memoizes those with a
+//! [`CompiledNest::constant_accesses`] count.
 //!
 //! A reference into a Morton-layout array is affine in each dimension, not
 //! in its address. The fast walk keeps each such offset dilated (every
 //! dimension's index spread over the bits the word gives it) and steps it
 //! in constant time per trip; the scalar walk re-interleaves every access
-//! with [`morton_index`].
+//! with [`morton_index`]. Both emit a Morton nest access by access.
 //!
 //! The `engine-parity` fuzz oracle checks both walks' streams through a
 //! [`RecordingSink`](mlc_cache_sim::trace::RecordingSink), access by access,
@@ -32,7 +35,7 @@ use crate::layout::{morton_index, DataLayout, LayoutFamily};
 use crate::nest::LoopNest;
 use crate::program::Program;
 use mlc_cache_sim::stats::MissRateReport;
-use mlc_cache_sim::trace::{Access, AccessKind, AccessSink, NestDescriptor, RefDescriptor, Run};
+use mlc_cache_sim::trace::{Access, AccessKind, AccessSink, Run};
 use mlc_cache_sim::{Hierarchy, HierarchyConfig, MissClassifier};
 
 /// Why a nest could not be compiled or streamed.
@@ -178,6 +181,15 @@ impl CompiledLoop {
         let lo = self.lowers.iter().map(|e| e.eval(vals)).max().unwrap();
         let hi = self.uppers.iter().map(|e| e.eval(vals)).min().unwrap();
         (lo, hi)
+    }
+
+    /// [`CompiledLoop::bounds`], when every bound is a constant.
+    fn constant_bounds(&self) -> Option<(i64, i64)> {
+        self.lowers
+            .iter()
+            .chain(&self.uppers)
+            .all(|e| e.terms.is_empty())
+            .then(|| self.bounds(&[]))
     }
 }
 
@@ -523,16 +535,9 @@ impl CompiledNest {
         let mut counters: Vec<(i64, i64)> = Vec::with_capacity(self.loops.len());
         let mut empty = false;
         for (lp, l) in self.loops.iter().zip(&nest.loops) {
-            let constant_only = lp
-                .lowers
-                .iter()
-                .chain(&lp.uppers)
-                .all(|e| e.terms.is_empty());
-            if !constant_only {
+            let Some((lo, hi)) = lp.constant_bounds() else {
                 return Ok(());
-            }
-            let lo = lp.lowers.iter().map(|e| e.constant).max().unwrap();
-            let hi = lp.uppers.iter().map(|e| e.constant).min().unwrap();
+            };
             let bad_loop = || overflow(format!("loop {}", l.var));
             let step = lp.step.checked_abs().ok_or_else(bad_loop)?;
             let first = if lp.step > 0 { lo } else { hi };
@@ -639,9 +644,10 @@ impl CompiledNest {
         Ok(())
     }
 
-    /// True when any reference targets a Morton-layout array.
+    /// True when any reference targets a Morton-layout array, whose
+    /// addresses are not affine in the loop variables.
     #[inline]
-    fn has_morton(&self) -> bool {
+    pub fn has_morton(&self) -> bool {
         self.refs.iter().any(|r| r.morton.is_some())
     }
 
@@ -650,84 +656,32 @@ impl CompiledNest {
     /// The innermost loop is emitted as run-length-encoded [`Run`] groups
     /// (one [`Run`] per reference, interleaved per trip), so sinks that
     /// batch line-resident accesses — notably [`Hierarchy`] — skip the
-    /// per-access work. Sinks without a `run` override expand the runs
-    /// through the default per-access loop, so the observable access stream
-    /// is identical either way. [`CompiledNest::run_with`] with `fast =
-    /// false` forces per-access emission.
+    /// per-access work. Sinks without a `run_group` override expand the
+    /// groups through the default per-access loop, so the observable access
+    /// stream is identical either way. [`CompiledNest::run_with`] with
+    /// `fast = false` forces per-access emission.
     pub fn run(&self, sink: &mut impl AccessSink) -> u64 {
         self.run_with(sink, true)
     }
 
-    /// The nest as a closed-form [`NestDescriptor`], when it has one: a
-    /// non-empty rectangular iteration space (every bound constant) with at
-    /// least one reference. Trip-space normalization folds each loop's
-    /// start value and step into per-reference start addresses and per-trip
-    /// deltas, so the descriptor is layout-resolved and self-contained.
-    /// Start addresses are guaranteed non-negative — constant-bound nests
-    /// passed [`CompiledNest::try_new`]'s exact minimum-address check.
-    pub fn descriptor(&self) -> Option<NestDescriptor> {
+    /// The number of accesses the nest makes, when it has a loop and a
+    /// reference, every loop bound is a constant and no loop is empty;
+    /// `Some(None)` when that count overflows `u64`. `None` for any other
+    /// nest: the analytic engine's memo records only nests with a count.
+    pub fn constant_accesses(&self) -> Option<Option<u64>> {
         if self.loops.is_empty() || self.refs.is_empty() {
             return None;
         }
-        let mut trips = Vec::with_capacity(self.loops.len());
-        let mut starts = Vec::with_capacity(self.loops.len());
+        let mut total = Some(self.refs.len() as u64);
         for lp in &self.loops {
-            let constant_only = lp
-                .lowers
-                .iter()
-                .chain(&lp.uppers)
-                .all(|e| e.terms.is_empty());
-            if !constant_only {
+            let (lo, hi) = lp.constant_bounds()?;
+            if hi < lo {
                 return None;
             }
-            let lo = lp.lowers.iter().map(|e| e.constant).max().unwrap();
-            let hi = lp.uppers.iter().map(|e| e.constant).min().unwrap();
-            if hi < lo {
-                return None; // empty loop: the nest emits nothing
-            }
-            trips.push(((hi - lo) / lp.step.abs() + 1) as u64);
-            starts.push(if lp.step > 0 { lo } else { hi });
+            let trips = ((hi - lo) / lp.step.abs() + 1) as u64;
+            total = total.and_then(|t| t.checked_mul(trips));
         }
-        if self.has_morton() {
-            // The trip space is rectangular, but at least one reference's
-            // address function is not affine in it, so no `RefDescriptor`
-            // can describe the stream. Offer the marked descriptor anyway:
-            // the analytic engine declines it (counting the decline), and
-            // streaming proceeds through the Morton-aware walk.
-            return Some(NestDescriptor {
-                trips,
-                refs: Vec::new(),
-                non_affine: true,
-            });
-        }
-        let refs = self
-            .refs
-            .iter()
-            .map(|cr| {
-                let start = cr.base
-                    + cr.strides
-                        .iter()
-                        .zip(&starts)
-                        .map(|(&s, &v)| s * v)
-                        .sum::<i64>();
-                debug_assert!(start >= 0, "validated min address went negative");
-                RefDescriptor {
-                    start: start as u64,
-                    deltas: cr
-                        .strides
-                        .iter()
-                        .zip(&self.loops)
-                        .map(|(&s, lp)| s * lp.step)
-                        .collect(),
-                    kind: cr.kind,
-                }
-            })
-            .collect();
-        Some(NestDescriptor {
-            trips,
-            refs,
-            non_affine: false,
-        })
+        Some(total)
     }
 
     /// Stream the nest, choosing run-length (`fast`) or per-access emission.
@@ -747,16 +701,6 @@ impl CompiledNest {
     /// invocation have already reached `sink` — callers treating the sink's
     /// state as meaningful must discard it.
     pub fn try_run_with(&self, sink: &mut impl AccessSink, fast: bool) -> Result<u64, TraceError> {
-        // Offer the whole nest as a descriptor first (fast path only: the
-        // scalar path keeps its strict per-access promise). Sinks other than
-        // the analytic engine decline at zero cost.
-        if fast {
-            if let Some(desc) = self.descriptor() {
-                if let Some(n) = sink.nest(&desc) {
-                    return Ok(n);
-                }
-            }
-        }
         if self.loops.is_empty() {
             for r in &self.refs {
                 let addr = match &r.morton {
@@ -901,14 +845,9 @@ impl CompiledNest {
     /// the fast walk's stream against (debug builds also check every
     /// stepped offset against it).
     ///
-    /// The run-length fast path holds in exactly one shape: a single
-    /// (necessarily Morton) reference, whose address sequence is re-encoded
-    /// greedily into maximal constant-stride [`Run`]s — batching stays
-    /// correct *across* Morton tiles because runs break exactly where the
-    /// stride does. Any multi-reference body bails to per-access emission
-    /// (`layout.morton_scalar_bails`): interleaving affine and non-affine
-    /// streams into `run_group`s would need equal-count constant-stride
-    /// runs that Morton addresses do not provide.
+    /// Both walks emit access by access: a run group needs one
+    /// constant-stride run per reference, which Morton addresses do not
+    /// give. Each fast invocation counts in `layout.morton_scalar_bails`.
     fn emit_morton_innermost(
         &self,
         vals: &[i64],
@@ -1017,60 +956,23 @@ impl CompiledNest {
             }
             a
         };
-        if fast && nrefs == 1 {
-            // Single Morton reference: greedy run re-encoding.
-            let r = &self.refs[0];
-            let m = r.morton.as_ref().expect("has_morton nest with one ref");
-            let c = &cursors[0];
-            let mut prev = next_morton(m, c);
-            let (mut run_start, mut stride, mut n) = (prev, 0i64, 1u64);
-            for _ in 1..trips {
-                let a = next_morton(m, c);
-                if n == 1 {
-                    stride = a - prev;
-                    n = 2;
-                } else if a - prev == stride {
-                    n += 1;
-                } else {
-                    sink.run(Run {
-                        start: run_start as u64,
-                        stride,
-                        count: n,
-                        kind: r.kind,
-                    });
-                    crate::layout::stats::MORTON_RUNS.fetch_add(1, Ordering::Relaxed);
-                    run_start = a;
-                    stride = 0;
-                    n = 1;
-                }
-                prev = a;
-            }
-            sink.run(Run {
-                start: run_start as u64,
-                stride,
-                count: n,
-                kind: r.kind,
-            });
-            crate::layout::stats::MORTON_RUNS.fetch_add(1, Ordering::Relaxed);
-        } else {
-            if fast {
-                crate::layout::stats::MORTON_SCALAR_BAILS.fetch_add(1, Ordering::Relaxed);
-            }
-            for _ in 0..trips {
-                for (cr, c) in self.refs.iter().zip(cursors.iter_mut()) {
-                    let addr = match &cr.morton {
-                        Some(m) => next_morton(m, c),
-                        None => {
-                            let a = c.addr;
-                            c.addr += c.delta;
-                            a
-                        }
-                    };
-                    sink.access(Access {
-                        addr: addr as u64,
-                        kind: cr.kind,
-                    });
-                }
+        if fast {
+            crate::layout::stats::MORTON_SCALAR_BAILS.fetch_add(1, Ordering::Relaxed);
+        }
+        for _ in 0..trips {
+            for (cr, c) in self.refs.iter().zip(cursors.iter_mut()) {
+                let addr = match &cr.morton {
+                    Some(m) => next_morton(m, c),
+                    None => {
+                        let a = c.addr;
+                        c.addr += c.delta;
+                        a
+                    }
+                };
+                sink.access(Access {
+                    addr: addr as u64,
+                    kind: cr.kind,
+                });
             }
         }
         *count += trips * nrefs as u64;
@@ -1128,11 +1030,7 @@ impl CompiledNest {
                     count: trips,
                     kind: cr.kind,
                 }));
-                if let [run] = runs.as_slice() {
-                    sink.run(*run);
-                } else {
-                    sink.run_group(runs);
-                }
+                sink.run_group(runs);
             } else {
                 let mut cur = cur;
                 for _ in 0..trips {
@@ -2010,59 +1908,32 @@ mod tests {
     #[derive(Default)]
     struct CallCounter {
         accesses: u64,
-        runs: u64,
         run_groups: u64,
-        total: u64,
     }
 
     impl AccessSink for CallCounter {
         fn access(&mut self, _: Access) {
             self.accesses += 1;
-            self.total += 1;
         }
 
-        fn run(&mut self, run: Run) {
-            self.runs += 1;
-            self.total += run.count;
-        }
-
-        fn run_group(&mut self, runs: &[Run]) {
+        fn run_group(&mut self, _: &[Run]) {
             self.run_groups += 1;
-            self.total += runs.iter().map(|r| r.count).sum::<u64>();
         }
     }
 
     #[test]
-    fn morton_single_ref_fast_path_batches_runs() {
-        // A 1-D morton family is linear-in-disguise: the whole innermost
-        // sweep must coalesce into runs, not per-access emissions.
-        let mut p = Program::new("t");
-        let a = p.add_array(ArrayDecl::f64("A", vec![64]));
-        p.add_nest(LoopNest::new(
-            "n",
-            vec![Loop::counted("i", 0, 63)],
-            vec![ArrayRef::read(a, vec![E::var("i")])],
-        ));
-        let fams = vec![crate::layout::LayoutFamily::morton_round_robin(
-            &p.arrays[0],
-        )];
-        let l = DataLayout::with_pads_and_families(&p.arrays, &[0], &fams).unwrap();
-        let mut c = CallCounter::default();
-        assert_eq!(generate(&p, &l, &mut c), 64);
-        assert_eq!(c.total, 64);
-        assert_eq!(c.runs, 1, "sequential morton sweep is one run");
-        assert_eq!((c.accesses, c.run_groups), (0, 0));
-    }
-
-    #[test]
-    fn morton_multi_ref_body_bails_to_scalar() {
+    fn morton_nests_emit_access_by_access() {
         // Every innermost invocation (8 of them, 2 refs × 8 trips) is
-        // emitted access by access.
+        // emitted access by access, and so is a lone Morton reference.
         let (p, l) = morton_program(8);
         let mut c = CallCounter::default();
         assert_eq!(generate(&p, &l, &mut c), 128);
-        assert_eq!(c.accesses, 128);
-        assert_eq!((c.runs, c.run_groups), (0, 0));
+        assert_eq!((c.accesses, c.run_groups), (128, 0));
+        let mut p = p;
+        p.nests[0].body.pop();
+        let mut c = CallCounter::default();
+        assert_eq!(generate(&p, &l, &mut c), 64);
+        assert_eq!((c.accesses, c.run_groups), (64, 0));
     }
 
     #[test]
@@ -2089,21 +1960,31 @@ mod tests {
     }
 
     #[test]
-    fn morton_nest_offers_marked_descriptor() {
+    fn constant_accesses_counts_rectangular_nests_only() {
+        let count = |p: &Program, l: &DataLayout| {
+            CompiledNest::try_new(p, &p.nests[0], l)
+                .unwrap()
+                .constant_accesses()
+        };
+        // A Morton nest has a count: 4 × 4 trips of 2 references.
         let (p, l) = morton_program(4);
-        let nest = CompiledNest::try_new(&p, &p.nests[0], &l).unwrap();
-        let desc = nest.descriptor().expect("constant bounds have descriptors");
-        assert!(desc.non_affine);
-        assert!(desc.refs.is_empty());
-        assert_eq!(desc.trips, vec![4, 4]);
-        // Affine nests stay unmarked.
-        let p3 = simple_program(4);
-        let l3 = DataLayout::contiguous(&p3.arrays);
-        let d3 = CompiledNest::try_new(&p3, &p3.nests[0], &l3)
-            .unwrap()
-            .descriptor()
-            .unwrap();
-        assert!(!d3.non_affine);
+        assert_eq!(count(&p, &l), Some(Some(32)));
+        // A triangular nest and a nest with an empty loop have none.
+        let (mut p, _) = morton_program(4);
+        p.nests[0].loops[1] = Loop::new("i", E::constant(0), E::var("j"));
+        let l = DataLayout::contiguous(&p.arrays);
+        assert_eq!(count(&p, &l), None);
+        let mut p = simple_program(4);
+        p.nests[0].loops[0] = Loop::counted("i", 3, 2);
+        assert_eq!(count(&p, &l), None);
+        // 2^66 accesses overflow: a count, but none that fits.
+        let mut p = simple_program(4);
+        p.nests[0].loops = (0..3)
+            .map(|k| Loop::counted(format!("x{k}"), 0, (1 << 22) - 1))
+            .collect();
+        p.nests[0].body[0] = ArrayRef::read(0, vec![E::constant(0)]);
+        let l = DataLayout::contiguous(&p.arrays);
+        assert_eq!(count(&p, &l), Some(None));
     }
 
     #[test]
